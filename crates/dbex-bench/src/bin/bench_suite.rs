@@ -343,9 +343,8 @@ fn span_breakdown(
     let mut per_span: Vec<(String, Vec<f64>)> = Vec::new();
     for _ in 0..runs.max(1) {
         let tracer = Tracer::enabled();
-        let cad = build_cad_view_traced(result, &request, None, &tracer).unwrap_or_else(|e| {
-            die(&format!("{} traced build failed: {e}", workload.name))
-        });
+        let cad = build_cad_view_traced(result, &request, None, None, &tracer)
+            .unwrap_or_else(|e| die(&format!("{} traced build failed: {e}", workload.name)));
         let Some(trace) = cad.trace else { continue };
         tree_json = trace.to_json();
         let parsed = Json::parse(&tree_json).unwrap_or_else(|e| {

@@ -25,7 +25,7 @@ use dbex_cluster::{
     KMeansConfig, KMeansResult, MiniBatchConfig, OneHotSpace, PackedMatrix,
 };
 use dbex_stats::cache::{ClusterKey, ClusterSolution};
-use dbex_stats::discretize::{AttributeCodec, CodedColumn, CodedMatrix};
+use dbex_stats::discretize::{CodedColumn, CodedColumns};
 use dbex_stats::feature::{
     select_compare_attributes_ctx, FeatureScorer, FeatureSelectionConfig, ScoringCtx,
 };
@@ -289,7 +289,7 @@ pub fn build_cad_view_cached(
     request: &CadRequest,
     cache: Option<&StatsCache>,
 ) -> Result<CadView, CadError> {
-    build_cad_view_traced(result, request, cache, &Tracer::disabled())
+    build_cad_view_traced(result, request, cache, None, &Tracer::disabled())
 }
 
 /// Reads the cache counters, treating "no cache" as all-zero.
@@ -297,7 +297,14 @@ fn cache_stats(cache: Option<&StatsCache>) -> CacheStats {
     cache.map(|c| c.stats()).unwrap_or_default()
 }
 
-/// [`build_cad_view_cached`] with span tracing.
+/// [`build_cad_view_cached`] with span tracing, coding attributes through
+/// `coded`, the caller's memo of `result`.
+///
+/// Every stage reads its attribute codes from that memo, so an attribute
+/// is coded at most once per result however many stages — or later
+/// builds and `SUGGEST` calls over the same result — read it. `None` (or
+/// a memo binning differently from the request) codes through a memo
+/// that lives for this build alone.
 ///
 /// With an enabled `tracer` the build records the span taxonomy below
 /// and attaches the assembled tree as [`CadView::trace`] (the tracer is
@@ -319,11 +326,13 @@ fn cache_stats(cache: Option<&StatsCache>) -> CacheStats {
 /// `cluster_partition` / `solve_partition` run once per pivot value —
 /// possibly on pool workers — and merge into a single node, so the tree
 /// and every counter are byte-identical at any thread count; only the
-/// recorded durations differ.
+/// recorded durations differ. `rows_scanned` counts rows coded, i.e. the
+/// memo's misses: a stage whose columns were already coded reports 0.
 pub fn build_cad_view_traced(
     result: &View<'_>,
     request: &CadRequest,
     cache: Option<&StatsCache>,
+    coded: Option<&CodedColumns>,
     tracer: &Tracer,
 ) -> Result<CadView, CadError> {
     let build_start = Instant::now();
@@ -340,33 +349,36 @@ pub fn build_cad_view_traced(
     if request.iunits == 0 {
         return Err(CadError::ZeroIUnits);
     }
+    let mut own_memo = None;
+    let memo = CodedColumns::reuse_or_new(
+        coded,
+        &mut own_memo,
+        result,
+        request.config.bins,
+        request.config.strategy,
+    );
     let root = tracer.root("cad_build");
     root.add("rows_input", result.len() as u64);
     let pivot_span = root.child("pivot_encode");
+    let rows_coded_before = memo.rows_coded();
     let pivot_column = result.table().column(pivot_col);
     // Categorical pivots use their dictionary codes; numeric pivots are
     // discretized, and the bins act as pivot values (an extension beyond
     // the paper, which assumes a categorical pivot).
-    let pivot_codec = AttributeCodec::build(
-        result,
-        pivot_col,
-        request.config.bins,
-        request.config.strategy,
-    )
-    .map_err(|e| CadError::PivotNotDiscretizable {
-        pivot: request.pivot.clone(),
-        source: e,
-    })?;
+    let pivot =
+        memo.column(result, pivot_col, cache)
+            .map_err(|e| CadError::PivotNotDiscretizable {
+                pivot: request.pivot.clone(),
+                source: e,
+            })?;
+    let pivot_codec = &pivot.codec;
 
     // Partition the result set by pivot code (positions, not row ids).
     let mut partitions: Vec<(u32, Vec<usize>)> = Vec::new();
     {
         let mut index_of_code: std::collections::HashMap<u32, usize> =
             std::collections::HashMap::new();
-        for (pos, &row) in result.row_ids().iter().enumerate() {
-            let Some(code) = pivot_codec.encode(pivot_column, row as usize) else {
-                continue;
-            };
+        for (pos, &code) in pivot.codes.iter().enumerate() {
             if code == NULL_CODE {
                 continue;
             }
@@ -421,7 +433,7 @@ pub fn build_cad_view_traced(
     if pivot_codes.is_empty() {
         return Err(CadError::NoPivotValues);
     }
-    pivot_span.add("rows_scanned", result.len() as u64);
+    pivot_span.add("rows_scanned", memo.rows_coded() - rows_coded_before);
     pivot_span.add("pivot_values", selected_partitions.len() as u64);
     drop(pivot_span);
 
@@ -429,6 +441,7 @@ pub fn build_cad_view_traced(
     let t0 = Instant::now();
     let fs_span = root.child("compare_attrs");
     let fs_cache_before = cache_stats(cache);
+    let rows_coded_before = memo.rows_coded();
     let forced: Vec<usize> = request
         .compare_attrs
         .iter()
@@ -489,6 +502,7 @@ pub fn build_cad_view_traced(
         &candidates,
         &fs_config,
         ScoringCtx {
+            coded: Some(memo),
             threads,
             cache,
             class_ctx,
@@ -509,10 +523,7 @@ pub fn build_cad_view_traced(
             .take(request.max_compare_attrs)
             .collect();
     }
-    // The scoring view is the (possibly sampled) result set crossed with
-    // every candidate attribute.
-    let scoring_rows = fs_sample.map_or(result.len(), |s| result.len().min(s));
-    fs_span.add("rows_scanned", (scoring_rows * candidates_scored) as u64);
+    fs_span.add("rows_scanned", memo.rows_coded() - rows_coded_before);
     fs_span.add("attrs_scored", candidates_scored as u64);
     fs_span.add("attrs_selected", compare_attrs.len() as u64);
     let fs_cache_after = cache_stats(cache);
@@ -526,21 +537,23 @@ pub fn build_cad_view_traced(
     let gen_span = root.child("iunit_generation");
     let enc_span = gen_span.child("encode_matrix");
     let enc_cache_before = cache_stats(cache);
-    let matrix = CodedMatrix::encode_ctx(
-        result,
-        &compare_attrs,
-        request.config.bins,
-        request.config.strategy,
-        threads,
-        cache,
-    );
-    let coded: Vec<&CodedColumn> = matrix.columns.iter().collect();
+    let rows_coded_before = memo.rows_coded();
+    // Attributes that cannot be coded (all-NULL numeric columns) are
+    // skipped — the CAD View simply cannot use them.
+    let columns: Vec<std::sync::Arc<CodedColumn>> =
+        dbex_par::par_map(threads, &compare_attrs, |_, &attr| {
+            memo.column(result, attr, cache).ok()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+    let coded: Vec<&CodedColumn> = columns.iter().map(|c| &**c).collect();
     // Attributes that survived encoding, in selection order.
     let live_attrs: Vec<usize> = coded.iter().map(|c| c.attr_index).collect();
     if coded.is_empty() {
         return Err(CadError::NoCompareAttributes);
     }
-    enc_span.add("rows_scanned", (result.len() * coded.len()) as u64);
+    enc_span.add("rows_scanned", memo.rows_coded() - rows_coded_before);
     enc_span.add("attrs_encoded", coded.len() as u64);
     let enc_cache_after = cache_stats(cache);
     enc_span.add("cache_hits", enc_cache_after.hits - enc_cache_before.hits);
@@ -925,15 +938,9 @@ fn generate_candidates(
             if let Some(solution) = cache.cluster_lookup(&key) {
                 dbex_obs::counter!("cluster.partitions_reused").incr(1);
                 let units = solution
-                    .clusters
-                    .iter()
-                    .map(|cluster| {
-                        let mems: Vec<usize> = cluster
-                            .iter()
-                            .filter_map(|&i| members.get(i as usize).copied())
-                            .collect();
-                        IUnit::from_members(mems, coded, &config.label)
-                    })
+                    .remap(members)
+                    .into_iter()
+                    .map(|mems| IUnit::from_members(mems, coded, &config.label))
                     .collect();
                 return (units, degradation, true, false);
             }
@@ -963,12 +970,7 @@ fn generate_candidates(
             Ok((clusters, warm_started)) => {
                 if rung == ClusterRung::Full {
                     if let (Some(key), Some(cache)) = (reuse_key, cache) {
-                        cache.cluster_insert(
-                            key,
-                            ClusterSolution {
-                                clusters: clusters.clone(),
-                            },
-                        );
+                        cache.cluster_insert(key, ClusterSolution::new(&clusters));
                     }
                 }
                 if warm_started {

@@ -5,9 +5,11 @@ use crate::ast::*;
 use crate::error::{CaughtPanic, QueryError, SessionError};
 use crate::parser::{parse, parse_predicate};
 use dbex_core::{
-    build_cad_view_traced, CadRequest, CadView, ExecBudget, Preference, StatsCache, Tracer,
+    build_cad_view_traced, CadConfig, CadRequest, CadView, ExecBudget, Preference, StatsCache,
+    Tracer,
 };
 use dbex_obs::TraceSink;
+use dbex_stats::CodedColumns;
 use dbex_suggest::{CompletionMode, SuggestConfig, SuggestError};
 use dbex_table::{group_by, sort_view, Predicate, SortKey, Table, Value, View};
 use std::collections::HashMap;
@@ -241,6 +243,29 @@ impl SharedCatalog {
     }
 }
 
+/// The session's last filtered result: the table `Arc` and predicate that
+/// produced it, its row ids, and its attributes coded as far as any
+/// statement has asked for them.
+///
+/// A table registered under a name is immutable, and the memo holds its
+/// `Arc`, so the allocation cannot be freed and reused while the memo
+/// lives: the same pointer means the same rows. A `.load` that swaps the
+/// name installs a new `Arc` and misses. Predicates compare with
+/// [`Predicate::identical`], which tells `0.0` from `-0.0`.
+struct ResultMemo {
+    table: Arc<Table>,
+    predicate: Predicate,
+    rows: Vec<u32>,
+    coded: CodedColumns,
+}
+
+impl ResultMemo {
+    /// The result as a view, borrowing the memo's row ids.
+    fn view(&self) -> View<'_> {
+        View::borrowed(&self.table, &self.rows)
+    }
+}
+
 /// An interactive session over registered tables.
 #[derive(Default)]
 pub struct Session {
@@ -270,6 +295,11 @@ pub struct Session {
     /// Set when a table is (re-)registered after the last `.save`, so the
     /// REPL can warn about unsaved catalog changes.
     catalog_dirty: bool,
+    /// The last filtered result, shared by the statements that follow it
+    /// over the same table and predicate — a CAD preview and its exact
+    /// build, `SUGGEST` on the view just built, a pivot change. One entry
+    /// of about `4 B × rows × (1 + attributes coded)`.
+    result_memo: Option<Arc<ResultMemo>>,
 }
 
 impl Session {
@@ -447,9 +477,40 @@ impl Session {
                 if let Some(name) = at_risk {
                     self.cad_views.remove(&name);
                 }
+                self.result_memo = None;
                 Err(QueryError::Panicked(CaughtPanic::from_payload(&*payload)))
             }
         }
+    }
+
+    /// `table_name` filtered by `predicate`. Every statement that filters a
+    /// table by a WHERE clause comes through here: the last result is
+    /// memoized, and asking again for the same table `Arc` with an
+    /// identical predicate returns it — rows and coded attributes — without
+    /// filtering again.
+    fn filtered(&mut self, table_name: &str, predicate: &Predicate) -> Result<Arc<ResultMemo>> {
+        let table = self.table(table_name)?;
+        if let Some(memo) = &self.result_memo {
+            if Arc::ptr_eq(&memo.table, &table) && memo.predicate.identical(predicate) {
+                dbex_obs::counter!("query.result_memo.hits").incr(1);
+                return Ok(Arc::clone(memo));
+            }
+        }
+        dbex_obs::counter!("query.result_memo.misses").incr(1);
+        self.result_memo = None;
+        // The CAD default binning, which SUGGEST shares.
+        let CadConfig { bins, strategy, .. } = CadConfig::default();
+        let view = table.filter(predicate)?;
+        let coded = CodedColumns::new(&view, bins, strategy);
+        let rows = view.into_row_ids();
+        let memo = Arc::new(ResultMemo {
+            table,
+            predicate: predicate.clone(),
+            rows,
+            coded,
+        });
+        self.result_memo = Some(Arc::clone(&memo));
+        Ok(memo)
     }
 
     fn dispatch(&mut self, stmt: Statement) -> Result<QueryOutput> {
@@ -491,9 +552,10 @@ impl Session {
         }
     }
 
-    fn run_select(&self, s: SelectStmt) -> Result<QueryOutput> {
-        let table = self.table(&s.table)?;
-        let view = table.filter(&s.predicate)?;
+    fn run_select(&mut self, s: SelectStmt) -> Result<QueryOutput> {
+        let memo = self.filtered(&s.table, &s.predicate)?;
+        let table = &memo.table;
+        let view = memo.view();
 
         // Aggregate query: GROUP BY + aggregates produce a derived table,
         // then ORDER BY / LIMIT apply to it.
@@ -614,7 +676,7 @@ impl Session {
     /// forwarding the span tree to the installed sink.
     fn build_cad(
         &self,
-        result: &View<'_>,
+        memo: &ResultMemo,
         request: &CadRequest,
         force_trace: bool,
     ) -> Result<CadView> {
@@ -624,22 +686,22 @@ impl Session {
         } else {
             Tracer::disabled()
         };
-        let cad = build_cad_view_traced(result, request, Some(&self.stats_cache), &tracer)?;
+        let cache = Some(self.stats_cache.as_ref());
+        let cad = build_cad_view_traced(&memo.view(), request, cache, Some(&memo.coded), &tracer)?;
         if let (Some(sink), Some(trace)) = (&self.trace_sink, &cad.trace) {
             sink.record(trace);
         }
         Ok(cad)
     }
 
-    fn run_explain_cadview(&self, c: CadViewStmt, analyze: bool) -> Result<QueryOutput> {
-        let table = self.table(&c.table)?;
-        let result = table.filter(&c.predicate)?;
+    fn run_explain_cadview(&mut self, c: CadViewStmt, analyze: bool) -> Result<QueryOutput> {
+        let memo = self.filtered(&c.table, &c.predicate)?;
         let request = self.cad_request(&c)?;
-        let cad = self.build_cad(&result, &request, analyze)?;
+        let cad = self.build_cad(&memo, &request, analyze)?;
         let mut out = format!(
             "CADVIEW {} over {} rows of {}\n  pivot: {} ({} values shown)\n",
             c.name,
-            result.len(),
+            memo.rows.len(),
             c.table,
             c.pivot,
             cad.rows.len()
@@ -724,10 +786,9 @@ impl Session {
     }
 
     fn run_create_cadview(&mut self, c: CadViewStmt) -> Result<QueryOutput> {
-        let table = self.table(&c.table)?;
-        let result = table.filter(&c.predicate)?;
+        let memo = self.filtered(&c.table, &c.predicate)?;
         let request = self.cad_request(&c)?;
-        let cad = self.build_cad(&result, &request, false)?;
+        let cad = self.build_cad(&memo, &request, false)?;
         let rendered = cad.render();
         let degradation = cad.degradation.iter().map(|d| d.to_string()).collect();
         let trace = cad.trace.as_ref().map(|t| t.render());
@@ -774,22 +835,24 @@ impl Session {
     /// next-step attributes against the view's pivot by information gain
     /// (symmetrical uncertainty). Contingency tables land in the session's
     /// stats cache keyed on the refined view's fingerprint, so repeating
-    /// the statement over an unchanged view is all cache hits.
-    fn run_suggest_next(&self, view_name: &str, analyze: bool) -> Result<QueryOutput> {
-        let cad = self.cad_view(view_name)?;
+    /// the statement over an unchanged view is all cache hits; right after
+    /// the view's build, the result memo also spares the filter and the
+    /// coding.
+    fn run_suggest_next(&mut self, view_name: &str, analyze: bool) -> Result<QueryOutput> {
+        let pivot = self.cad_view(view_name)?.pivot_attr;
         let (table_name, predicate) =
-            self.view_contexts
-                .get(view_name)
-                .ok_or_else(|| SessionError::UnknownCadView {
+            self.view_contexts.get(view_name).cloned().ok_or_else(|| {
+                SessionError::UnknownCadView {
                     name: view_name.to_owned(),
-                })?;
-        let table = self.table(table_name)?;
-        let result = table.filter(predicate)?;
+                }
+            })?;
+        let memo = self.filtered(&table_name, &predicate)?;
         let report = dbex_suggest::suggest_next(
-            &result,
-            cad.pivot_attr,
+            &memo.view(),
+            pivot,
             &self.suggest_config(),
             Some(&self.stats_cache),
+            Some(&memo.coded),
         )
         .map_err(Self::suggest_error)?;
         let items: Vec<(String, f64, String)> = report
@@ -848,7 +911,7 @@ impl Session {
     /// unparseable preceding clause falls back to the unrefined table
     /// rather than erroring (the user is mid-keystroke), but an unknown
     /// table or attribute is a typed error.
-    fn run_suggest_complete(&self, prefix: &str, analyze: bool) -> Result<QueryOutput> {
+    fn run_suggest_complete(&mut self, prefix: &str, analyze: bool) -> Result<QueryOutput> {
         let analysis = dbex_suggest::analyze_prefix(prefix);
         let table_name = match analysis.table {
             Some(name) => name,
@@ -871,16 +934,19 @@ impl Session {
             .context
             .as_deref()
             .and_then(|ctx| parse_predicate(ctx).ok());
-        let result = match &context_pred {
-            Some(pred) => table.filter(pred).unwrap_or_else(|_| table.full_view()),
-            None => table.full_view(),
+        let memo = context_pred
+            .as_ref()
+            .and_then(|pred| self.filtered(&table_name, pred).ok());
+        let (result, coded) = match &memo {
+            Some(memo) => (memo.view(), Some(&memo.coded)),
+            None => (table.full_view(), None),
         };
         let started = std::time::Instant::now();
         let cfg = self.suggest_config();
         let cache = Some(self.stats_cache.as_ref());
         let (what, items) = match analysis.mode {
             CompletionMode::Attribute { partial } => {
-                let items = dbex_suggest::complete_attribute(&result, &partial, &cfg, cache);
+                let items = dbex_suggest::complete_attribute(&result, &partial, &cfg, cache, coded);
                 let what = if partial.is_empty() {
                     "attribute".to_owned()
                 } else {
@@ -889,8 +955,9 @@ impl Session {
                 (what, items)
             }
             CompletionMode::Value { attr, partial } => {
-                let items = dbex_suggest::complete_value(&result, &attr, &partial, &cfg, cache)
-                    .map_err(Self::suggest_error)?;
+                let items =
+                    dbex_suggest::complete_value(&result, &attr, &partial, &cfg, cache, coded)
+                        .map_err(Self::suggest_error)?;
                 (format!("value for {attr}"), items)
             }
         };
@@ -932,20 +999,20 @@ impl Session {
     /// rungs via a fixed aggressive config (same seed and cache as the
     /// exact build, so whatever the preview computes warms the follow-up)
     /// and is never inserted into the session's view map: the exact frame
-    /// that follows owns the name.
+    /// that follows owns the name. It filters through the result memo, so
+    /// the exact build finds the result filtered and partly coded.
     ///
     /// Returns `None` whenever a preview is not worth streaming or cannot
     /// be built: the statement is not `CREATE CADVIEW`, the filtered
     /// result is under [`Session::PREVIEW_MIN_ROWS`], or anything errors
     /// or panics (the exact build re-runs the statement and surfaces the
     /// failure in FIFO order, so the preview path never reports one).
-    pub fn preview_create_cadview(&self, sql: &str) -> Option<QueryOutput> {
+    pub fn preview_create_cadview(&mut self, sql: &str) -> Option<QueryOutput> {
         let Ok(Statement::CreateCadView(c)) = parse(sql) else {
             return None;
         };
-        let table = self.table(&c.table).ok()?;
-        let result = table.filter(&c.predicate).ok()?;
-        if result.len() < Self::PREVIEW_MIN_ROWS {
+        let memo = self.filtered(&c.table, &c.predicate).ok()?;
+        if memo.rows.len() < Self::PREVIEW_MIN_ROWS {
             return None;
         }
         let mut request = self.cad_request(&c).ok()?;
@@ -955,7 +1022,7 @@ impl Session {
         config.adaptive_iunits = true;
         config.kmeans_iters = config.kmeans_iters.min(8);
         catch_unwind(AssertUnwindSafe(|| {
-            let cad = self.build_cad(&result, &request, false).ok()?;
+            let cad = self.build_cad(&memo, &request, false).ok()?;
             Some(QueryOutput::Cad {
                 name: c.name.clone(),
                 rendered: cad.render(),
@@ -963,8 +1030,10 @@ impl Session {
                 trace: cad.trace.as_ref().map(|t| t.render()),
             })
         }))
-        .ok()
-        .flatten()
+        .unwrap_or_else(|_| {
+            self.result_memo = None;
+            None
+        })
     }
 
     fn run_highlight(&self, h: HighlightStmt) -> Result<QueryOutput> {
@@ -1083,7 +1152,7 @@ mod tests {
 
     #[test]
     fn preview_skips_small_results() {
-        let s = session(); // 30 rows — far under PREVIEW_MIN_ROWS
+        let mut s = session(); // 30 rows — far under PREVIEW_MIN_ROWS
         assert!(s
             .preview_create_cadview("CREATE CADVIEW v AS SET pivot = Make FROM cars")
             .is_none());

@@ -114,10 +114,74 @@ pub struct ClusterKey {
 /// [`ClusterKey`] fingerprint guarantees) the indices remap exactly. The
 /// consumer rebuilds IUnits from the remapped members, so labels and
 /// scores are recomputed identically rather than trusted stale.
-#[derive(Debug, Clone)]
+///
+/// The cache keeps these for every partition it has clustered, so they
+/// are packed: every cluster's indices in one flat buffer, two bytes each
+/// when every index fits in a `u16` and four otherwise.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterSolution {
-    /// Non-empty clusters of member-list indices, in discovery order.
-    pub clusters: Vec<Vec<u32>>,
+    /// `members[ends[i - 1]..ends[i]]` is cluster `i` (from 0 for `i = 0`).
+    ends: Vec<u32>,
+    members: PackedIndices,
+}
+
+/// A flat index buffer at the narrowest width that holds every index.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum PackedIndices {
+    U16(Vec<u16>),
+    U32(Vec<u32>),
+}
+
+impl ClusterSolution {
+    /// Packs `clusters` (lists of member-list indices, in cluster order).
+    pub fn new(clusters: &[Vec<u32>]) -> ClusterSolution {
+        let mut ends = Vec::with_capacity(clusters.len());
+        let mut total = 0u32;
+        for cluster in clusters {
+            total += cluster.len() as u32;
+            ends.push(total);
+        }
+        let flat = clusters.iter().flatten().copied();
+        let members = match flat.clone().map(u16::try_from).collect() {
+            Ok(narrow) => PackedIndices::U16(narrow),
+            Err(_) => PackedIndices::U32(flat.collect()),
+        };
+        ClusterSolution { ends, members }
+    }
+
+    /// Each cluster's members looked up in `targets` (the partition's
+    /// member list): `targets[i]` for every stored index `i`, skipping an
+    /// index out of range rather than trusting it with a panic.
+    pub fn remap<T: Copy>(&self, targets: &[T]) -> Vec<Vec<T>> {
+        self.clusters()
+            .map(|cluster| {
+                cluster
+                    .filter_map(|i| targets.get(i as usize).copied())
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The clusters unpacked, as [`ClusterSolution::new`] received them.
+    pub fn to_vecs(&self) -> Vec<Vec<u32>> {
+        self.clusters().map(Iterator::collect).collect()
+    }
+
+    fn clusters(&self) -> impl Iterator<Item = impl Iterator<Item = u32> + '_> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(move |(start, &end)| (start as usize..end as usize).map(|j| self.members.get(j)))
+    }
+}
+
+impl PackedIndices {
+    fn get(&self, j: usize) -> u32 {
+        match self {
+            PackedIndices::U16(m) => u32::from(m[j]),
+            PackedIndices::U32(m) => m[j],
+        }
+    }
 }
 
 /// A Lloyd centroid in integer-histogram form: per-one-hot-dimension
@@ -536,14 +600,9 @@ mod tests {
             sample: usize::MAX,
         };
         assert!(cache.cluster_lookup(&key).is_none());
-        cache.cluster_insert(
-            key,
-            ClusterSolution {
-                clusters: vec![vec![0, 2], vec![1]],
-            },
-        );
+        cache.cluster_insert(key, ClusterSolution::new(&[vec![0, 2], vec![1]]));
         let hit = cache.cluster_lookup(&key).expect("must hit");
-        assert_eq!(hit.clusters, vec![vec![0, 2], vec![1]]);
+        assert_eq!(hit.to_vecs(), vec![vec![0, 2], vec![1]]);
         // A different fingerprint or parameter misses.
         assert!(cache
             .cluster_lookup(&ClusterKey { partition_fp: 43, ..key })
@@ -564,23 +623,45 @@ mod tests {
             plus_plus: true,
             sample: usize::MAX,
         };
-        cache.cluster_insert(key(1), ClusterSolution { clusters: vec![vec![0, 1], vec![2]] });
-        cache.cluster_insert(key(2), ClusterSolution { clusters: vec![vec![3]] });
+        cache.cluster_insert(key(1), ClusterSolution::new(&[vec![0, 1], vec![2]]));
+        cache.cluster_insert(key(2), ClusterSolution::new(&[vec![3]]));
         cache.set_warm_centroids(9, vec![(vec![1, 0], 1)]); // must NOT be exported
         assert_eq!(cache.exact_cluster_entries(), 2);
 
         let mut exported = cache.export_clusters();
         exported.sort_by_key(|(k, _)| k.partition_fp);
         assert_eq!(exported.len(), 2);
-        assert_eq!(exported[0].1.clusters, vec![vec![0, 1], vec![2]]);
+        assert_eq!(exported[0].1.to_vecs(), vec![vec![0, 1], vec![2]]);
 
         let rehydrated = StatsCache::new();
         for (k, v) in exported {
             rehydrated.cluster_insert(k, v);
         }
         let hit = rehydrated.cluster_lookup(&key(1)).expect("rehydrated entry hits");
-        assert_eq!(hit.clusters, vec![vec![0, 1], vec![2]]);
+        assert_eq!(hit.to_vecs(), vec![vec![0, 1], vec![2]]);
         assert!(rehydrated.warm_centroids(9).is_none());
+    }
+
+    #[test]
+    fn cluster_solution_packs_u16_up_to_65535_and_u32_beyond() {
+        for (top, narrow) in [(65_535u32, true), (65_536, false)] {
+            let clusters = vec![vec![top, 0, 7], vec![], vec![3, top - 1]];
+            let solution = ClusterSolution::new(&clusters);
+            assert_eq!(
+                matches!(solution.members, PackedIndices::U16(_)),
+                narrow,
+                "largest index {top}"
+            );
+            assert_eq!(solution.to_vecs(), clusters);
+            // Remapping reads straight from the packed buffer; an index
+            // past the target list is skipped, not trusted.
+            let targets: Vec<usize> = (0..top as usize).map(|i| i * 2).collect();
+            assert_eq!(
+                solution.remap(&targets),
+                vec![vec![0, 14], vec![], vec![6, (top as usize - 1) * 2]]
+            );
+        }
+        assert!(ClusterSolution::new(&[]).to_vecs().is_empty());
     }
 
     #[test]

@@ -3,14 +3,19 @@
 //! Every CAD View algorithm — chi-square feature selection, k-means
 //! clustering, IUnit labeling, digest similarity — consumes attributes as
 //! small discrete domains. [`AttributeCodec`] captures how one attribute is
-//! discretized (categorical passthrough or numeric binning) and
-//! [`CodedMatrix`] materializes the codes for a result set.
+//! discretized (categorical passthrough or numeric binning),
+//! [`CodedColumn::build`] codes one attribute of a result set, and
+//! [`CodedColumns`] memoizes those codings per result set so each attribute
+//! is coded at most once however many stages read it.
 
+use crate::cache::{CodecKey, StatsCache};
 use crate::error::StatsError;
 use crate::fault;
 use crate::histogram::{BinningStrategy, Histogram};
 use dbex_table::dict::NULL_CODE;
 use dbex_table::{Column, DataType, View};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// How an attribute's raw values map to discrete codes `0..cardinality`.
 #[derive(Debug, Clone)]
@@ -159,6 +164,38 @@ pub struct CodedColumn {
 }
 
 impl CodedColumn {
+    /// Codes attribute `attr` over every row of `view`: builds the codec —
+    /// through `cache` under the view's fingerprint when one is given —
+    /// and encodes the rows in one batch. Every coding in the workspace
+    /// runs through here; [`CodedColumns`] memoizes the result.
+    pub fn build(
+        view: &View<'_>,
+        attr: usize,
+        bins: usize,
+        strategy: BinningStrategy,
+        cache: Option<(&StatsCache, u64)>,
+    ) -> Result<CodedColumn, StatsError> {
+        let build = || AttributeCodec::build(view, attr, bins, strategy);
+        let codec = match cache {
+            Some((cache, view_fp)) => {
+                let key = CodecKey {
+                    view_fp,
+                    attr,
+                    bins,
+                    strategy,
+                };
+                (*cache.codec_with(key, build)?).clone()
+            }
+            None => build()?,
+        };
+        let codes = codec.encode_rows(view.table().column(attr), view.row_ids());
+        Ok(CodedColumn {
+            attr_index: attr,
+            codec,
+            codes,
+        })
+    }
+
     /// Frequency of each code among the given positions (indices into the
     /// view, not row ids). NULLs are skipped.
     pub fn frequencies(&self, positions: &[usize]) -> Vec<f64> {
@@ -170,6 +207,131 @@ impl CodedColumn {
             }
         }
         freq
+    }
+}
+
+/// The coded attributes of one result set, each coded at most once.
+///
+/// A CAD build reads the same columns in three stages — the pivot encode,
+/// Compare-Attribute scoring and the IUnit coded matrix — and `SUGGEST`
+/// reads them again over the same result. `CodedColumns` codes an
+/// attribute on its first request ([`CodedColumn::build`], so the codec
+/// comes through the [`StatsCache`]'s [`CodecKey`] entries when a cache is
+/// given) and hands out the shared column after that. A failed coding (an
+/// all-NULL column, an injected fault) is returned and never stored: the
+/// next request codes again.
+///
+/// While a [`fault`] site is armed on the calling thread, coding skips the
+/// memo and the cache both ways, so the fault fires exactly as it would in
+/// a cold session (the rule cluster reuse follows for cluster faults).
+///
+/// The memo belongs to the view it was created for, and every call passes
+/// that view back in. Slots are `OnceLock`s, so `par_map` workers may code
+/// different attributes at once; two racing on one attribute both code it
+/// and keep the first of two identical results.
+#[derive(Debug)]
+pub struct CodedColumns {
+    table_id: u64,
+    rows: usize,
+    bins: usize,
+    strategy: BinningStrategy,
+    fingerprint: OnceLock<u64>,
+    slots: Vec<OnceLock<Arc<CodedColumn>>>,
+    /// Shared with the memos [`Self::for_sample`] makes.
+    rows_coded: Arc<AtomicU64>,
+}
+
+impl CodedColumns {
+    /// An empty memo for `view`, binning numeric attributes with `bins`
+    /// and `strategy`.
+    pub fn new(view: &View<'_>, bins: usize, strategy: BinningStrategy) -> CodedColumns {
+        CodedColumns {
+            table_id: view.table().id(),
+            rows: view.len(),
+            bins,
+            strategy,
+            fingerprint: OnceLock::new(),
+            slots: (0..view.table().num_columns())
+                .map(|_| OnceLock::new())
+                .collect(),
+            rows_coded: Arc::default(),
+        }
+    }
+
+    /// A throwaway memo for `sample`, a sample of this memo's view, binning
+    /// with `bins` and `strategy`. The rows it codes count toward this
+    /// memo's [`Self::rows_coded`].
+    pub(crate) fn for_sample(
+        &self,
+        sample: &View<'_>,
+        bins: usize,
+        strategy: BinningStrategy,
+    ) -> CodedColumns {
+        CodedColumns {
+            rows_coded: Arc::clone(&self.rows_coded),
+            ..CodedColumns::new(sample, bins, strategy)
+        }
+    }
+
+    /// `memo` (a memo of `view`) when it bins with `bins` and `strategy`;
+    /// otherwise a new memo of `view`, kept in `own` for the caller.
+    pub fn reuse_or_new<'m>(
+        memo: Option<&'m CodedColumns>,
+        own: &'m mut Option<CodedColumns>,
+        view: &View<'_>,
+        bins: usize,
+        strategy: BinningStrategy,
+    ) -> &'m CodedColumns {
+        match memo.filter(|m| m.bins == bins && m.strategy == strategy) {
+            Some(memo) => memo,
+            None => own.insert(CodedColumns::new(view, bins, strategy)),
+        }
+    }
+
+    /// `view.fingerprint()`, computed once per memo.
+    pub fn fingerprint(&self, view: &View<'_>) -> u64 {
+        *self.fingerprint.get_or_init(|| view.fingerprint())
+    }
+
+    /// Attribute `attr` of `view` coded: the memoized column, or one coded
+    /// now (and memoized on success).
+    pub fn column(
+        &self,
+        view: &View<'_>,
+        attr: usize,
+        cache: Option<&StatsCache>,
+    ) -> Result<Arc<CodedColumn>, StatsError> {
+        assert!(
+            view.table().id() == self.table_id && view.len() == self.rows,
+            "CodedColumns used with a view it was not created for"
+        );
+        let faulted = fault::armed();
+        let slot = &self.slots[attr];
+        if let Some(column) = slot.get().filter(|_| !faulted) {
+            return Ok(Arc::clone(column));
+        }
+        let cache = cache
+            .filter(|_| !faulted)
+            .map(|c| (c, self.fingerprint(view)));
+        let coded = Arc::new(CodedColumn::build(
+            view,
+            attr,
+            self.bins,
+            self.strategy,
+            cache,
+        )?);
+        self.rows_coded
+            .fetch_add(self.rows as u64, Ordering::Relaxed);
+        if faulted {
+            return Ok(coded);
+        }
+        Ok(Arc::clone(slot.get_or_init(|| coded)))
+    }
+
+    /// Rows coded so far — result rows times attributes coded, the memo
+    /// misses — including those of memos made by [`Self::for_sample`].
+    pub fn rows_coded(&self) -> u64 {
+        self.rows_coded.load(Ordering::Relaxed)
     }
 }
 
@@ -193,52 +355,9 @@ impl CodedMatrix {
         bins: usize,
         strategy: BinningStrategy,
     ) -> CodedMatrix {
-        Self::encode_ctx(view, attr_indices, bins, strategy, 1, None)
-    }
-
-    /// [`CodedMatrix::encode`] with explicit parallelism and memoization:
-    /// attributes are encoded across `threads` workers, and codecs
-    /// (histograms + labels) are looked up in `cache` when present.
-    ///
-    /// Output is identical to [`CodedMatrix::encode`] for any thread count:
-    /// encoding is independent per attribute and column order follows
-    /// `attr_indices` regardless of completion order.
-    pub fn encode_ctx(
-        view: &View<'_>,
-        attr_indices: &[usize],
-        bins: usize,
-        strategy: BinningStrategy,
-        threads: usize,
-        cache: Option<&crate::cache::StatsCache>,
-    ) -> CodedMatrix {
-        let view_fp = cache.map(|_| view.fingerprint());
-        let encode_one = |col: usize| -> Option<CodedColumn> {
-            let codec: AttributeCodec = match (cache, view_fp) {
-                (Some(cache), Some(fp)) => {
-                    let key = crate::cache::CodecKey {
-                        view_fp: fp,
-                        attr: col,
-                        bins,
-                        strategy,
-                    };
-                    let shared = cache
-                        .codec_with(key, || AttributeCodec::build(view, col, bins, strategy))
-                        .ok()?;
-                    (*shared).clone()
-                }
-                _ => AttributeCodec::build(view, col, bins, strategy).ok()?,
-            };
-            let column = view.table().column(col);
-            let codes = codec.encode_rows(column, view.row_ids());
-            Some(CodedColumn {
-                attr_index: col,
-                codec,
-                codes,
-            })
-        };
-        let columns = dbex_par::par_map(threads, attr_indices, |_, &col| encode_one(col))
-            .into_iter()
-            .flatten()
+        let columns = attr_indices
+            .iter()
+            .filter_map(|&attr| CodedColumn::build(view, attr, bins, strategy, None).ok())
             .collect();
         CodedMatrix {
             columns,
@@ -323,6 +442,45 @@ mod tests {
                 .collect();
             assert_eq!(batch, per_row, "col {col}");
         }
+    }
+
+    #[test]
+    fn coded_columns_code_once_and_never_keep_a_failure() {
+        let t = table();
+        let v = t.full_view();
+        let cache = StatsCache::new();
+        let memo = CodedColumns::new(&v, 2, BinningStrategy::EquiWidth);
+        {
+            let _fault = crate::fault::scoped("codec::build");
+            assert!(memo.column(&v, 1, Some(&cache)).is_err());
+        }
+        assert_eq!(memo.rows_coded(), 0, "a failure codes nothing");
+        let first = memo.column(&v, 1, Some(&cache)).unwrap();
+        {
+            // An armed fault fires even for a memoized attribute.
+            let _fault = crate::fault::scoped("codec::build");
+            assert!(memo.column(&v, 1, Some(&cache)).is_err());
+        }
+        let again = memo.column(&v, 1, Some(&cache)).unwrap();
+        assert!(Arc::ptr_eq(&first, &again));
+        assert_eq!(memo.rows_coded(), 5);
+        let direct = CodedMatrix::encode(&v, &[1], 2, BinningStrategy::EquiWidth);
+        assert_eq!(first.codes, direct.columns[0].codes);
+        // The codec came through the cache under the view's fingerprint;
+        // the faulted calls bypassed it.
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.codec_entries), (0, 1, 1));
+        // A sample's memo is its own, but its rows count here.
+        let sample = View::from_rows(&t, vec![0, 3]);
+        let sampled = memo.for_sample(&sample, 2, BinningStrategy::EquiWidth);
+        assert_eq!(sampled.column(&sample, 0, None).unwrap().codes, vec![0, 1]);
+        assert_eq!(memo.rows_coded(), 7);
+        // A caller binning differently gets a memo of its own.
+        let mut own = None;
+        let same = CodedColumns::reuse_or_new(Some(&memo), &mut own, &v, 2, BinningStrategy::EquiWidth);
+        assert!(std::ptr::eq(same, &memo));
+        let other = CodedColumns::reuse_or_new(Some(&memo), &mut own, &v, 6, BinningStrategy::EquiWidth);
+        assert!(!std::ptr::eq(other, &memo));
     }
 
     #[test]

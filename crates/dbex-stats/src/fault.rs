@@ -57,6 +57,13 @@ impl Drop for ScopedFault {
     }
 }
 
+/// Whether any site is armed on this thread. Memoized results (see
+/// [`crate::CodedColumns`]) are bypassed while one is, so an armed fault
+/// fires as it would in a cold session.
+pub(crate) fn armed() -> bool {
+    ARMED.with(|a| a.get().is_some())
+}
+
 /// Returns the injected error if `site` is armed on this thread.
 /// The fault stays armed until [`disarm`] (or the scope guard drops), so a
 /// degradation ladder that retries the same site keeps failing.
@@ -75,7 +82,9 @@ mod tests {
     #[test]
     fn fires_only_when_armed_and_matching() {
         assert!(check("histogram::build").is_ok());
+        assert!(!armed());
         let guard = scoped("histogram::build");
+        assert!(armed());
         assert!(check("codec::build").is_ok());
         assert_eq!(
             check("histogram::build"),

@@ -11,7 +11,7 @@
 
 use crate::cache::{ContingencyKey, StatsCache};
 use crate::chi2::ContingencyTable;
-use crate::discretize::AttributeCodec;
+use crate::discretize::CodedColumns;
 use crate::entropy::{information_gain, symmetrical_uncertainty};
 use crate::histogram::BinningStrategy;
 use dbex_table::dict::NULL_CODE;
@@ -131,6 +131,10 @@ pub fn select_compare_attributes(
 /// behavior of [`select_compare_attributes_by`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ScoringCtx<'a> {
+    /// Coded-attribute memo of the view being scored, shared with the
+    /// caller's later stages. Without one (or with one binning differently
+    /// from the config), attributes code through a throwaway memo.
+    pub coded: Option<&'a CodedColumns>,
     /// Worker threads for per-attribute scoring; `0`/`1` score on the
     /// caller's thread (see `dbex_par::par_map`).
     pub threads: usize,
@@ -172,8 +176,9 @@ pub fn select_compare_attributes_by(
 }
 
 /// [`select_compare_attributes_by`] with an explicit [`ScoringCtx`]:
-/// candidate attributes are scored across `ctx.threads` workers, and
-/// contingency tables are memoized in `ctx.cache` when present.
+/// candidate attributes are scored across `ctx.threads` workers, coded
+/// through `ctx.coded` when present, and their contingency tables are
+/// memoized in `ctx.cache` when present.
 ///
 /// The scored list is identical to the sequential, uncached path for any
 /// thread count: each attribute's score is computed independently and
@@ -189,11 +194,22 @@ pub fn select_compare_attributes_ctx(
     config: &FeatureSelectionConfig,
     ctx: ScoringCtx<'_>,
 ) -> (Vec<usize>, Vec<FeatureScore>) {
-    let scoring_view = match config.sample {
-        Some(n) => view.sample(n),
-        None => view.clone(),
+    let sample = config
+        .sample
+        .filter(|&n| n > 0 && n < view.len())
+        .map(|n| view.sample(n));
+    let scoring_view = sample.as_ref().unwrap_or(view);
+    // Codes come from the caller's memo of `view`. A sample codes through
+    // a throwaway memo, and its codecs stay out of the shared cache: no
+    // later stage asks for them.
+    let (bins, strategy) = (config.bins, config.strategy);
+    let mut own = None;
+    let coded = match (&sample, ctx.coded) {
+        (Some(sample), Some(memo)) => own.insert(memo.for_sample(sample, bins, strategy)),
+        _ => CodedColumns::reuse_or_new(ctx.coded, &mut own, scoring_view, bins, strategy),
     };
-    let view_fp = ctx.cache.map(|_| scoring_view.fingerprint());
+    let codec_cache = if sample.is_some() { None } else { ctx.cache };
+    let view_fp = ctx.cache.map(|_| coded.fingerprint(scoring_view));
 
     // Resolve the class label of every scoring row once, up front —
     // `class_of` used to be re-evaluated per row *per candidate*. The
@@ -213,8 +229,12 @@ pub fn select_compare_attributes_ctx(
         if attr == pivot_col || forced.contains(&attr) {
             return None;
         }
+        // Coding happens only on a contingency miss.
         let build = || {
-            contingency_for(&scoring_view, attr, num_classes, &classes, config)
+            let column = coded.column(scoring_view, attr, codec_cache).ok()?;
+            let mut table = ContingencyTable::new(num_classes, column.codec.cardinality());
+            table.fill_pairs(&classes, &column.codes, NULL_CODE);
+            Some(table)
         };
         let table: Arc<ContingencyTable> = match (ctx.cache, view_fp) {
             (Some(cache), Some(fp)) => cache.contingency_with(
@@ -262,28 +282,6 @@ pub fn select_compare_attributes_ctx(
         }
     }
     (selected, scores)
-}
-
-/// Builds the (class × code) contingency table for one candidate attribute,
-/// or `None` when the attribute cannot be discretized over the view.
-///
-/// `classes` carries the precomputed per-row class labels (`NULL_CODE` =
-/// skip), parallel to the scoring view's `row_ids()`. The attribute is
-/// batch-encoded and the table filled through the vectorized pair kernel —
-/// counts identical to the old per-row `add` loop.
-fn contingency_for(
-    scoring_view: &View<'_>,
-    attr: usize,
-    num_classes: usize,
-    classes: &[u32],
-    config: &FeatureSelectionConfig,
-) -> Option<ContingencyTable> {
-    let codec = AttributeCodec::build(scoring_view, attr, config.bins, config.strategy).ok()?;
-    let column = scoring_view.table().column(attr);
-    let codes = codec.encode_rows(column, scoring_view.row_ids());
-    let mut table = ContingencyTable::new(num_classes, codec.cardinality());
-    table.fill_pairs(classes, &codes, NULL_CODE);
-    Some(table)
 }
 
 #[cfg(test)]
@@ -387,8 +385,8 @@ mod tests {
         assert_eq!(selected[0], 1);
     }
 
-    /// Scoring across threads, with or without the cache, must reproduce
-    /// the sequential uncached scores exactly.
+    /// Scoring across threads, with or without the cache and a coded memo,
+    /// must reproduce the sequential uncached scores exactly.
     #[test]
     fn parallel_and_cached_scoring_match_sequential() {
         let t = table();
@@ -405,15 +403,20 @@ mod tests {
         };
         let (base_sel, base_scores) = run(ScoringCtx::default());
         let cache = StatsCache::new();
+        let memo = CodedColumns::new(&v, config.bins, config.strategy);
         for threads in [1, 2, 4] {
-            for use_cache in [false, true] {
+            for (use_cache, use_memo) in [(false, false), (true, false), (false, true)] {
                 let ctx = ScoringCtx {
+                    coded: use_memo.then_some(&memo),
                     threads,
                     cache: use_cache.then_some(&cache),
                     class_ctx: 17,
                 };
                 let (sel, scores) = run(ctx);
-                assert_eq!(sel, base_sel, "threads={threads} cache={use_cache}");
+                assert_eq!(
+                    sel, base_sel,
+                    "threads={threads} cache={use_cache} memo={use_memo}"
+                );
                 assert_eq!(scores.len(), base_scores.len());
                 for (a, b) in scores.iter().zip(&base_scores) {
                     assert_eq!(a.attr_index, b.attr_index);
@@ -424,6 +427,8 @@ mod tests {
         }
         let stats = cache.stats();
         assert!(stats.hits > 0, "repeat cached runs must hit: {stats}");
+        // The memo coded each scored attribute once across all its runs.
+        assert_eq!(memo.rows_coded(), 3 * v.len() as u64);
     }
 
     #[test]

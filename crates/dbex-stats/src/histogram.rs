@@ -73,18 +73,21 @@ impl Histogram {
         if bins == 0 {
             return Err(StatsError::ZeroBins);
         }
-        let mut sorted: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
-        if sorted.is_empty() {
+        let finite: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
+        if finite.is_empty() {
             return Err(StatsError::NoFiniteValues {
                 what: "histogram values",
             });
         }
-        sorted.sort_by(|a, b| a.total_cmp(b));
+        let sorted = |mut v: Vec<f64>| {
+            v.sort_by(f64::total_cmp);
+            v
+        };
         let edges = match strategy {
-            BinningStrategy::EquiWidth => equi_width_edges(&sorted, bins),
-            BinningStrategy::EquiDepth => equi_depth_edges(&sorted, bins),
-            BinningStrategy::VOptimal => v_optimal_edges(&sorted, bins),
-            BinningStrategy::MaxDiff => max_diff_edges(&sorted, bins),
+            BinningStrategy::EquiWidth => equi_width_edges(&sorted(finite), bins),
+            BinningStrategy::EquiDepth => equi_depth_edges(finite, bins),
+            BinningStrategy::VOptimal => v_optimal_edges(&sorted(finite), bins),
+            BinningStrategy::MaxDiff => max_diff_edges(&sorted(finite), bins),
         };
         Ok(Histogram { edges })
     }
@@ -175,15 +178,27 @@ fn equi_width_edges(sorted: &[f64], bins: usize) -> Vec<f64> {
     dedup_edges(edges)
 }
 
-fn equi_depth_edges(sorted: &[f64], bins: usize) -> Vec<f64> {
-    let n = sorted.len();
+/// Equi-depth edges are `bins + 1` order statistics of the (non-empty)
+/// values — the minimum, the `i·n/bins`-th smallest for each inner edge,
+/// and the maximum — so they are selected rather than sorted for. The
+/// ranks never decrease, and each selection leaves every value at or above
+/// its pick in the suffix from it, so the next selection runs over that
+/// shrinking suffix alone. Under `total_cmp` an order statistic has exactly
+/// one bit pattern: the edges are bit-identical to reading them off the
+/// sorted values.
+fn equi_depth_edges(mut values: Vec<f64>, bins: usize) -> Vec<f64> {
+    let n = values.len();
+    let inner = (1..bins).map(|i| ((i * n) / bins).min(n - 1));
+    let ranks = std::iter::once(0)
+        .chain(inner)
+        .chain(std::iter::once(n - 1));
     let mut edges = Vec::with_capacity(bins + 1);
-    edges.push(sorted[0]);
-    for i in 1..bins {
-        let idx = (i * n) / bins;
-        edges.push(sorted[idx.min(n - 1)]);
+    let mut base = 0;
+    for rank in ranks {
+        let (_, nth, _) = values[base..].select_nth_unstable_by(rank - base, f64::total_cmp);
+        edges.push(*nth);
+        base = rank;
     }
-    edges.push(sorted[n - 1]);
     dedup_edges(edges)
 }
 
@@ -352,6 +367,56 @@ fn dedup_edges(mut edges: Vec<f64>) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Equi-depth edges read off the fully sorted finite values — the
+    /// construction the selection in `equi_depth_edges` replaced.
+    fn sorted_equi_depth(values: &[f64], bins: usize) -> Option<Vec<f64>> {
+        let mut sorted: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
+        if sorted.is_empty() {
+            return None;
+        }
+        sorted.sort_by(f64::total_cmp);
+        let n = sorted.len();
+        let mut edges = vec![sorted[0]];
+        for i in 1..bins {
+            edges.push(sorted[((i * n) / bins).min(n - 1)]);
+        }
+        edges.push(sorted[n - 1]);
+        Some(dedup_edges(edges))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        #[test]
+        fn equi_depth_selection_matches_sorted_edges_bit_for_bit(
+            draws in prop::collection::vec((0u8..12, -50.0f64..50.0), 1..80),
+            bins in 1usize..12,
+        ) {
+            // Few distinct values (duplicates), signed zeros, NaN and the
+            // infinities; short inputs give n < bins.
+            let values: Vec<f64> = draws
+                .into_iter()
+                .map(|(kind, x)| match kind {
+                    0 => -0.0,
+                    1 => 0.0,
+                    2 => f64::NAN,
+                    3 => f64::INFINITY,
+                    4 => f64::NEG_INFINITY,
+                    5..=8 => x.round(),
+                    _ => x,
+                })
+                .collect();
+            let built = Histogram::build(&values, bins, BinningStrategy::EquiDepth).ok();
+            let bits = |edges: &[f64]| edges.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(
+                built.map(|h| bits(h.edges())),
+                sorted_equi_depth(&values, bins).map(|e| bits(&e)),
+                "values {:?}, bins {}", values, bins
+            );
+        }
+    }
 
     #[test]
     fn equi_width_basic() {

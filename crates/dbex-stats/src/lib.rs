@@ -48,7 +48,7 @@ pub mod special;
 pub use cache::{CacheStats, ClusterKey, ClusterSolution, CodecKey, ContingencyKey, StatsCache};
 pub use chi2::{ChiSquareResult, ContingencyTable};
 pub use error::StatsError;
-pub use discretize::{AttributeCodec, CodedColumn, CodedMatrix};
+pub use discretize::{AttributeCodec, CodedColumn, CodedColumns, CodedMatrix};
 pub use entropy::{entropy, information_gain, mutual_information, symmetrical_uncertainty};
 pub use feature::{
     select_compare_attributes, select_compare_attributes_by, select_compare_attributes_ctx,

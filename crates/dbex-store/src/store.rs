@@ -144,8 +144,9 @@ fn encode_stats(entries: &[(ClusterKey, ClusterSolution)], table_ids: &BTreeSet<
         payload.extend_from_slice(&key.seed.to_le_bytes());
         payload.push(key.plus_plus as u8);
         payload.extend_from_slice(&(key.sample as u64).to_le_bytes());
-        payload.extend_from_slice(&(solution.clusters.len() as u32).to_le_bytes());
-        for cluster in &solution.clusters {
+        let clusters = solution.to_vecs();
+        payload.extend_from_slice(&(clusters.len() as u32).to_le_bytes());
+        for cluster in &clusters {
             payload.extend_from_slice(&(cluster.len() as u32).to_le_bytes());
             for member in cluster {
                 payload.extend_from_slice(&member.to_le_bytes());
@@ -220,7 +221,7 @@ fn decode_stats(data: &[u8], path: &Path) -> Result<StatsSidecar, StoreError> {
                 plus_plus,
                 sample,
             },
-            ClusterSolution { clusters },
+            ClusterSolution::new(&clusters),
         ));
     }
     cur.done()?;
@@ -674,9 +675,7 @@ mod tests {
         let cache = StatsCache::new();
         cache.cluster_insert(
             sample_key(),
-            ClusterSolution {
-                clusters: vec![vec![0, 2, 4], vec![1, 3]],
-            },
+            ClusterSolution::new(&[vec![0, 2, 4], vec![1, 3]]),
         );
         let catalog = vec![("t".to_owned(), table(30, 0))];
         let report = save(&vfs, &dir, &catalog, Some(&cache)).unwrap();
@@ -704,12 +703,7 @@ mod tests {
         std::fs::write(dir.join(segment_file_name(digest)), &bytes).unwrap();
 
         let table_ids: BTreeSet<u64> = [big_id].into();
-        let entries = vec![(
-            sample_key(),
-            ClusterSolution {
-                clusters: vec![vec![0, 1], vec![2]],
-            },
-        )];
+        let entries = vec![(sample_key(), ClusterSolution::new(&[vec![0, 1], vec![2]]))];
         let stats_name = stats_file_name(1);
         std::fs::write(dir.join(&stats_name), encode_stats(&entries, &table_ids)).unwrap();
 
@@ -743,7 +737,7 @@ mod tests {
         assert_eq!(opened.rehydrate_into(&cache), 1);
         assert_eq!(cache.exact_cluster_entries(), 1);
         let solution = cache.cluster_lookup(&sample_key()).unwrap();
-        assert_eq!(solution.clusters, vec![vec![0, 1], vec![2]]);
+        assert_eq!(solution.to_vecs(), vec![vec![0, 1], vec![2]]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -763,14 +757,35 @@ mod tests {
     }
 
     #[test]
+    fn stats_payload_round_trips_both_packed_widths() {
+        // Solutions pack to u16 up to index 65,535 and to u32 above; the
+        // sidecar stores u32 either way and must hand both back intact.
+        let entries: Vec<(ClusterKey, ClusterSolution)> = [65_535u32, 65_536]
+            .into_iter()
+            .map(|top| {
+                let key = ClusterKey {
+                    partition_fp: u64::from(top),
+                    ..sample_key()
+                };
+                (key, ClusterSolution::new(&[vec![top, 1], vec![0, top - 1]]))
+            })
+            .collect();
+        let bytes = encode_stats(&entries, &[7].into());
+        let back = decode_stats(&bytes, Path::new("stats.bin")).unwrap();
+        assert_eq!(back.entries, entries);
+        assert_eq!(
+            back.entries[1].1.to_vecs(),
+            vec![vec![65_536, 1], vec![0, 65_535]]
+        );
+    }
+
+    #[test]
     fn stats_payload_round_trips() {
         let table_ids: BTreeSet<u64> = [3, 9].into();
         let entries = vec![
             (
                 sample_key(),
-                ClusterSolution {
-                    clusters: vec![vec![0, 2, 4], vec![1, 3]],
-                },
+                ClusterSolution::new(&[vec![0, 2, 4], vec![1, 3]]),
             ),
             (
                 ClusterKey {
@@ -781,7 +796,7 @@ mod tests {
                     plus_plus: false,
                     sample: 5,
                 },
-                ClusterSolution { clusters: vec![] },
+                ClusterSolution::new(&[]),
             ),
         ];
         let bytes = encode_stats(&entries, &table_ids);
@@ -789,8 +804,8 @@ mod tests {
         assert_eq!(back.table_ids, table_ids);
         assert_eq!(back.entries.len(), 2);
         assert_eq!(back.entries[0].0, sample_key());
-        assert_eq!(back.entries[0].1.clusters, entries[0].1.clusters);
-        assert!(back.entries[1].1.clusters.is_empty());
+        assert_eq!(back.entries[0].1, entries[0].1);
+        assert!(back.entries[1].1.to_vecs().is_empty());
 
         for cut in 0..bytes.len() {
             assert!(decode_stats(&bytes[..cut], Path::new("s")).is_err(), "cut {cut}");

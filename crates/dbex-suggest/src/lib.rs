@@ -32,12 +32,13 @@
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use dbex_stats::{
-    entropy, information_gain, symmetrical_uncertainty, AttributeCodec, BinningStrategy,
-    CodecKey, ContingencyKey, ContingencyTable, StatsCache,
+    entropy, information_gain, symmetrical_uncertainty, BinningStrategy, CodedColumns,
+    ContingencyKey, ContingencyTable, StatsCache,
 };
 use dbex_table::dict::NULL_CODE;
 use dbex_table::View;
@@ -139,10 +140,11 @@ pub struct NextReport {
     pub candidates: usize,
     /// Ranked suggestions, best first.
     pub suggestions: Vec<NextSuggestion>,
-    /// Stats-cache hits observed during this run (0 without a cache;
-    /// approximate under concurrent cache users).
+    /// This run's contingency-table lookups answered from the stats cache
+    /// (0 without a cache). Counted per call, so other sessions sharing the
+    /// cache never show up here.
     pub cache_hits: u64,
-    /// Stats-cache misses observed during this run.
+    /// This run's contingency-table lookups that had to build.
     pub cache_misses: u64,
     /// Wall-clock time spent ranking.
     pub elapsed: std::time::Duration,
@@ -173,31 +175,6 @@ pub fn suggest_class_ctx(pivot: usize) -> u64 {
     h
 }
 
-/// Builds (or fetches from `cache`) the codec for `attr` over `view`.
-fn codec_for(
-    view: &View<'_>,
-    view_fp: Option<u64>,
-    attr: usize,
-    cfg: &SuggestConfig,
-    cache: Option<&StatsCache>,
-) -> Option<Arc<AttributeCodec>> {
-    let build = || AttributeCodec::build(view, attr, cfg.bins, cfg.strategy);
-    match (cache, view_fp) {
-        (Some(cache), Some(fp)) => cache
-            .codec_with(
-                CodecKey {
-                    view_fp: fp,
-                    attr,
-                    bins: cfg.bins,
-                    strategy: cfg.strategy,
-                },
-                build,
-            )
-            .ok(),
-        _ => build().ok().map(Arc::new),
-    }
-}
-
 /// Non-null frequency vector (indexed by code) of `codes`.
 fn code_frequencies(codes: &[u32], cardinality: usize) -> Vec<f64> {
     let mut freq = vec![0.0f64; cardinality];
@@ -218,11 +195,17 @@ fn code_frequencies(codes: &[u32], cardinality: usize) -> Vec<f64> {
 /// the view score exactly 0 and are dropped — refining a view can only
 /// *remove* candidates, never resurrect one (monotonicity). Ties break on
 /// ascending column index, making the full ranking deterministic.
+///
+/// Attribute codes come from `coded`, the caller's memo of `view` (a CAD
+/// build over the same result has usually coded most of them already);
+/// without one, or with one binning unlike `cfg`, they code through a
+/// memo of this call's own.
 pub fn suggest_next(
     view: &View<'_>,
     pivot: usize,
     cfg: &SuggestConfig,
     cache: Option<&StatsCache>,
+    coded: Option<&CodedColumns>,
 ) -> Result<NextReport, SuggestError> {
     let started = Instant::now();
     let table = view.table();
@@ -233,15 +216,14 @@ pub fn suggest_next(
             columns: schema.len(),
         });
     }
-    let stats_before = cache.map(|c| c.stats());
-    let view_fp = cache.map(|_| view.fingerprint());
+    let (lookups, built) = (AtomicU64::new(0), AtomicU64::new(0));
+    let mut own = None;
+    let memo = CodedColumns::reuse_or_new(coded, &mut own, view, cfg.bins, cfg.strategy);
+    let view_fp = cache.map(|_| memo.fingerprint(view));
 
-    let pivot_codec = codec_for(view, view_fp, pivot, cfg, cache);
-    let pivot_codes: Vec<u32> = match &pivot_codec {
-        Some(codec) => codec.encode_rows(table.column(pivot), view.row_ids()),
-        None => Vec::new(),
-    };
-    let pivot_card = pivot_codec.as_ref().map(|c| c.cardinality()).unwrap_or(0);
+    let pivot_column = memo.column(view, pivot, cache).ok();
+    let pivot_codes: &[u32] = pivot_column.as_ref().map_or(&[], |c| &c.codes);
+    let pivot_card = pivot_column.as_ref().map_or(0, |c| c.codec.cardinality());
 
     let candidates: Vec<usize> = schema
         .queriable_indices()
@@ -251,9 +233,9 @@ pub fn suggest_next(
 
     let threads = dbex_par::resolve_threads(cfg.threads);
     let scored: Vec<Option<NextSuggestion>> = dbex_par::par_map(threads, &candidates, |_, &attr| {
-        let codec = codec_for(view, view_fp, attr, cfg, cache)?;
-        let codes = codec.encode_rows(table.column(attr), view.row_ids());
-        let freq = code_frequencies(&codes, codec.cardinality());
+        let column = memo.column(view, attr, cache).ok()?;
+        let (codec, codes) = (&column.codec, &column.codes);
+        let freq = code_frequencies(codes, codec.cardinality());
         let live = freq.iter().filter(|&&f| f > 0.0).count();
         let h_attr = entropy(&freq);
         if h_attr <= 0.0 {
@@ -262,20 +244,24 @@ pub fn suggest_next(
         }
         let contingency = |rows: usize, cols: usize| {
             let mut t = ContingencyTable::new(rows, cols);
-            t.fill_pairs(&pivot_codes, &codes, NULL_CODE);
+            t.fill_pairs(pivot_codes, codes, NULL_CODE);
             t
         };
         let table = match (cache, view_fp) {
-            (Some(cache), Some(fp)) => cache.contingency_with(
-                ContingencyKey {
+            (Some(cache), Some(fp)) => {
+                lookups.fetch_add(1, Ordering::Relaxed);
+                let key = ContingencyKey {
                     view_fp: fp,
                     class_ctx: suggest_class_ctx(pivot),
                     attr,
                     bins: cfg.bins,
                     strategy: cfg.strategy,
-                },
-                || Some(contingency(pivot_card, codec.cardinality())),
-            )?,
+                };
+                cache.contingency_with(key, || {
+                    built.fetch_add(1, Ordering::Relaxed);
+                    Some(contingency(pivot_card, codec.cardinality()))
+                })?
+            }
             _ => Arc::new(contingency(pivot_card, codec.cardinality())),
         };
         Some(NextSuggestion {
@@ -294,16 +280,8 @@ pub fn suggest_next(
     let candidates = suggestions.len();
     suggestions.truncate(cfg.limit);
 
-    let (hits, misses) = match (cache, stats_before) {
-        (Some(c), Some(before)) => {
-            let after = c.stats();
-            (
-                after.hits.saturating_sub(before.hits),
-                after.misses.saturating_sub(before.misses),
-            )
-        }
-        _ => (0, 0),
-    };
+    let misses = built.into_inner();
+    let hits = lookups.into_inner() - misses;
     let elapsed = started.elapsed();
     dbex_obs::histogram!("suggest.rank_ms", RANK_MS_BOUNDS).observe_ms(elapsed);
     dbex_obs::counter!("suggest.next.calls").incr(1);
@@ -329,17 +307,19 @@ pub fn suggest_next(
 /// the attribute is non-null, times its normalized entropy
 /// `H(a) / ln(cardinality)` over the current view. An attribute that is
 /// constant over the view (nothing left to discriminate) scores 0 and is
-/// dropped. Ties break on ascending column index.
+/// dropped. Ties break on ascending column index. Codes come from `coded`
+/// as in [`suggest_next`].
 pub fn complete_attribute(
     view: &View<'_>,
     partial: &str,
     cfg: &SuggestConfig,
     cache: Option<&StatsCache>,
+    coded: Option<&CodedColumns>,
 ) -> Vec<CompletionItem> {
     let started = Instant::now();
-    let table = view.table();
-    let schema = table.schema();
-    let view_fp = cache.map(|_| view.fingerprint());
+    let schema = view.table().schema();
+    let mut own = None;
+    let memo = CodedColumns::reuse_or_new(coded, &mut own, view, cfg.bins, cfg.strategy);
     let needle = partial.to_ascii_lowercase();
 
     let mut scored: Vec<(usize, f64, CompletionItem)> = Vec::new();
@@ -348,11 +328,10 @@ pub fn complete_attribute(
         if !name.to_ascii_lowercase().starts_with(&needle) {
             continue;
         }
-        let Some(codec) = codec_for(view, view_fp, attr, cfg, cache) else {
+        let Ok(column) = memo.column(view, attr, cache) else {
             continue;
         };
-        let codes = codec.encode_rows(table.column(attr), view.row_ids());
-        let freq = code_frequencies(&codes, codec.cardinality());
+        let freq = code_frequencies(&column.codes, column.codec.cardinality());
         let non_null: f64 = freq.iter().sum();
         let live = freq.iter().filter(|&&f| f > 0.0).count();
         if live < 2 || view.is_empty() {
@@ -392,26 +371,28 @@ pub fn complete_attribute(
 /// data cannot satisfy never appears — every suggested predicate has a
 /// non-empty result). Ties break on ascending code id, which for
 /// dictionary-encoded columns is first-appearance order and for binned
-/// numerics is bin order.
+/// numerics is bin order. Codes come from `coded` as in [`suggest_next`].
 pub fn complete_value(
     view: &View<'_>,
     attr: &str,
     partial: &str,
     cfg: &SuggestConfig,
     cache: Option<&StatsCache>,
+    coded: Option<&CodedColumns>,
 ) -> Result<Vec<CompletionItem>, SuggestError> {
     let started = Instant::now();
-    let table = view.table();
-    let schema = table.schema();
-    let col = schema
+    let col = view
+        .table()
+        .schema()
         .index_of(attr)
         .map_err(|_| SuggestError::UnknownAttribute(attr.to_owned()))?;
-    let view_fp = cache.map(|_| view.fingerprint());
-    let Some(codec) = codec_for(view, view_fp, col, cfg, cache) else {
+    let mut own = None;
+    let memo = CodedColumns::reuse_or_new(coded, &mut own, view, cfg.bins, cfg.strategy);
+    let Ok(column) = memo.column(view, col, cache) else {
         return Ok(Vec::new());
     };
-    let codes = codec.encode_rows(table.column(col), view.row_ids());
-    let freq = code_frequencies(&codes, codec.cardinality());
+    let codec = &column.codec;
+    let freq = code_frequencies(&column.codes, codec.cardinality());
     let non_null: f64 = freq.iter().sum();
     if non_null <= 0.0 {
         return Ok(Vec::new());
@@ -666,7 +647,7 @@ mod tests {
     fn next_ranks_correlated_attribute_first() {
         let t = sample_table();
         let view = View::all(&t);
-        let report = suggest_next(&view, 0, &SuggestConfig::default(), None).unwrap();
+        let report = suggest_next(&view, 0, &SuggestConfig::default(), None, None).unwrap();
         assert_eq!(report.pivot_name, "make");
         assert!(!report.suggestions.is_empty());
         // body and price both correlate with make; all scores in [0,1].
@@ -685,7 +666,7 @@ mod tests {
         let refined = view
             .refine(&dbex_table::Predicate::eq("body", "hatch"))
             .unwrap();
-        let report = suggest_next(&refined, 0, &SuggestConfig::default(), None).unwrap();
+        let report = suggest_next(&refined, 0, &SuggestConfig::default(), None, None).unwrap();
         assert!(
             report.suggestions.iter().all(|s| s.name != "body"),
             "constant attribute must be eliminated: {:?}",
@@ -697,7 +678,7 @@ mod tests {
     fn next_rejects_bad_pivot() {
         let t = sample_table();
         let view = View::all(&t);
-        let err = suggest_next(&view, 99, &SuggestConfig::default(), None).unwrap_err();
+        let err = suggest_next(&view, 99, &SuggestConfig::default(), None, None).unwrap_err();
         assert!(matches!(err, SuggestError::PivotOutOfRange { .. }));
     }
 
@@ -705,10 +686,10 @@ mod tests {
     fn attribute_completion_prefix_filters() {
         let t = sample_table();
         let view = View::all(&t);
-        let items = complete_attribute(&view, "b", &SuggestConfig::default(), None);
+        let items = complete_attribute(&view, "b", &SuggestConfig::default(), None, None);
         assert_eq!(items.len(), 1);
         assert_eq!(items[0].text, "body");
-        let all = complete_attribute(&view, "", &SuggestConfig::default(), None);
+        let all = complete_attribute(&view, "", &SuggestConfig::default(), None, None);
         assert_eq!(all.len(), 3);
     }
 
@@ -716,15 +697,16 @@ mod tests {
     fn value_completion_ranks_by_frequency() {
         let t = sample_table();
         let view = View::all(&t);
-        let items = complete_value(&view, "make", "", &SuggestConfig::default(), None).unwrap();
+        let items =
+            complete_value(&view, "make", "", &SuggestConfig::default(), None, None).unwrap();
         // ford and kia tie at 3 rows; first-appearance code order breaks it.
         assert_eq!(items[0].text, "ford");
         assert_eq!(items[1].text, "kia");
         assert!((items[0].score - 3.0 / 8.0).abs() < 1e-12);
-        let f = complete_value(&view, "make", "f", &SuggestConfig::default(), None).unwrap();
+        let f = complete_value(&view, "make", "f", &SuggestConfig::default(), None, None).unwrap();
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].text, "ford");
-        assert!(complete_value(&view, "nope", "", &SuggestConfig::default(), None).is_err());
+        assert!(complete_value(&view, "nope", "", &SuggestConfig::default(), None, None).is_err());
     }
 
     #[test]

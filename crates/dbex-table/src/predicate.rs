@@ -144,6 +144,60 @@ impl Predicate {
         Predicate::Not(Box::new(pred))
     }
 
+    /// Whether `self` and `other` select the same rows of any table by
+    /// construction: structural `==` with literals compared by
+    /// [`Value::identical`]. Plain `==` is not enough to reuse a filtered
+    /// result, because filtering orders values with `total_cmp`, under
+    /// which `x < 0.0` and `x < -0.0` differ although `0.0 == -0.0`.
+    pub fn identical(&self, other: &Predicate) -> bool {
+        fn all(a: &[Predicate], b: &[Predicate]) -> bool {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.identical(y))
+        }
+        match (self, other) {
+            (
+                Predicate::Compare {
+                    attribute: a,
+                    op: o,
+                    value: v,
+                },
+                Predicate::Compare {
+                    attribute: b,
+                    op: p,
+                    value: w,
+                },
+            ) => a == b && o == p && v.identical(w),
+            (
+                Predicate::Between {
+                    attribute: a,
+                    low: l,
+                    high: h,
+                },
+                Predicate::Between {
+                    attribute: b,
+                    low: m,
+                    high: i,
+                },
+            ) => a == b && l.identical(m) && h.identical(i),
+            (
+                Predicate::In {
+                    attribute: a,
+                    values: v,
+                },
+                Predicate::In {
+                    attribute: b,
+                    values: w,
+                },
+            ) => a == b && v.len() == w.len() && v.iter().zip(w).all(|(x, y)| x.identical(y)),
+            (Predicate::IsNull { attribute: a }, Predicate::IsNull { attribute: b }) => a == b,
+            (Predicate::And(a), Predicate::And(b)) | (Predicate::Or(a), Predicate::Or(b)) => {
+                all(a, b)
+            }
+            (Predicate::Not(a), Predicate::Not(b)) => a.identical(b),
+            (Predicate::Const(a), Predicate::Const(b)) => a == b,
+            _ => false,
+        }
+    }
+
     /// Checks that all referenced attributes exist in `schema`.
     pub fn validate(&self, schema: &Schema) -> Result<()> {
         match self {
@@ -497,5 +551,31 @@ mod tests {
             Predicate::between("Price", 1, 2),
         ]);
         assert_eq!(p.to_string(), "(Make = Ford AND Price BETWEEN 1 AND 2)");
+    }
+
+    #[test]
+    fn identical_tells_signed_zeros_apart() {
+        let mut b = TableBuilder::new(vec![Field::new("X", DataType::Float)]).unwrap();
+        for x in [-0.0, 0.0, 1.0] {
+            b.push_row(vec![x.into()]).unwrap();
+        }
+        let t = b.finish();
+        let neg = Predicate::cmp("X", CmpOp::Lt, -0.0);
+        let pos = Predicate::cmp("X", CmpOp::Lt, 0.0);
+        // `==` calls them equal, yet they select different rows.
+        assert_eq!(neg, pos);
+        assert_ne!(
+            t.filter(&neg).unwrap().row_ids(),
+            t.filter(&pos).unwrap().row_ids()
+        );
+        assert!(!neg.identical(&pos));
+        assert!(neg.identical(&neg.clone()));
+        let nested = Predicate::and(vec![Predicate::eq("X", 1.0), Predicate::not(pos.clone())]);
+        assert!(nested.identical(&nested.clone()));
+        assert!(!nested.identical(&Predicate::or(vec![
+            Predicate::eq("X", 1.0),
+            Predicate::not(pos)
+        ])));
+        assert!(!Predicate::eq("X", 1).identical(&Predicate::eq("X", 1.0)));
     }
 }

@@ -105,6 +105,16 @@ impl Value {
             (_, Str(_)) => Ordering::Less,
         }
     }
+
+    /// `==` with floats compared by bit pattern, so `-0.0` and `0.0` (which
+    /// [`Value::total_cmp`] orders apart) are different values and a NaN
+    /// equals an identical NaN.
+    pub fn identical(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
+            _ => self == other,
+        }
+    }
 }
 
 impl fmt::Display for Value {

@@ -4,6 +4,7 @@ use crate::error::Result;
 use crate::predicate::Predicate;
 use crate::table::Table;
 use crate::value::Value;
+use std::borrow::Cow;
 
 /// A result set `R`: an ordered subset of a base table's rows.
 ///
@@ -14,16 +15,13 @@ use crate::value::Value;
 #[derive(Debug, Clone)]
 pub struct View<'a> {
     table: &'a Table,
-    rows: Vec<u32>,
+    rows: Cow<'a, [u32]>,
 }
 
 impl<'a> View<'a> {
     /// A view over every row of `table`.
     pub fn all(table: &'a Table) -> Self {
-        View {
-            table,
-            rows: (0..table.num_rows() as u32).collect(),
-        }
+        View::from_rows(table, (0..table.num_rows() as u32).collect())
     }
 
     /// A view over an explicit row-id list.
@@ -31,7 +29,25 @@ impl<'a> View<'a> {
     /// Row ids must be valid for `table`; this is enforced lazily at access
     /// time (out-of-range ids panic like slice indexing).
     pub fn from_rows(table: &'a Table, rows: Vec<u32>) -> Self {
-        View { table, rows }
+        View {
+            table,
+            rows: Cow::Owned(rows),
+        }
+    }
+
+    /// A view over row ids borrowed from elsewhere — a memoized result
+    /// set — so building it copies nothing. Same contract as
+    /// [`View::from_rows`].
+    pub fn borrowed(table: &'a Table, rows: &'a [u32]) -> Self {
+        View {
+            table,
+            rows: Cow::Borrowed(rows),
+        }
+    }
+
+    /// Consumes the view, returning its row ids.
+    pub fn into_row_ids(self) -> Vec<u32> {
+        self.rows.into_owned()
     }
 
     /// The underlying table.
@@ -73,7 +89,7 @@ impl<'a> View<'a> {
         };
         mix(self.table.id());
         mix(self.rows.len() as u64);
-        for &row in &self.rows {
+        for &row in self.rows.iter() {
             mix(u64::from(row));
         }
         hash
@@ -124,10 +140,7 @@ impl<'a> View<'a> {
         dbex_obs::counter!("table.refine.calls").incr(1);
         dbex_obs::counter!("table.rows_scanned").incr(self.rows.len() as u64);
         let rows = crate::batch::select(self.table, &self.rows, predicate)?;
-        Ok(View {
-            table: self.table,
-            rows,
-        })
+        Ok(View::from_rows(self.table, rows))
     }
 
     /// Splits the view by the distinct codes of a categorical column.
@@ -148,7 +161,7 @@ impl<'a> View<'a> {
         const UNSEEN: usize = usize::MAX;
         let mut slots: Vec<usize> = vec![UNSEEN; dict.len()];
         let mut groups: Vec<(u32, Vec<u32>)> = Vec::new();
-        for &row in &self.rows {
+        for &row in self.rows.iter() {
             let code = codes[row as usize];
             if code == crate::dict::NULL_CODE {
                 continue;
@@ -206,25 +219,20 @@ impl<'a> View<'a> {
             displaced.insert(j, vi);
         }
         picked.sort_unstable();
-        View {
-            table: self.table,
-            rows: picked,
-        }
+        View::from_rows(self.table, picked)
     }
 
     /// Intersection of two views over the same table (set semantics,
     /// preserves `self`'s order).
     pub fn intersect(&self, other: &View<'_>) -> View<'a> {
         let other_set: std::collections::HashSet<u32> = other.rows.iter().copied().collect();
-        View {
-            table: self.table,
-            rows: self
-                .rows
-                .iter()
-                .copied()
-                .filter(|r| other_set.contains(r))
-                .collect(),
-        }
+        let rows = self
+            .rows
+            .iter()
+            .copied()
+            .filter(|r| other_set.contains(r))
+            .collect();
+        View::from_rows(self.table, rows)
     }
 
     /// Jaccard similarity of the row sets of two views.

@@ -62,6 +62,11 @@
 # BENCH_explore schema — any session wave that completes zero sessions,
 # or a malformed report, fails the gate.
 #
+# The perfbench tests (part of the default gate) build the repository
+# benchmark — `perfbench/`, a package of its own that the workspace build
+# never compiles — and run its unit tests plus a 3 s smoke of every
+# workload, so a change to an API the benchmark calls fails here.
+#
 # `--bench-explore` runs the *full* exploration benchmark (64/256/1024
 # concurrent sessions over 6K rows) and diffs it against the committed
 # BENCH_explore.json: bench_explore exits non-zero — failing this
@@ -190,6 +195,9 @@ echo "==> explore smoke (bench_explore --quick, seeded sessions over the wire)"
 EXPLORE_OUT="$(mktemp /tmp/bench_explore_smoke.XXXXXX.json)"
 SCRATCH+=("$EXPLORE_OUT")
 cargo run --release -p dbex-bench --bin bench_explore -- --quick --out "$EXPLORE_OUT"
+
+echo "==> perfbench tests (repository benchmark: unit tests + 3 s smoke per workload)"
+cargo test --release --manifest-path perfbench/Cargo.toml
 
 if [[ "$BENCH_SMOKE" -eq 1 ]]; then
   echo "==> bench smoke (bench_suite --quick, DBEX_THREADS=2)"

@@ -166,7 +166,7 @@ fn main() {
         .iter()
         .position(|a| a.name == "p")
         .unwrap_or_else(|| fail("synthetic spec lost its pivot attribute"));
-    let report = suggest_next(&table.full_view(), pivot, &SuggestConfig::default(), None)
+    let report = suggest_next(&table.full_view(), pivot, &SuggestConfig::default(), None, None)
         .unwrap_or_else(|e| fail(&format!("suggest_next: {e}")));
     let top3: Vec<&str> = report.suggestions.iter().take(3).map(|s| s.name.as_str()).collect();
     if !top3.contains(&"c0") {

@@ -6,12 +6,17 @@
 //! Also pinned here: the budget ladder still fires under parallelism, and
 //! the thread-local fault-injection hooks keep their documented semantics
 //! (they fire on the arming thread only — honored at `threads = 1`,
-//! invisible to pool workers at `threads > 1`).
+//! invisible to pool workers at `threads > 1`). Last, a session's result
+//! memo is an optimization of the same kind: a statement served from it
+//! answers exactly as a session without it would.
 
 use dbexplorer::core::{
     build_cad_view, CadConfig, CadRequest, CadView, DegradationKind, ExecBudget,
 };
 use dbexplorer::data::{HotelsGenerator, MushroomGenerator, UsedCarsGenerator};
+use dbexplorer::explore::SyntheticSpec;
+use dbexplorer::obs::{Trace, TraceSink};
+use dbexplorer::query::{QueryError, QueryOutput, Session, SharedCatalog};
 use dbexplorer::table::Table;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
@@ -109,6 +114,7 @@ fn trace_structure_is_identical_across_thread_counts() {
                 &view,
                 &request_with_threads(pivot, threads),
                 Some(&cache),
+                None,
                 &tracer,
             )
             .unwrap_or_else(|e| panic!("{name}: {threads}-thread traced build failed: {e}"));
@@ -606,4 +612,253 @@ fn caller_thread_stages_still_see_faults_under_parallelism() {
     let _codec = dbexplorer::stats::fault::scoped("codec::build");
     let err = build_cad_view(&view, &request_with_threads("Make", 4));
     assert!(err.is_err(), "pivot codec fault must surface at any thread count");
+}
+
+// ---------------------------------------------------------------------------
+// The session result memo never serves a stale or poisoned result.
+// ---------------------------------------------------------------------------
+
+/// A statement's answer as the shell prints it (errors included), minus
+/// the EXPLAIN lines that report wall time, thread count or stats-cache
+/// traffic: what the memo spares moves those, never the answer.
+fn answer(out: Result<QueryOutput, QueryError>) -> String {
+    let text = match out {
+        Ok(output) => output.render(),
+        Err(e) => format!("error: {e}\n"),
+    };
+    text.lines()
+        .filter(|l| {
+            let l = l.trim_start();
+            !(l.starts_with("timings:")
+                || l.starts_with("parallelism:")
+                || l.starts_with("stats cache:"))
+        })
+        .map(|l| format!("{l}\n"))
+        .collect()
+}
+
+/// The answer `sql` gets in a fresh session holding only `cars`.
+fn cold_answer(cars: &Arc<Table>, sql: &str) -> String {
+    let mut session = Session::new();
+    session.register_shared("cars", Arc::clone(cars));
+    answer(session.execute(sql))
+}
+
+#[test]
+fn table_swap_between_preview_and_exact_build_answers_like_a_cold_session() {
+    let sql = "CREATE CADVIEW v AS SET pivot = Make FROM cars WHERE Mileage > 5K IUNITS 3";
+    let before = Arc::new(UsedCarsGenerator::new(11).generate(4_000));
+    let after = Arc::new(UsedCarsGenerator::new(12).generate(4_000));
+    let catalog = Arc::new(SharedCatalog::new());
+    catalog.insert("cars", Arc::clone(&before));
+    let mut session = Session::new();
+    session.set_catalog(Some(Arc::clone(&catalog)));
+    assert!(
+        session.preview_create_cadview(sql).is_some(),
+        "the preview must build, filling the memo"
+    );
+    // What `.load cars` does between the two frames of a streamed build.
+    catalog.insert("cars", Arc::clone(&after));
+    let exact = answer(session.execute(sql));
+    assert_eq!(exact, cold_answer(&after, sql));
+    assert_ne!(
+        exact,
+        cold_answer(&before, sql),
+        "the swap must change the answer"
+    );
+}
+
+/// `rows_scanned` of the build's `pivot_encode` span: the rows it coded
+/// for the pivot, 0 when the pivot came from the result memo.
+fn pivot_rows_coded(session: &mut Session, from_where: &str) -> u64 {
+    let sql = format!("EXPLAIN ANALYZE CADVIEW v AS SET pivot = Make FROM {from_where} IUNITS 2");
+    let Ok(QueryOutput::Text(text)) = session.execute(&sql) else {
+        panic!("{sql} must explain");
+    };
+    let span = text
+        .lines()
+        .find(|l| l.trim_start().starts_with("pivot_encode"))
+        .unwrap_or_else(|| panic!("no pivot_encode span in:\n{text}"));
+    span.split_whitespace()
+        .find_map(|kv| kv.strip_prefix("rows_scanned="))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no rows_scanned in {span}"))
+}
+
+#[test]
+fn result_memo_serves_only_the_same_table_and_predicate() {
+    let cars = UsedCarsGenerator::new(5).generate(3_000);
+    let mut session = Session::new();
+    session.register_table("cars", cars.clone());
+    // Same rows under another name: a different table `Arc`.
+    session.register_table("twin", cars);
+    let suv = "cars WHERE BodyType = SUV";
+    let coded = pivot_rows_coded(&mut session, suv);
+    assert!(coded > 0);
+    assert_eq!(
+        pivot_rows_coded(&mut session, suv),
+        0,
+        "repeat: served from the memo"
+    );
+    assert!(pivot_rows_coded(&mut session, "cars WHERE BodyType = Sedan") > 0);
+    assert_eq!(
+        pivot_rows_coded(&mut session, suv),
+        coded,
+        "one entry: SUV was evicted"
+    );
+    assert_eq!(
+        pivot_rows_coded(&mut session, "twin WHERE BodyType = SUV"),
+        coded
+    );
+    assert_eq!(
+        pivot_rows_coded(&mut session, "twin WHERE BodyType = SUV"),
+        0
+    );
+}
+
+/// A sink whose `record` panics, so a CAD statement panics after its
+/// result was filtered and coded.
+struct PanickingSink;
+
+impl TraceSink for PanickingSink {
+    fn record(&self, _trace: &Trace) {
+        panic!("trace sink failure");
+    }
+}
+
+#[test]
+fn statement_after_a_panic_or_an_armed_fault_answers_like_a_cold_session() {
+    let cars = Arc::new(UsedCarsGenerator::new(9).generate(3_000));
+    let sql = "CREATE CADVIEW v AS SET pivot = BodyType FROM cars WHERE Price < 40K IUNITS 3";
+    let cold = cold_answer(&cars, sql);
+    let mut session = Session::new();
+    session.register_shared("cars", Arc::clone(&cars));
+    session.execute(sql).expect("warm the memo");
+
+    session.set_trace_sink(Some(Arc::new(PanickingSink)));
+    assert!(matches!(session.execute(sql), Err(QueryError::Panicked(_))));
+    session.set_trace_sink(None);
+    assert_eq!(answer(session.execute(sql)), cold, "after a panic");
+
+    let numeric_pivot = sql.replace("pivot = BodyType", "pivot = Price");
+    for (site, faulted) in [
+        ("codec::build", sql),
+        ("histogram::build", numeric_pivot.as_str()),
+        ("histogram::build", sql),
+    ] {
+        {
+            let _fault = dbexplorer::stats::fault::scoped(site);
+            let out = session.execute(faulted);
+            if faulted != sql || site == "codec::build" {
+                assert!(
+                    out.is_err(),
+                    "{site} must fail `{faulted}` despite the memo"
+                );
+            }
+        }
+        assert_eq!(answer(session.execute(sql)), cold, "after a {site} fault");
+    }
+}
+
+/// A seeded TPFacet-style walk over `cars` and `synth`: CAD builds,
+/// EXPLAINs, drill SELECTs and SUGGEST calls that keep the same table and
+/// predicate for a few steps at a time, as an exploring user does.
+fn statement_mix(seed: u64, len: usize) -> Vec<String> {
+    const TABLES: [(&str, [&str; 3], [&str; 3]); 2] = [
+        (
+            "cars",
+            ["Make", "BodyType", "Drivetrain"],
+            [
+                "Price BETWEEN 10K AND 30K",
+                "BodyType = SUV",
+                "Mileage > 20K AND Year >= 2010",
+            ],
+        ),
+        (
+            "synth",
+            ["p", "d3", "x1"],
+            ["d0 = d0_v0", "d1 = d1_v0 AND d0 = d0_v1", "d2 = d2_v1"],
+        ),
+    ];
+    let mut state = seed;
+    let mut next = move |n: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % n as u64) as usize
+    };
+    let (mut t, mut p, mut q) = (0, 0, 0);
+    (0..len)
+        .map(|_| {
+            match next(10) {
+                0 => t = next(2),
+                1 | 2 => q = next(3),
+                3 => p = next(3),
+                _ => {}
+            }
+            let (table, pivots, preds) = TABLES[t];
+            let (pivot, pred, other) = (pivots[p], preds[q], pivots[(p + 1) % 3]);
+            match next(6) {
+                0 => format!(
+                    "CREATE CADVIEW v AS SET pivot = {pivot} FROM {table} WHERE {pred} \
+                     LIMIT COLUMNS 3 IUNITS 2"
+                ),
+                1 => format!("EXPLAIN CADVIEW v AS SET pivot = {pivot} FROM {table} WHERE {pred}"),
+                2 => format!("SELECT {pivot} FROM {table} WHERE {pred} LIMIT 20"),
+                3 => "SUGGEST NEXT FOR v".to_owned(),
+                4 => format!("SUGGEST COMPLETE SELECT * FROM {table} WHERE {pred} AND"),
+                _ => format!("SUGGEST COMPLETE SELECT * FROM {table} WHERE {pred} AND {other} ="),
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn seeded_statement_mix_answers_identically_with_and_without_the_memo() {
+    let cars = Arc::new(UsedCarsGenerator::new(21).generate(5_000));
+    let synth = Arc::new(SyntheticSpec::exploration_default(5_000, 21).generate());
+    let other = Arc::new(UsedCarsGenerator::new(22).generate(50));
+    let mix = statement_mix(0x5EED_CAFE, 60);
+    // `evict` runs a SELECT on another table before every statement and
+    // before every exact build: the memo holds one result, so that run
+    // never reuses one and serves as the memo-less oracle.
+    let run = |threads: usize, evict: bool| -> Vec<String> {
+        let mut session = Session::new();
+        session.register_shared("cars", Arc::clone(&cars));
+        session.register_shared("synth", Arc::clone(&synth));
+        session.register_shared("other", Arc::clone(&other));
+        session.set_threads(threads);
+        let evict_memo = |session: &mut Session| {
+            if evict {
+                session
+                    .execute("SELECT * FROM other LIMIT 1")
+                    .expect("evict");
+            }
+        };
+        let mut transcript = Vec::new();
+        for sql in &mix {
+            evict_memo(&mut session);
+            if sql.starts_with("CREATE") {
+                let preview = session.preview_create_cadview(sql);
+                transcript.push(preview.map_or("(no preview)\n".to_owned(), |p| p.render()));
+                evict_memo(&mut session);
+            }
+            transcript.push(answer(session.execute(sql)));
+        }
+        transcript
+    };
+    let oracle = run(1, true);
+    assert!(
+        oracle.iter().any(|a| a.starts_with("CAD View v:"))
+            && oracle.iter().any(|a| a.starts_with("next steps for v"))
+            && oracle.iter().any(|a| a.starts_with("CADVIEW v over")),
+        "the mix must build, explain and suggest"
+    );
+    for threads in [1, 2, 8] {
+        let memoized = run(threads, false);
+        for (i, (got, want)) in memoized.iter().zip(&oracle).enumerate() {
+            assert_eq!(got, want, "{threads} threads, answer {i}");
+        }
+        assert_eq!(memoized.len(), oracle.len());
+    }
 }

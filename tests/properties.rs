@@ -509,7 +509,7 @@ proptest! {
         use dbexplorer::suggest::{suggest_next, SuggestConfig};
         let view = table.full_view();
         let cfg = SuggestConfig { limit: usize::MAX, ..SuggestConfig::default() };
-        let report = suggest_next(&view, 0, &cfg, None).unwrap();
+        let report = suggest_next(&view, 0, &cfg, None, None).unwrap();
         for s in &report.suggestions {
             prop_assert!(s.attr != 0, "pivot suggested itself");
             prop_assert!(s.score.is_finite());
@@ -527,7 +527,7 @@ proptest! {
         }
         // Parallel scoring is byte-identical to sequential, float bits included.
         let par_cfg = SuggestConfig { threads: 4, limit: usize::MAX, ..SuggestConfig::default() };
-        let par = suggest_next(&view, 0, &par_cfg, None).unwrap();
+        let par = suggest_next(&view, 0, &par_cfg, None, None).unwrap();
         prop_assert_eq!(report.suggestions.len(), par.suggestions.len());
         for (a, b) in report.suggestions.iter().zip(&par.suggestions) {
             prop_assert_eq!(a.attr, b.attr);
@@ -544,7 +544,7 @@ proptest! {
         let partial = ["", "c", "C1", "c2", "zzz"][partial_idx];
         let view = table.full_view();
         let cfg = SuggestConfig { limit: usize::MAX, ..SuggestConfig::default() };
-        let items = complete_value(&view, "Cat", partial, &cfg, None).unwrap();
+        let items = complete_value(&view, "Cat", partial, &cfg, None, None).unwrap();
         let needle = partial.to_ascii_lowercase();
         for item in &items {
             prop_assert!(item.text.to_ascii_lowercase().starts_with(&needle));
@@ -559,7 +559,7 @@ proptest! {
             prop_assert!((total - 1.0).abs() < 1e-9, "frequencies sum to {total}");
         }
         // The unknown-attribute path is a typed error, never a panic.
-        prop_assert!(complete_value(&view, "NoSuchAttr", partial, &cfg, None).is_err());
+        prop_assert!(complete_value(&view, "NoSuchAttr", partial, &cfg, None, None).is_err());
     }
 
     #[test]

@@ -16,8 +16,10 @@
 //!    in the top 3 for at least 90% of seeds.
 
 use dbexplorer::explore::SyntheticSpec;
-use dbexplorer::stats::StatsCache;
-use dbexplorer::suggest::{suggest_next, NextReport, SuggestConfig};
+use dbexplorer::stats::{CodedColumns, StatsCache};
+use dbexplorer::suggest::{
+    suggest_next, NextReport, SuggestConfig, SUGGEST_BINS, SUGGEST_STRATEGY,
+};
 use dbexplorer::table::{DataType, Field, Predicate, Table, TableBuilder, Value, View};
 
 /// Flattens a [`NextReport`] into one comparable string, float bits
@@ -127,10 +129,10 @@ fn shuffled(n: usize) -> Vec<usize> {
 fn ranking_is_byte_identical_across_thread_counts() {
     let table = planted_table(&identity(400), &identity(5));
     let view = View::all(&table);
-    let reference = digest(&suggest_next(&view, 0, &config(1), None).expect("rank"));
+    let reference = digest(&suggest_next(&view, 0, &config(1), None, None).expect("rank"));
     assert!(reference.contains("name=echo"), "planted attr missing:\n{reference}");
     for threads in [2, 8] {
-        let parallel = digest(&suggest_next(&view, 0, &config(threads), None).expect("rank"));
+        let parallel = digest(&suggest_next(&view, 0, &config(threads), None, None).expect("rank"));
         assert_eq!(
             parallel, reference,
             "{threads}-thread ranking diverged from sequential"
@@ -142,12 +144,12 @@ fn ranking_is_byte_identical_across_thread_counts() {
 fn cached_ranking_is_byte_identical_to_uncached() {
     let table = planted_table(&identity(400), &identity(5));
     let view = View::all(&table);
-    let uncached = digest(&suggest_next(&view, 0, &config(1), None).expect("rank"));
+    let uncached = digest(&suggest_next(&view, 0, &config(1), None, None).expect("rank"));
     let cache = StatsCache::new();
     for threads in [1, 8] {
-        let cold = suggest_next(&view, 0, &config(threads), Some(&cache)).expect("cold");
+        let cold = suggest_next(&view, 0, &config(threads), Some(&cache), None).expect("cold");
         assert_eq!(digest(&cold), uncached, "cached ranking diverged (cold)");
-        let warm = suggest_next(&view, 0, &config(threads), Some(&cache)).expect("warm");
+        let warm = suggest_next(&view, 0, &config(threads), Some(&cache), None).expect("warm");
         assert_eq!(digest(&warm), uncached, "cached ranking diverged (warm)");
         assert!(
             warm.cache_hits > 0 && warm.cache_misses == 0,
@@ -155,6 +157,23 @@ fn cached_ranking_is_byte_identical_to_uncached() {
              ({} hits, {} misses)",
             warm.cache_hits,
             warm.cache_misses
+        );
+        // Codes read from a result memo rank identically, and a second
+        // call over the same memo codes nothing.
+        let memo = CodedColumns::new(&view, SUGGEST_BINS, SUGGEST_STRATEGY);
+        let memoized = suggest_next(&view, 0, &config(threads), Some(&cache), Some(&memo));
+        assert_eq!(
+            digest(&memoized.expect("memo")),
+            uncached,
+            "memoized ranking diverged"
+        );
+        let coded = memo.rows_coded();
+        let again = suggest_next(&view, 0, &config(threads), None, Some(&memo));
+        assert_eq!(digest(&again.expect("memo")), uncached);
+        assert_eq!(
+            memo.rows_coded(),
+            coded,
+            "a memoized attribute was coded twice"
         );
     }
 }
@@ -213,8 +232,8 @@ fn assert_same_ranking(a: &NextReport, b: &NextReport, what: &str) {
 fn ranking_is_invariant_under_row_permutation() {
     let base = planted_table(&identity(400), &identity(5));
     let permuted = planted_table(&shuffled(400), &identity(5));
-    let a = suggest_next(&View::all(&base), 0, &config(1), None).expect("base");
-    let b = suggest_next(&View::all(&permuted), 0, &config(1), None).expect("permuted");
+    let a = suggest_next(&View::all(&base), 0, &config(1), None, None).expect("base");
+    let b = suggest_next(&View::all(&permuted), 0, &config(1), None, None).expect("permuted");
     assert_same_ranking(&a, &b, "row permutation");
     assert_eq!(a.suggestions[0].name, "echo", "planted attr must rank first");
     assert_eq!(b.suggestions[0].name, "echo", "planted attr must rank first");
@@ -227,8 +246,9 @@ fn ranking_is_invariant_under_attribute_permutation() {
     let attr_order = [3, 0, 4, 2, 1];
     let permuted = planted_table(&identity(400), &attr_order);
     let pivot_col = attr_order.iter().position(|&a| a == 0).unwrap();
-    let a = suggest_next(&View::all(&base), 0, &config(1), None).expect("base");
-    let b = suggest_next(&View::all(&permuted), pivot_col, &config(1), None).expect("permuted");
+    let a = suggest_next(&View::all(&base), 0, &config(1), None, None).expect("base");
+    let b =
+        suggest_next(&View::all(&permuted), pivot_col, &config(1), None, None).expect("permuted");
     assert_eq!(b.pivot_name, "pivot");
     assert_same_ranking(&a, &b, "attribute permutation");
 }
@@ -260,7 +280,7 @@ fn refinement_never_resurfaces_an_eliminated_attribute() {
     let suggested: Vec<std::collections::BTreeSet<String>> = views
         .iter()
         .map(|v| {
-            suggest_next(v, 0, &config(1), None)
+            suggest_next(v, 0, &config(1), None, None)
                 .expect("rank")
                 .suggestions
                 .into_iter()
@@ -304,7 +324,7 @@ fn planted_pivot_dependent_recovered_in_top_3_across_seeds() {
         let table = spec.generate_with_threads(0);
         let view = table.full_view();
         let pivot = spec.attrs.iter().position(|a| a.name == "p").expect("pivot attr");
-        let report = suggest_next(&view, pivot, &config(0), None).expect("rank");
+        let report = suggest_next(&view, pivot, &config(0), None, None).expect("rank");
         let top3: Vec<&str> = report
             .suggestions
             .iter()

@@ -422,33 +422,328 @@ pub fn kmeans_packed(
     matrix: &PackedMatrix,
     config: &KMeansConfig,
 ) -> Result<KMeansResult, ClusterError> {
-    kmeans_packed_warm(matrix, config, None)
+    Ok(PackedLloyd::start(matrix, config, None)?.finish())
 }
 
-/// [`kmeans_packed`] with optional warm-start centroid histograms.
+/// A packed Lloyd run that can stop after any pass and resume later.
 ///
-/// When `initial` supplies at least `min(k, n)` histograms of the right
-/// dimensionality with non-zero cluster sizes, Lloyd iterations start
-/// from them (first `min(k, n)` taken) instead of seeding — the
-/// incremental-reuse path feeds a previous build's
-/// [`KMeansResult::histograms`] here. Unusable `initial` values (too
-/// few clusters, wrong dimensionality, zero sizes, or counts large
-/// enough to overflow the u32 dot accumulator) fall back to cold
-/// seeding. Warm starts converge faster but are *not* bit-identical to
-/// a cold run.
-pub fn kmeans_packed_warm(
-    matrix: &PackedMatrix,
-    config: &KMeansConfig,
-    initial: Option<&[(Vec<u32>, u32)]>,
-) -> Result<KMeansResult, ClusterError> {
-    fault::check("cluster::kmeans")?;
-    if config.k == 0 {
-        return Err(ClusterError::ZeroClusters);
+/// [`PackedLloyd::start`] validates the input and seeds,
+/// [`PackedLloyd::pass`] runs one assignment and update step, and
+/// [`PackedLloyd::finish`] runs the remaining passes and the final
+/// statistics. The run's whole state is its centroid histograms, the
+/// latest assignment and the running assignment histogram, and no RNG is
+/// drawn after seeding (an emptied cluster reseeds to the farthest
+/// point), so stopping after any number of passes and finishing later
+/// gives bit for bit what an unpaused run ([`kmeans_packed`]) gives. The
+/// run owns its rows, flattened at `start`, so it outlives the matrix.
+#[derive(Debug)]
+pub struct PackedLloyd {
+    /// The requested cluster count; the final centroids pad to it.
+    k: usize,
+    max_iters: usize,
+    threads: usize,
+    dim: usize,
+    /// Each row's active one-hot dimensions, flattened once (CSR layout):
+    /// every pass walks plain `u32` dim lists instead of re-deriving
+    /// attribute offsets and NULL checks from the packed codes, and a
+    /// row's length doubles as its |x| term. Row `i` ends at `row_ends[i]`.
+    row_dims: Vec<u32>,
+    row_ends: Vec<u32>,
+    /// Centroid histograms and cluster sizes (`min(k, rows)` clusters).
+    hist: Vec<Vec<u32>>,
+    count: Vec<u32>,
+    /// The latest pass's assignment; `usize::MAX` before the first pass,
+    /// which moves every row into its cluster and so primes `sums`.
+    assignments: Vec<usize>,
+    /// Running assignment histogram, maintained incrementally: each pass
+    /// merges per-chunk wrapping deltas (rows that changed cluster)
+    /// instead of rebuilding the `k × dim` sums from scratch —
+    /// bit-identical by the group argument on `assign_scatter_rows_with`,
+    /// and nearly free once Lloyd stops moving rows.
+    sums: Vec<u32>,
+    counts: Vec<u32>,
+    iterations: usize,
+    converged: bool,
+}
+
+impl PackedLloyd {
+    /// Validates `config`, flattens the rows and seeds: from `initial`
+    /// when it supplies at least `min(k, rows)` histograms of the right
+    /// dimensionality with non-zero cluster sizes (first `min(k, rows)`
+    /// taken) — the incremental-reuse path feeds a previous build's
+    /// [`KMeansResult::histograms`] here — and by k-means++ (or random)
+    /// seeding otherwise. Unusable `initial` values (too few clusters,
+    /// wrong dimensionality, zero sizes, or counts large enough to
+    /// overflow the u32 dot accumulator) fall back to cold seeding. Warm
+    /// starts converge faster but are *not* bit-identical to a cold run.
+    pub fn start(
+        matrix: &PackedMatrix,
+        config: &KMeansConfig,
+        initial: Option<&[(Vec<u32>, u32)]>,
+    ) -> Result<PackedLloyd, ClusterError> {
+        fault::check("cluster::kmeans")?;
+        if config.k == 0 {
+            return Err(ClusterError::ZeroClusters);
+        }
+        Ok(matrix.dispatch(|view| match view {
+            PackedView::U8(codes) => Self::seed(codes, matrix, config, initial),
+            PackedView::U16(codes) => Self::seed(codes, matrix, config, initial),
+        }))
     }
-    matrix.dispatch(|view| match view {
-        PackedView::U8(codes) => kmeans_packed_impl(codes, matrix, config, initial),
-        PackedView::U16(codes) => kmeans_packed_impl(codes, matrix, config, initial),
-    })
+
+    fn seed<T: CodeWord>(
+        codes: &[T],
+        m: &PackedMatrix,
+        config: &KMeansConfig,
+        initial: Option<&[(Vec<u32>, u32)]>,
+    ) -> PackedLloyd {
+        let n = m.rows();
+        let dim = m.dim();
+        let attrs = m.attrs();
+        let mut row_dims: Vec<u32> = Vec::with_capacity(n * attrs);
+        let mut row_ends: Vec<u32> = Vec::with_capacity(n);
+        for i in 0..n {
+            for (a, &code) in codes[i * attrs..(i + 1) * attrs].iter().enumerate() {
+                if code != T::NULL {
+                    row_dims.push((m.offset(a) + code.index()) as u32);
+                }
+            }
+            row_ends.push(row_dims.len() as u32);
+        }
+        let mut run = PackedLloyd {
+            k: config.k,
+            max_iters: config.max_iters,
+            threads: config.threads.max(1),
+            dim,
+            row_dims,
+            row_ends,
+            hist: Vec::new(),
+            count: Vec::new(),
+            assignments: vec![usize::MAX; n],
+            sums: Vec::new(),
+            counts: Vec::new(),
+            iterations: 0,
+            converged: n == 0,
+        };
+        if n == 0 {
+            return run;
+        }
+        let k = config.k.min(n);
+        // A warm start is usable when it covers k clusters of this space's
+        // dimensionality, every cluster is non-empty, and no histogram entry
+        // could overflow the u32 dot accumulator (`attrs · max_entry`).
+        let warm = initial.filter(|init| {
+            init.len() >= k
+                && init.iter().all(|(h, count)| {
+                    h.len() == dim
+                        && *count > 0
+                        && h.iter()
+                            .all(|&v| (v as usize).saturating_mul(attrs) <= u32::MAX as usize)
+                })
+        });
+        (run.hist, run.count) = match warm {
+            Some(init) => init.iter().take(k).cloned().unzip(),
+            None => {
+                let mut rng = StdRng::seed_from_u64(config.seed);
+                let seeds = if config.plus_plus {
+                    packed_seed_plus_plus(codes, m, k, &mut rng)
+                } else {
+                    seed_random(n, k, &mut rng)
+                };
+                (
+                    seeds
+                        .iter()
+                        .map(|&i| hist_onehot(run.row(i), dim))
+                        .collect(),
+                    vec![1; k],
+                )
+            }
+        };
+        run.sums = vec![0; k * dim];
+        run.counts = vec![0; k];
+        run
+    }
+
+    /// Row `i`'s active dimensions, ascending — the sparse one-hot point
+    /// the reference kernel would see.
+    fn row(&self, i: usize) -> &[u32] {
+        let start = if i == 0 {
+            0
+        } else {
+            self.row_ends[i - 1] as usize
+        };
+        &self.row_dims[start..self.row_ends[i] as usize]
+    }
+
+    /// Runs one Lloyd pass: the assignment step and, unless it moved no
+    /// row, the update step. Returns `false`, having done nothing, once
+    /// the run has converged or used its `max_iters` passes.
+    pub fn pass(&mut self) -> bool {
+        if self.converged || self.iterations >= self.max_iters {
+            return false;
+        }
+        let first = self.iterations == 0;
+        self.iterations += 1;
+        let n = self.row_ends.len();
+        let (k, dim) = (self.hist.len(), self.dim);
+        // Assignment step. The centroid constants are padded to the LUT
+        // stride with (+inf, 0.0) so the fused kernel's padded lanes can
+        // never win the argmin (see `assign_rows_with`).
+        let (norms, inv) = padded_constants(&self.hist, &self.count);
+        let lut = build_int_lut(&self.hist, dim);
+        // Assignment fused with the incremental update scatter: each chunk
+        // reports which of its rows moved between clusters as wrapping
+        // `(counts, sums)` deltas against the previous assignment. The
+        // partials merge in chunk order into the running histogram;
+        // because every merged quantity is a wrapping integer sum, the
+        // result is byte-identical to a from-scratch scatter at any
+        // thread count (see `assign_scatter_rows_with`).
+        let (row_dims, row_ends, assignments) = (&self.row_dims, &self.row_ends, &self.assignments);
+        let chunk = |range: std::ops::Range<usize>| {
+            // Resolve the kernel family once per chunk, not per row: the
+            // batched kernel keeps its dot accumulators in registers for
+            // the whole chunk. The per-chunk delta histogram is one flat
+            // `k × dim` array — contiguous scatter targets, and the chunk
+            // merge below is a single strip add.
+            let disp = dbex_stats::simd::dispatch();
+            let mut part_assign = Vec::with_capacity(range.len());
+            let mut part_counts = vec![0u32; k];
+            let mut part_sums = vec![0u32; k * dim];
+            assign_scatter_rows_with(
+                disp,
+                row_dims,
+                row_ends,
+                range,
+                &lut,
+                &norms,
+                &inv,
+                dim,
+                assignments,
+                &mut part_assign,
+                &mut part_counts,
+                &mut part_sums,
+            );
+            (part_assign, part_counts, part_sums)
+        };
+        let parts = dbex_par::par_map_chunks(self.threads, n, KMEANS_PAR_MIN_CHUNK, chunk);
+        let ranges = dbex_par::chunk_ranges(n, self.threads, KMEANS_PAR_MIN_CHUNK);
+        let mut changed = false;
+        for (range, (part_assign, part_counts, part_sums)) in ranges.into_iter().zip(parts) {
+            for (slot, best) in self.assignments[range].iter_mut().zip(part_assign) {
+                if *slot != best {
+                    *slot = best;
+                    changed = true;
+                }
+            }
+            for (c, pc) in self.counts.iter_mut().zip(&part_counts) {
+                *c = c.wrapping_add(*pc);
+            }
+            dbex_stats::simd::add_assign_u32(&mut self.sums, &part_sums);
+        }
+        if !changed && !first {
+            self.converged = true;
+            return true;
+        }
+        for c in 0..k {
+            if self.counts[c] == 0 {
+                // Reseed the empty cluster to the point farthest from its
+                // centroid (against the mixed state: clusters before `c`
+                // already hold this pass's histograms), mirroring the
+                // reference.
+                let inv: Vec<f64> = self.count.iter().map(|&m| 1.0 / f64::from(m)).collect();
+                let norms: Vec<f64> = self
+                    .hist
+                    .iter()
+                    .zip(&inv)
+                    .map(|(h, &iv)| hist_norm2(h, iv))
+                    .collect();
+                let dist = |i: usize| {
+                    let c = self.assignments[i];
+                    hist_dist2(self.row(i), &self.hist[c], norms[c], inv[c])
+                };
+                let far = (0..n)
+                    .max_by(|&a, &b| dist(a).total_cmp(&dist(b)))
+                    .unwrap_or(0);
+                self.hist[c] = hist_onehot(self.row(far), dim);
+                self.count[c] = 1;
+            } else {
+                self.hist[c].copy_from_slice(&self.sums[c * dim..(c + 1) * dim]);
+                self.count[c] = self.counts[c];
+            }
+        }
+        true
+    }
+
+    /// The latest pass's cluster per row, or `None` before the first pass.
+    pub fn assignments(&self) -> Option<&[usize]> {
+        (self.iterations > 0).then_some(self.assignments.as_slice())
+    }
+
+    /// Runs the remaining passes, then assigns every row to its nearest
+    /// final centroid and gathers the result.
+    pub fn finish(mut self) -> KMeansResult {
+        while self.pass() {}
+        let n = self.row_ends.len();
+        let k = self.hist.len();
+        let dim = self.dim;
+        let (norms, inv) = padded_constants(&self.hist, &self.count);
+        let lut = build_int_lut(&self.hist, dim);
+        // Nearest-centroid lookups chunk like the passes; the f64 inertia
+        // fold stays sequential in row order (float addition is not
+        // associative, so only the per-row (best, d) pairs parallelize).
+        let (row_dims, row_ends) = (&self.row_dims, &self.row_ends);
+        let parts = dbex_par::par_map_chunks(self.threads, n, KMEANS_PAR_MIN_CHUNK, |range| {
+            let disp = dbex_stats::simd::dispatch();
+            let mut out = Vec::with_capacity(range.len());
+            assign_rows_with(
+                disp, row_dims, row_ends, range, &lut, &norms, &inv, &mut out,
+            );
+            out
+        });
+        let mut inertia = 0.0;
+        let mut sizes = vec![0usize; k];
+        for (slot, (best, d)) in self.assignments.iter_mut().zip(parts.into_iter().flatten()) {
+            *slot = best;
+            sizes[best] += 1;
+            inertia += d;
+        }
+        let mut centroids: Vec<Vec<f64>> = self
+            .hist
+            .iter()
+            .zip(&self.count)
+            .map(|(h, &m)| h.iter().map(|&v| f64::from(v) / f64::from(m)).collect())
+            .collect();
+        // Pad to the requested k so callers can index by cluster id
+        // uniformly (histograms stay unpadded: padded clusters never ran
+        // Lloyd).
+        while centroids.len() < self.k {
+            centroids.push(vec![0.0; dim]);
+            sizes.push(0);
+        }
+        KMeansResult {
+            assignments: self.assignments,
+            centroids,
+            sizes,
+            inertia,
+            iterations: self.iterations,
+            histograms: self.hist.into_iter().zip(self.count).collect(),
+        }
+    }
+}
+
+/// Per-centroid `‖c‖²` and `1/m`, padded to the LUT stride with
+/// `(+inf, 0.0)` so padded lanes never win an argmin.
+fn padded_constants(hist: &[Vec<u32>], count: &[u32]) -> (Vec<f64>, Vec<f64>) {
+    let stride = dot_stride(hist.len());
+    let mut inv: Vec<f64> = count.iter().map(|&m| 1.0 / f64::from(m)).collect();
+    let mut norms: Vec<f64> = hist
+        .iter()
+        .zip(&inv)
+        .map(|(h, &iv)| hist_norm2(h, iv))
+        .collect();
+    norms.resize(stride, f64::INFINITY);
+    inv.resize(stride, 0.0);
+    (norms, inv)
 }
 
 /// Assigns every row of `matrix` to its nearest centroid — the packed
@@ -462,225 +757,6 @@ pub fn assign_all_packed(result: &KMeansResult, matrix: &PackedMatrix) -> Vec<us
     matrix.dispatch(|view| match view {
         PackedView::U8(codes) => assign_all_packed_impl(codes, matrix, &result.centroids, &norms),
         PackedView::U16(codes) => assign_all_packed_impl(codes, matrix, &result.centroids, &norms),
-    })
-}
-
-fn kmeans_packed_impl<T: CodeWord>(
-    codes: &[T],
-    m: &PackedMatrix,
-    config: &KMeansConfig,
-    initial: Option<&[(Vec<u32>, u32)]>,
-) -> Result<KMeansResult, ClusterError> {
-    let n = m.rows();
-    let dim = m.dim();
-    let attrs = m.attrs();
-    let k = config.k.min(n.max(1));
-    if n == 0 {
-        return Ok(KMeansResult {
-            assignments: Vec::new(),
-            centroids: vec![vec![0.0; dim]; config.k],
-            sizes: vec![0; config.k],
-            inertia: 0.0,
-            iterations: 0,
-            histograms: Vec::new(),
-        });
-    }
-    let row = |i: usize| &codes[i * attrs..(i + 1) * attrs];
-
-    // A warm start is usable when it covers k clusters of this space's
-    // dimensionality, every cluster is non-empty, and no histogram entry
-    // could overflow the u32 dot accumulator (`attrs · max_entry`).
-    let warm = initial.filter(|init| {
-        init.len() >= k
-            && init.iter().all(|(h, count)| {
-                h.len() == dim
-                    && *count > 0
-                    && h.iter().all(|&v| (v as usize).saturating_mul(attrs) <= u32::MAX as usize)
-            })
-    });
-    let (mut hist, mut count): (Vec<Vec<u32>>, Vec<u32>) = match warm {
-        Some(init) => init.iter().take(k).cloned().unzip(),
-        None => {
-            let mut rng = StdRng::seed_from_u64(config.seed);
-            let seeds = if config.plus_plus {
-                packed_seed_plus_plus(codes, m, k, &mut rng)
-            } else {
-                seed_random(n, k, &mut rng)
-            };
-            (
-                seeds.iter().map(|&i| packed_hist_onehot(row(i), m, dim)).collect(),
-                vec![1; k],
-            )
-        }
-    };
-
-    // Flatten each row's active one-hot dimensions once (CSR layout):
-    // every Lloyd iteration then walks plain `u32` dim lists instead of
-    // re-deriving attribute offsets and NULL checks from the packed
-    // codes, and `dims.len()` doubles as the row's |x| term.
-    let mut row_dims: Vec<u32> = Vec::with_capacity(n * attrs);
-    let mut row_ends: Vec<u32> = Vec::with_capacity(n);
-    for i in 0..n {
-        for (a, &code) in row(i).iter().enumerate() {
-            if code != T::NULL {
-                row_dims.push((m.offset(a) + code.index()) as u32);
-            }
-        }
-        row_ends.push(row_dims.len() as u32);
-    }
-
-    let threads = config.threads.max(1);
-    // `usize::MAX` = "not yet assigned": the first pass moves every row
-    // into its cluster, priming the running histogram below.
-    let mut assignments = vec![usize::MAX; n];
-    // Running assignment histogram, maintained incrementally: each pass
-    // merges per-chunk wrapping deltas (rows that changed cluster) instead
-    // of rebuilding the `k × dim` sums from scratch — bit-identical by the
-    // group argument on `assign_scatter_rows_with`, and nearly free once
-    // Lloyd stops moving rows.
-    let mut sums = vec![0u32; k * dim];
-    let mut counts = vec![0u32; k];
-    let mut iterations = 0;
-    for iter in 0..config.max_iters {
-        iterations = iter + 1;
-        // Assignment step. The centroid constants are padded to the LUT
-        // stride with (+inf, 0.0) so the fused kernel's padded lanes can
-        // never win the argmin (see `assign_rows_with`).
-        let stride = dot_stride(k);
-        let mut inv: Vec<f64> = count.iter().map(|&m| 1.0 / f64::from(m)).collect();
-        let mut norms: Vec<f64> = hist
-            .iter()
-            .zip(&inv)
-            .map(|(h, &iv)| hist_norm2(h, iv))
-            .collect();
-        norms.resize(stride, f64::INFINITY);
-        inv.resize(stride, 0.0);
-        let lut = build_int_lut(&hist, dim);
-        // Assignment fused with the incremental update scatter: each chunk
-        // reports which of its rows moved between clusters as wrapping
-        // `(counts, sums)` deltas against the previous assignment. The
-        // partials merge in chunk order into the running histogram;
-        // because every merged quantity is a wrapping integer sum, the
-        // result is byte-identical to a from-scratch scatter at any
-        // thread count (see `assign_scatter_rows_with`).
-        let chunk = |range: std::ops::Range<usize>| {
-            // Resolve the kernel family once per chunk, not per row: the
-            // batched kernel keeps its dot accumulators in registers for
-            // the whole chunk. The per-chunk delta histogram is one flat
-            // `k × dim` array — contiguous scatter targets, and the chunk
-            // merge below is a single strip add.
-            let disp = dbex_stats::simd::dispatch();
-            let mut part_assign = Vec::with_capacity(range.len());
-            let mut part_counts = vec![0u32; k];
-            let mut part_sums = vec![0u32; k * dim];
-            assign_scatter_rows_with(
-                disp,
-                &row_dims,
-                &row_ends,
-                range,
-                &lut,
-                &norms,
-                &inv,
-                dim,
-                &assignments,
-                &mut part_assign,
-                &mut part_counts,
-                &mut part_sums,
-            );
-            (part_assign, part_counts, part_sums)
-        };
-        let parts = dbex_par::par_map_chunks(threads, n, KMEANS_PAR_MIN_CHUNK, chunk);
-        let ranges = dbex_par::chunk_ranges(n, threads, KMEANS_PAR_MIN_CHUNK);
-        let mut changed = false;
-        for (range, (part_assign, part_counts, part_sums)) in ranges.into_iter().zip(parts) {
-            for (slot, best) in assignments[range].iter_mut().zip(part_assign) {
-                if *slot != best {
-                    *slot = best;
-                    changed = true;
-                }
-            }
-            for (c, pc) in counts.iter_mut().zip(&part_counts) {
-                *c = c.wrapping_add(*pc);
-            }
-            dbex_stats::simd::add_assign_u32(&mut sums, &part_sums);
-        }
-        if !changed && iter > 0 {
-            break;
-        }
-        for c in 0..k {
-            if counts[c] == 0 {
-                // Reseed empty cluster to the point farthest from its
-                // centroid (mixed state, mirroring the reference).
-                let inv: Vec<f64> = count.iter().map(|&m| 1.0 / f64::from(m)).collect();
-                let norms: Vec<f64> = hist
-                    .iter()
-                    .zip(&inv)
-                    .map(|(h, &iv)| hist_norm2(h, iv))
-                    .collect();
-                let far = (0..n)
-                    .max_by(|&a, &b| {
-                        let ca = assignments[a];
-                        let cb = assignments[b];
-                        let da =
-                            packed_hist_dist2(row(a), m, &hist[ca], norms[ca], inv[ca]);
-                        let db =
-                            packed_hist_dist2(row(b), m, &hist[cb], norms[cb], inv[cb]);
-                        da.total_cmp(&db)
-                    })
-                    .unwrap_or(0);
-                hist[c] = packed_hist_onehot(row(far), m, dim);
-                count[c] = 1;
-            } else {
-                hist[c].copy_from_slice(&sums[c * dim..(c + 1) * dim]);
-                count[c] = counts[c];
-            }
-        }
-    }
-
-    // Final stats.
-    let stride = dot_stride(k);
-    let mut inv: Vec<f64> = count.iter().map(|&m| 1.0 / f64::from(m)).collect();
-    let mut norms: Vec<f64> = hist
-        .iter()
-        .zip(&inv)
-        .map(|(h, &iv)| hist_norm2(h, iv))
-        .collect();
-    norms.resize(stride, f64::INFINITY);
-    inv.resize(stride, 0.0);
-    let lut = build_int_lut(&hist, dim);
-    // Nearest-centroid lookups chunk like the iteration loop; the f64
-    // inertia fold stays sequential in row order (float addition is not
-    // associative, so only the per-row (best, d) pairs parallelize).
-    let parts = dbex_par::par_map_chunks(threads, n, KMEANS_PAR_MIN_CHUNK, |range| {
-        let disp = dbex_stats::simd::dispatch();
-        let mut out = Vec::with_capacity(range.len());
-        assign_rows_with(disp, &row_dims, &row_ends, range, &lut, &norms, &inv, &mut out);
-        out
-    });
-    let mut inertia = 0.0;
-    let mut sizes = vec![0usize; k];
-    for (slot, (best, d)) in assignments.iter_mut().zip(parts.into_iter().flatten()) {
-        *slot = best;
-        sizes[best] += 1;
-        inertia += d;
-    }
-    let mut centroids: Vec<Vec<f64>> = hist
-        .iter()
-        .zip(&count)
-        .map(|(h, &m)| h.iter().map(|&v| f64::from(v) / f64::from(m)).collect())
-        .collect();
-    // Pad to the requested k so callers can index by cluster id uniformly.
-    while centroids.len() < config.k {
-        centroids.push(vec![0.0; dim]);
-        sizes.push(0);
-    }
-    Ok(KMeansResult {
-        assignments,
-        centroids,
-        sizes,
-        inertia,
-        iterations,
-        histograms: hist.into_iter().zip(count).collect(),
     })
 }
 
@@ -775,45 +851,6 @@ pub(crate) fn build_int_lut(hists: &[Vec<u32>], dim: usize) -> Vec<u32> {
 // expression `(norm2 − 2·dot·inv + len).max(0)` — identical to
 // [`hist_dist2`] in the reference kernel (clamped, first-min ties) —
 // with per-lane-exact SIMD variants behind the runtime dispatch.
-
-/// The packed mirror of [`hist_dist2`]: single-point distance to one
-/// histogram centroid, same canonical expression as
-/// [`nearest_from_int_dots_with`]. The u32 dot cannot overflow because each
-/// of the ≤ attrs active dimensions contributes at most the cluster
-/// size, bounded by the `rows·attrs ≤ u32::MAX` gate at pack time.
-#[inline]
-pub(crate) fn packed_hist_dist2<T: CodeWord>(
-    row: &[T],
-    m: &PackedMatrix,
-    hist: &[u32],
-    norm2: f64,
-    inv: f64,
-) -> f64 {
-    let mut dot = 0u32;
-    for (a, &code) in row.iter().enumerate() {
-        if code != T::NULL {
-            dot += hist[m.offset(a) + code.index()];
-        }
-    }
-    let len = row.iter().filter(|&&c| c != T::NULL).count() as f64;
-    (norm2 - 2.0 * f64::from(dot) * inv + len).max(0.0)
-}
-
-/// The one-hot histogram (cluster size 1) of a packed row — the packed
-/// mirror of [`hist_onehot`].
-pub(crate) fn packed_hist_onehot<T: CodeWord>(
-    row: &[T],
-    m: &PackedMatrix,
-    dim: usize,
-) -> Vec<u32> {
-    let mut h = vec![0u32; dim];
-    for (a, &code) in row.iter().enumerate() {
-        if code != T::NULL {
-            h[m.offset(a) + code.index()] = 1;
-        }
-    }
-    h
-}
 
 /// The one-hot (dense) centroid of a packed row.
 pub(crate) fn packed_onehot<T: CodeWord>(row: &[T], m: &PackedMatrix, dim: usize) -> Vec<f64> {

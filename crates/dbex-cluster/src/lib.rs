@@ -28,7 +28,9 @@ pub mod quality;
 pub(crate) mod simd;
 
 pub use error::ClusterError;
-pub use kmeans::{assign_all_packed, kmeans, kmeans_packed, kmeans_packed_warm, KMeansConfig, KMeansResult};
+pub use kmeans::{
+    assign_all_packed, kmeans, kmeans_packed, KMeansConfig, KMeansResult, PackedLloyd,
+};
 pub use minibatch::{mini_batch_kmeans, mini_batch_kmeans_packed, MiniBatchConfig};
 pub use onehot::OneHotSpace;
 pub use packed::PackedMatrix;

@@ -6,9 +6,10 @@
 //! inertia bits, and iteration counts of the sparse reference
 //! implementations. Random fixtures cover NULLs, duplicate rows, empty
 //! rows, tiny n, and the `u8 → u16` width promotion above 255 distinct
-//! values per attribute.
+//! values per attribute. A packed run paused after any number of passes
+//! and finished later must also equal the run nobody paused.
 
-use dbex_cluster::kmeans::{assign_all_packed, kmeans, kmeans_packed, KMeansConfig};
+use dbex_cluster::kmeans::{assign_all_packed, kmeans, kmeans_packed, KMeansConfig, PackedLloyd};
 use dbex_cluster::minibatch::{mini_batch_kmeans, mini_batch_kmeans_packed, MiniBatchConfig};
 use dbex_cluster::packed::PackedMatrix;
 use dbex_cluster::{KMeansResult, OneHotSpace};
@@ -213,5 +214,74 @@ proptest! {
             })
             .collect();
         check_equivalence(&cards, &rows, k, seed);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// A resumed Lloyd run equals a straight one: `start`, then `t`
+    /// passes, then `finish` returns bit for bit what the unpaused run
+    /// returns — assignments, centroids, inertia, iterations and
+    /// histograms — for every `t` from 0 to past convergence, and both
+    /// equal the one-hot reference. Rows are drawn from a small pool, so
+    /// duplicates leave clusters empty and force farthest-point reseeds;
+    /// attribute 0 packs as u8 or, at 300 values, as u16; a quarter of the
+    /// cases have fewer rows than `k`, and up to 700 rows let 4 threads
+    /// split a pass into chunks.
+    #[test]
+    fn paused_lloyd_run_resumes_bit_identically(
+        wide in 0u8..2,
+        card1 in 2usize..5,
+        pool in prop::collection::vec((0u32..300, 0u32..5, 0u32..8), 1..12),
+        picks in prop::collection::vec(0usize..12, 1..700),
+        tiny in 0u8..4,
+        k in 1usize..9,
+        max_iters in 1usize..16,
+        seed in 0u64..1000,
+    ) {
+        let card0 = if wide == 1 { 300 } else { 7 };
+        let cards = [card0, card1];
+        let distinct: Vec<Vec<Option<u32>>> = pool
+            .iter()
+            .map(|&(c0, c1, null_sel)| {
+                vec![
+                    if null_sel == 0 { None } else { Some(c0 % card0 as u32) },
+                    if null_sel == 1 { None } else { Some(c1 % card1 as u32) },
+                ]
+            })
+            .collect();
+        let n = if tiny == 0 { picks.len().min(k.max(2) - 1) } else { picks.len() };
+        let rows: Vec<Vec<Option<u32>>> =
+            picks[..n].iter().map(|&i| distinct[i % distinct.len()].clone()).collect();
+        let columns = columns_from(&cards, &rows);
+        let refs: Vec<&CodedColumn> = columns.iter().collect();
+        let positions: Vec<usize> = (0..rows.len()).collect();
+        let space = OneHotSpace::from_columns(&refs);
+        let matrix = PackedMatrix::from_columns(&refs, &positions).unwrap();
+        for threads in [1, 4] {
+            let cfg = KMeansConfig {
+                k,
+                max_iters,
+                seed,
+                plus_plus: true,
+                threads,
+            };
+            let ctx = format!("k={k} iters={max_iters} seed={seed} rows={} t={threads}", rows.len());
+            let straight = PackedLloyd::start(&matrix, &cfg, None).unwrap().finish();
+            let reference = kmeans(&space.encode_positions(&refs, &positions), space.dim(), &cfg).unwrap();
+            assert_bit_identical(&straight, &reference, &ctx);
+            prop_assert_eq!(&straight.histograms, &reference.histograms);
+            for paused in 0..=straight.iterations + 1 {
+                let mut run = PackedLloyd::start(&matrix, &cfg, None).unwrap();
+                let ran = (0..paused).filter(|_| run.pass()).count();
+                prop_assert_eq!(ran, paused.min(straight.iterations));
+                prop_assert_eq!(run.assignments().is_some(), ran > 0);
+                let resumed = run.finish();
+                let ctx = format!("{ctx} paused after {paused}");
+                assert_bit_identical(&resumed, &straight, &ctx);
+                prop_assert_eq!(&resumed.histograms, &straight.histograms);
+            }
+        }
     }
 }

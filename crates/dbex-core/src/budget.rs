@@ -25,6 +25,11 @@
 //! size, the monotone clock) — never on the cumulative counter — so the
 //! ladder fires identically regardless of the order in which workers
 //! happen to run.
+//!
+//! The gauge owns a clone of its budget (the clock and cancel flag are
+//! shared `Arc`s), so a build that pauses between calls — a streamed
+//! preview followed by the exact answer — keeps measuring against the
+//! same deadline and cancel flag.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -111,13 +116,13 @@ impl ExecBudget {
     }
 
     /// Starts measuring: captures "now" on the configured clock.
-    pub fn start(&self) -> BudgetGauge<'_> {
+    pub fn start(&self) -> BudgetGauge {
         let manual_start = match &self.clock {
             ClockSource::Manual(ms) => ms.load(Ordering::Relaxed),
             ClockSource::System => 0,
         };
         BudgetGauge {
-            budget: self,
+            budget: self.clone(),
             started: Instant::now(),
             manual_start,
             rows_spent: AtomicU64::new(0),
@@ -129,14 +134,14 @@ impl ExecBudget {
 ///
 /// Safe to share by `&` across worker threads — see the module docs.
 #[derive(Debug)]
-pub struct BudgetGauge<'a> {
-    budget: &'a ExecBudget,
+pub struct BudgetGauge {
+    budget: ExecBudget,
     started: Instant,
     manual_start: u64,
     rows_spent: AtomicU64,
 }
 
-impl BudgetGauge<'_> {
+impl BudgetGauge {
     /// Time elapsed since [`ExecBudget::start`], on the configured clock.
     pub fn elapsed(&self) -> Duration {
         match &self.budget.clock {
@@ -195,7 +200,7 @@ impl BudgetGauge<'_> {
 
     /// The budget being measured.
     pub fn budget(&self) -> &ExecBudget {
-        self.budget
+        &self.budget
     }
 }
 

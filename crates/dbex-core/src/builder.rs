@@ -21,20 +21,21 @@ use crate::error::CadError;
 use crate::iunit::{IUnit, LabelConfig};
 use crate::simil::iunit_similarity;
 use dbex_cluster::{
-    assign_all_packed, kmeans, kmeans_packed_warm, mini_batch_kmeans, mini_batch_kmeans_packed,
-    KMeansConfig, KMeansResult, MiniBatchConfig, OneHotSpace, PackedMatrix,
+    assign_all_packed, kmeans, mini_batch_kmeans, mini_batch_kmeans_packed, KMeansConfig,
+    KMeansResult, MiniBatchConfig, OneHotSpace, PackedLloyd, PackedMatrix,
 };
+use dbex_obs::{Span, SpanId, Tracer};
 use dbex_stats::cache::{ClusterKey, ClusterSolution};
 use dbex_stats::discretize::{CodedColumn, CodedColumns};
 use dbex_stats::feature::{
-    select_compare_attributes_ctx, FeatureScorer, FeatureSelectionConfig, ScoringCtx,
+    select_compare_attributes_ctx, FeatureScore, FeatureScorer, FeatureSelectionConfig, ScoringCtx,
 };
-use dbex_obs::Tracer;
 use dbex_stats::histogram::BinningStrategy;
 use dbex_stats::{CacheStats, StatsCache};
 use dbex_table::dict::NULL_CODE;
 use dbex_table::{DataType, View};
 use dbex_topk::{div_astar, greedy, ConflictGraph};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How IUnits are scored for the top-k ranking (Problem 2's preference
@@ -328,6 +329,9 @@ fn cache_stats(cache: Option<&StatsCache>) -> CacheStats {
 /// and every counter are byte-identical at any thread count; only the
 /// recorded durations differ. `rows_scanned` counts rows coded, i.e. the
 /// memo's misses: a stage whose columns were already coded reports 0.
+///
+/// This is [`CadBuild::start`] then [`CadBuild::finish`] with no pause
+/// between them; a paused build's tree differs as described there.
 pub fn build_cad_view_traced(
     result: &View<'_>,
     request: &CadRequest,
@@ -335,7 +339,334 @@ pub fn build_cad_view_traced(
     coded: Option<&CodedColumns>,
     tracer: &Tracer,
 ) -> Result<CadView, CadError> {
-    let build_start = Instant::now();
+    CadBuild::start(result, request, cache, coded, tracer, false)?.finish(result, cache)
+}
+
+/// Lloyd passes a paused partition runs before its build pauses.
+const PAUSE_AFTER_PASSES: usize = 1;
+
+/// A CAD View build split into phases, so a streamed build can show its
+/// state midway and then finish, instead of building twice.
+///
+/// * [`CadBuild::start`] encodes the pivot, selects the Compare
+///   Attributes and probes the cluster cache, exactly as an unstreamed
+///   build does. Asked to pause, it seeds each missed full-rung packed
+///   partition and runs one Lloyd pass ([`PackedLloyd`]); every other
+///   partition — cached, mini-batch, sampled, one-hot, warm-started, or
+///   clustered on a `cluster_sample` — finishes inside `start`.
+/// * [`CadBuild::preview`] labels and ranks the build as it stands:
+///   finished partitions as they are, paused ones from their first-pass
+///   assignment. With nothing paused it is already the exact view.
+/// * [`CadBuild::finish`] resumes the paused runs, caches their
+///   solutions, then labels and ranks. A resumed Lloyd run is
+///   bit-identical to an unpaused one, so the view equals an unstreamed
+///   build's. A paused partition that `finish` reaches after the deadline
+///   or a cancel keeps its first-pass clustering, recorded as a
+///   [`DegradationKind::ClampedKMeansIters`] degradation.
+///
+/// The budget gauge starts in `start`, so the deadline covers both
+/// phases. The build owns what it computed (coded columns through `Arc`s,
+/// its gauge, its tracer), so it can be kept between calls; `preview`
+/// and `finish` must be given the result `start` ran over. A paused build
+/// records one `cad_build` tree, when `finish` returns: the preview's
+/// labeling and ranking sit under a `preview` span, a second
+/// `iunit_generation` span holds the resumed runs, and `cluster_partition`
+/// counts `paused` and `resumed` partitions (so its `calls` count a
+/// paused partition twice).
+pub struct CadBuild {
+    request: CadRequest,
+    gauge: BudgetGauge,
+    threads: usize,
+    pivot_col: usize,
+    /// The Compare Attributes that survived encoding, in selection order.
+    columns: Vec<Arc<CodedColumn>>,
+    feature_scores: Vec<FeatureScore>,
+    partitions: Vec<Partition>,
+    degradation: Vec<Degradation>,
+    partitions_reused: usize,
+    warm_starts: usize,
+    timing_compare: Duration,
+    timing_iunits: Duration,
+    started: Instant,
+    tracer: Tracer,
+    root: Option<SpanId>,
+}
+
+/// One selected pivot value: its code, label, member positions, and its
+/// candidate IUnits so far.
+struct Partition {
+    code: u32,
+    label: String,
+    members: Vec<usize>,
+    candidates: Candidates,
+}
+
+/// A partition's candidate IUnits, or the Lloyd run that will yield them.
+enum Candidates {
+    Done(Vec<IUnit>),
+    Paused(Box<PausedRun>),
+}
+
+impl Candidates {
+    /// The finished candidates; none while paused.
+    fn done(&self) -> &[IUnit] {
+        match self {
+            Candidates::Done(units) => units,
+            Candidates::Paused(_) => &[],
+        }
+    }
+}
+
+/// A full-rung packed Lloyd run stopped after [`PAUSE_AFTER_PASSES`].
+struct PausedRun {
+    run: PackedLloyd,
+    /// The candidate count `l` the run clusters into.
+    l: usize,
+    /// Where the finished solution goes in the cluster cache.
+    reuse_key: Option<ClusterKey>,
+}
+
+impl CadBuild {
+    /// Runs the build up to its clustering; with `pause`, stops each
+    /// missed full-rung packed partition after its first Lloyd pass (see
+    /// the type docs). Errors as [`build_cad_view`] does before ranking.
+    pub fn start(
+        result: &View<'_>,
+        request: &CadRequest,
+        cache: Option<&StatsCache>,
+        coded: Option<&CodedColumns>,
+        tracer: &Tracer,
+        pause: bool,
+    ) -> Result<CadBuild, CadError> {
+        let root = tracer.enter_raw(None, "cad_build");
+        let build = start_build(result, request, cache, coded, tracer, root, pause);
+        if let (Err(_), Some(root)) = (&build, root) {
+            tracer.exit_raw(root);
+        }
+        build
+    }
+
+    /// Whether some partition is paused mid-Lloyd, so that
+    /// [`Self::preview`] differs from the finished view.
+    fn is_paused(&self) -> bool {
+        self.partitions
+            .iter()
+            .any(|p| matches!(p.candidates, Candidates::Paused(_)))
+    }
+
+    /// The view as the build stands, leaving the build unchanged: finished
+    /// partitions ranked from their candidates, paused ones from the
+    /// clusters of their first Lloyd pass. Only the chosen IUnits are
+    /// copied out of the build.
+    pub fn preview(&self, result: &View<'_>) -> Result<CadView, CadError> {
+        let span = self.tracer.child_of(self.root, "preview");
+        let pref = resolve_preference(result, &self.request.preference)?;
+        let coded = self.coded();
+        let label = &self.request.config.label;
+        let first_pass: Vec<Option<Vec<IUnit>>> =
+            dbex_par::par_map(self.threads, &self.partitions, |_, p| match &p.candidates {
+                Candidates::Done(_) => None,
+                Candidates::Paused(paused) => {
+                    let clusters = bucket(paused.run.assignments().unwrap_or_default(), paused.l);
+                    Some(units_of(&clusters, &p.members, &coded, label))
+                }
+            });
+        let candidates: Vec<&[IUnit]> = self
+            .partitions
+            .iter()
+            .zip(&first_pass)
+            .map(|(p, first)| first.as_deref().unwrap_or(p.candidates.done()))
+            .collect();
+        span.add(
+            "candidates",
+            candidates.iter().map(|units| units.len() as u64).sum(),
+        );
+        let solved = solve_partitions(
+            &candidates,
+            result,
+            &pref,
+            self.tau(),
+            self.request.iunits,
+            &self.gauge,
+            self.threads,
+            &span,
+        );
+        let mut degradation = self.degradation.clone();
+        degradation.extend(greedy_degradation(&self.gauge, &solved));
+        let rows = self
+            .partitions
+            .iter()
+            .zip(candidates)
+            .zip(solved)
+            .map(|((p, units), (chosen, scores, _))| CadRow {
+                pivot_code: p.code,
+                pivot_label: p.label.clone(),
+                iunits: chosen
+                    .into_iter()
+                    .filter_map(|i| {
+                        let mut unit = units.get(i)?.clone();
+                        unit.score = *scores.get(i)?;
+                        Some(unit)
+                    })
+                    .collect(),
+            })
+            .collect();
+        Ok(self.assemble(result, rows, degradation, Duration::ZERO, None))
+    }
+
+    /// Resumes the paused partitions, then labels and ranks every
+    /// partition into the finished view (see the type docs).
+    pub fn finish(
+        mut self,
+        result: &View<'_>,
+        cache: Option<&StatsCache>,
+    ) -> Result<CadView, CadError> {
+        if self.is_paused() {
+            let t = Instant::now();
+            let gen_span = self.tracer.child_of(self.root, "iunit_generation");
+            let coded: Vec<&CodedColumn> = self.columns.iter().map(|c| &**c).collect();
+            let (gauge, config) = (&self.gauge, &self.request.config);
+            let partitions = std::mem::take(&mut self.partitions);
+            for (p, degraded) in dbex_par::par_map_into(self.threads, partitions, |_, mut p| {
+                let candidates = std::mem::replace(&mut p.candidates, Candidates::Done(Vec::new()));
+                let Candidates::Paused(paused) = candidates else {
+                    p.candidates = candidates;
+                    return (p, Vec::new());
+                };
+                let span = gen_span.child("cluster_partition");
+                let (units, degraded) =
+                    resume(*paused, &p.members, &coded, config, gauge, cache, &p.label);
+                span.add("resumed", 1);
+                span.add("candidates", units.len() as u64);
+                span.add("degradations", degraded.len() as u64);
+                p.candidates = Candidates::Done(units);
+                (p, degraded)
+            }) {
+                self.degradation.extend(degraded);
+                self.partitions.push(p);
+            }
+            drop(gen_span);
+            self.timing_iunits += t.elapsed();
+        }
+
+        // --- Stage 3: preference scores + diversified top-k (Problem 2) ---
+        let t2 = Instant::now();
+        // Resolve the preference once so the per-partition work is
+        // infallible (a pool worker has no way to surface a typed error
+        // mid-map).
+        let pref = resolve_preference(result, &self.request.preference)?;
+        let topk_span = self.tracer.child_of(self.root, "topk");
+        let partitions = std::mem::take(&mut self.partitions);
+        let candidates: Vec<&[IUnit]> = partitions.iter().map(|p| p.candidates.done()).collect();
+        let solved = solve_partitions(
+            &candidates,
+            result,
+            &pref,
+            self.tau(),
+            self.request.iunits,
+            &self.gauge,
+            self.threads,
+            &topk_span,
+        );
+        self.degradation
+            .extend(greedy_degradation(&self.gauge, &solved));
+        let rows = partitions
+            .into_iter()
+            .zip(solved)
+            .map(|(p, (chosen, scores, _))| {
+                let units = match p.candidates {
+                    Candidates::Done(units) => units,
+                    Candidates::Paused(_) => Vec::new(),
+                };
+                CadRow {
+                    pivot_code: p.code,
+                    pivot_label: p.label,
+                    iunits: take_chosen(units, scores, chosen),
+                }
+            })
+            .collect();
+        drop(topk_span);
+        let timing_others = t2.elapsed();
+
+        if let Some(root) = self.root {
+            self.tracer
+                .add_raw(root, "degradations", self.degradation.len() as u64);
+            self.tracer.add_raw(
+                root,
+                "degradation_level",
+                self.degradation
+                    .iter()
+                    .map(|d| d.kind.severity())
+                    .max()
+                    .unwrap_or(0),
+            );
+            self.tracer.exit_raw(root);
+        }
+        let trace = self.tracer.finish();
+        dbex_obs::counter!("cad.degradations").incr(self.degradation.len() as u64);
+        build_ms_histogram().observe_ms(self.started.elapsed());
+        let degradation = std::mem::take(&mut self.degradation);
+        Ok(self.assemble(result, rows, degradation, timing_others, trace))
+    }
+
+    /// The coded Compare Attribute columns, borrowed.
+    fn coded(&self) -> Vec<&CodedColumn> {
+        self.columns.iter().map(|c| &**c).collect()
+    }
+
+    /// The similarity threshold `τ = tau_fraction · |I|`.
+    fn tau(&self) -> f64 {
+        self.request.config.tau_fraction * self.columns.len() as f64
+    }
+
+    fn assemble(
+        &self,
+        result: &View<'_>,
+        rows: Vec<CadRow>,
+        degradation: Vec<Degradation>,
+        others: Duration,
+        trace: Option<dbex_obs::Trace>,
+    ) -> CadView {
+        let schema = result.table().schema();
+        let compare_attrs: Vec<usize> = self.columns.iter().map(|c| c.attr_index).collect();
+        CadView {
+            pivot_attr: self.pivot_col,
+            pivot_name: self.request.pivot.clone(),
+            compare_names: compare_attrs
+                .iter()
+                .map(|&i| schema.field(i).name.clone())
+                .collect(),
+            compare_attrs,
+            k: self.request.iunits,
+            tau: self.tau(),
+            rows,
+            feature_scores: self.feature_scores.clone(),
+            timings: CadTimings {
+                compare_attrs: self.timing_compare,
+                iunit_generation: self.timing_iunits,
+                others,
+            },
+            threads_used: self.threads,
+            degradation,
+            partitions_reused: self.partitions_reused,
+            warm_starts: self.warm_starts,
+            trace,
+        }
+    }
+}
+
+/// [`CadBuild::start`] under an open `cad_build` span `root`.
+#[allow(clippy::too_many_arguments)]
+fn start_build(
+    result: &View<'_>,
+    request: &CadRequest,
+    cache: Option<&StatsCache>,
+    coded: Option<&CodedColumns>,
+    tracer: &Tracer,
+    root: Option<SpanId>,
+    pause: bool,
+) -> Result<CadBuild, CadError> {
+    let started = Instant::now();
     dbex_obs::counter!("cad.builds").incr(1);
     let threads = dbex_par::resolve_threads(request.config.threads);
     // Record which SIMD kernel family this process dispatches to, so
@@ -357,9 +688,10 @@ pub fn build_cad_view_traced(
         request.config.bins,
         request.config.strategy,
     );
-    let root = tracer.root("cad_build");
-    root.add("rows_input", result.len() as u64);
-    let pivot_span = root.child("pivot_encode");
+    if let Some(root) = root {
+        tracer.add_raw(root, "rows_input", result.len() as u64);
+    }
+    let pivot_span = tracer.child_of(root, "pivot_encode");
     let rows_coded_before = memo.rows_coded();
     let pivot_column = result.table().column(pivot_col);
     // Categorical pivots use their dictionary codes; numeric pivots are
@@ -439,7 +771,7 @@ pub fn build_cad_view_traced(
 
     // --- Stage 1: Compare Attributes (Problem 1.1) ---
     let t0 = Instant::now();
-    let fs_span = root.child("compare_attrs");
+    let fs_span = tracer.child_of(root, "compare_attrs");
     let fs_cache_before = cache_stats(cache);
     let rows_coded_before = memo.rows_coded();
     let forced: Vec<usize> = request
@@ -534,13 +866,13 @@ pub fn build_cad_view_traced(
 
     // --- Stage 2: Candidate IUnits (Problem 1.2) ---
     let t1 = Instant::now();
-    let gen_span = root.child("iunit_generation");
+    let gen_span = tracer.child_of(root, "iunit_generation");
     let enc_span = gen_span.child("encode_matrix");
     let enc_cache_before = cache_stats(cache);
     let rows_coded_before = memo.rows_coded();
     // Attributes that cannot be coded (all-NULL numeric columns) are
     // skipped — the CAD View simply cannot use them.
-    let columns: Vec<std::sync::Arc<CodedColumn>> =
+    let columns: Vec<Arc<CodedColumn>> =
         dbex_par::par_map(threads, &compare_attrs, |_, &attr| {
             memo.column(result, attr, cache).ok()
         })
@@ -548,8 +880,6 @@ pub fn build_cad_view_traced(
         .flatten()
         .collect();
     let coded: Vec<&CodedColumn> = columns.iter().map(|c| &**c).collect();
-    // Attributes that survived encoding, in selection order.
-    let live_attrs: Vec<usize> = coded.iter().map(|c| c.attr_index).collect();
     if coded.is_empty() {
         return Err(CadError::NoCompareAttributes);
     }
@@ -578,31 +908,30 @@ pub fn build_cad_view_traced(
         });
     }
 
-    // Fan the per-pivot-value work (clustering + labeling) across the
-    // pool. Each partition is independent and seeded identically to the
-    // sequential path, and `par_map` returns results in partition order,
-    // so the output — including the degradation log — is byte-identical
-    // at any thread count.
-    let mut candidate_sets: Vec<Vec<IUnit>> = Vec::with_capacity(selected_partitions.len());
-    let mut partitions_reused = 0usize;
-    let mut warm_starts = 0usize;
-    // When there are fewer partitions than workers (few pivot values, the
-    // common shape on real datasets), the leftover parallelism moves
-    // *inside* each partition: the packed kernel splits its row walk into
-    // deterministically-merged chunks. Dividing keeps the worst-case
-    // thread count near `threads` (outer workers × inner chunks).
+    // Fan the per-pivot-value clustering across the pool. Each
+    // partition is independent and seeded identically to the
+    // sequential path, and `par_map` returns results in partition
+    // order, so the output — including the degradation log — is
+    // byte-identical at any thread count.
+    //
+    // When there are fewer partitions than workers (few pivot values,
+    // the common shape on real datasets), the leftover parallelism
+    // moves *inside* each partition: the packed kernel splits its row
+    // walk into deterministically-merged chunks. Dividing keeps the
+    // worst-case thread count near `threads` (outer workers × inner
+    // chunks).
     let inner_threads = if threads > 1 {
         threads.div_ceil(selected_partitions.len().max(1)).max(1)
     } else {
         1
     };
-    for (units, degraded, reused, warm) in dbex_par::par_map(
+    let clustered = dbex_par::par_map(
         threads,
         &selected_partitions,
         |_, (_, label, members)| {
             let span = gen_span.child("cluster_partition");
             gauge.charge_rows(members.len());
-            let (units, degraded, reused, warm) = generate_candidates(
+            let (candidates, degraded, reused, warm) = generate_candidates(
                 members,
                 &coded,
                 &space,
@@ -614,140 +943,203 @@ pub fn build_cad_view_traced(
                 label,
                 cache,
                 result,
+                pause,
             );
             span.add("rows_clustered", members.len() as u64);
-            span.add("candidates", units.len() as u64);
+            match &candidates {
+                Candidates::Done(units) => span.add("candidates", units.len() as u64),
+                Candidates::Paused(_) => span.add("paused", 1),
+            }
             span.add("degradations", degraded.len() as u64);
             span.add("partitions_reused", reused as u64);
             span.add("warm_starts", warm as u64);
-            (units, degraded, reused, warm)
+            (candidates, degraded, reused, warm)
         },
-    ) {
-        candidate_sets.push(units);
+    );
+    let mut partitions = Vec::with_capacity(selected_partitions.len());
+    let mut partitions_reused = 0usize;
+    let mut warm_starts = 0usize;
+    for ((code, label, members), (candidates, degraded, reused, warm)) in
+        selected_partitions.into_iter().zip(clustered)
+    {
         degradation.extend(degraded);
         partitions_reused += reused as usize;
         warm_starts += warm as usize;
+        partitions.push(Partition {
+            code,
+            label,
+            members,
+            candidates,
+        });
     }
     drop(gen_span);
-    let timing_iunits = t1.elapsed();
-
-    // --- Stage 3: preference scores + diversified top-k (Problem 2) ---
-    let t2 = Instant::now();
-    let tau = request.config.tau_fraction * coded.len() as f64;
-    // Resolve the preference once so the per-partition work is infallible
-    // (a pool worker has no way to surface a typed error mid-map).
-    let pref = resolve_preference(result, &request.preference)?;
-    let staged: Vec<(u32, String, Vec<IUnit>)> = selected_partitions
-        .into_iter()
-        .zip(candidate_sets)
-        .map(|((code, label, _members), units)| (code, label, units))
-        .collect();
-    // Per partition: preference scores, similarity graph, top-k solve.
-    // Past the deadline, div-astar's exact search gives way to the greedy
-    // heuristic (recorded once, after the fan-out). The clock is monotone,
-    // so the sequential path degrades every partition after the first
-    // exhausted one, exactly as before.
-    let topk_span = root.child("topk");
-    let solved: Vec<(Vec<usize>, Vec<f64>, bool)> =
-        dbex_par::par_map(threads, &staged, |_, (_, _, units)| {
-            let span = topk_span.child("solve_partition");
-            let scores = preference_scores(units, result, &pref);
-            let graph = ConflictGraph::from_similarity(
-                units.len(),
-                |a, b| iunit_similarity(&units[a], &units[b]),
-                tau,
-            );
-            let used_greedy = gauge.time_exhausted();
-            let solution = if used_greedy {
-                greedy(&scores, &graph, k)
-            } else {
-                div_astar(&scores, &graph, k)
-            };
-            let mut chosen: Vec<usize> = solution.items;
-            chosen.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]));
-            span.add("candidates", units.len() as u64);
-            span.add("selected", chosen.len() as u64);
-            span.add("greedy_solves", used_greedy as u64);
-            (chosen, scores, used_greedy)
-        });
-    let mut greedy_partitions = 0usize;
-    let mut rows = Vec::with_capacity(staged.len());
-    for ((code, label, units), (chosen, scores, used_greedy)) in
-        staged.into_iter().zip(solved)
-    {
-        if used_greedy {
-            greedy_partitions += 1;
-        }
-        let iunits: Vec<IUnit> = {
-            // Drain by index without cloning the rest. Indices from the
-            // top-k solvers are distinct and in range; out-of-contract
-            // values are skipped rather than trusted with a panic.
-            let mut taken: Vec<Option<IUnit>> = units
-                .into_iter()
-                .zip(scores)
-                .map(|(mut u, s)| {
-                    u.score = s;
-                    Some(u)
-                })
-                .collect();
-            chosen
-                .into_iter()
-                .filter_map(|i| taken.get_mut(i).and_then(Option::take))
-                .collect()
-        };
-        rows.push(CadRow {
-            pivot_code: code,
-            pivot_label: label,
-            iunits,
-        });
-    }
-    if greedy_partitions > 0 {
-        degradation.push(Degradation {
-            kind: DegradationKind::GreedyTopK,
-            pivot_value: None,
-            reason: format!(
-                "time budget exhausted after {:?}; ranked IUnits greedily for \
-                 {greedy_partitions} partition(s)",
-                gauge.elapsed()
-            ),
-        });
-    }
-    drop(topk_span);
-    let timing_others = t2.elapsed();
-
-    root.add("degradations", degradation.len() as u64);
-    root.add(
-        "degradation_level",
-        degradation.iter().map(|d| d.kind.severity()).max().unwrap_or(0),
-    );
-    drop(root);
-    let trace = tracer.finish();
-    dbex_obs::counter!("cad.degradations").incr(degradation.len() as u64);
-    build_ms_histogram().observe_ms(build_start.elapsed());
-
-    Ok(CadView {
-        pivot_attr: pivot_col,
-        pivot_name: request.pivot.clone(),
-        compare_attrs: live_attrs.clone(),
-        compare_names: live_attrs
-            .iter()
-            .map(|&i| schema.field(i).name.clone())
-            .collect(),
-        k,
-        tau,
-        rows,
+    Ok(CadBuild {
+        request: request.clone(),
+        gauge,
+        threads,
+        pivot_col,
+        columns,
         feature_scores: scores,
-        timings: CadTimings {
-            compare_attrs: timing_compare,
-            iunit_generation: timing_iunits,
-            others: timing_others,
-        },
-        threads_used: threads,
+        partitions,
         degradation,
         partitions_reused,
         warm_starts,
-        trace,
+        timing_compare,
+        timing_iunits: t1.elapsed(),
+        started,
+        tracer: tracer.clone(),
+        root,
     })
+}
+
+/// Stage 3 for every partition's candidates: preference scores, the
+/// similarity graph, and the diversified top-k solve, each under a
+/// `solve_partition` span of `parent`. Past the deadline, div-astar's
+/// exact search gives way to the greedy heuristic; the clock is monotone,
+/// so the sequential path degrades every partition after the first
+/// exhausted one. Returns per partition the chosen candidate indices,
+/// best first, every candidate's score, and whether greedy ran.
+#[allow(clippy::too_many_arguments)]
+fn solve_partitions(
+    candidates: &[&[IUnit]],
+    result: &View<'_>,
+    pref: &PrefSpec,
+    tau: f64,
+    k: usize,
+    gauge: &BudgetGauge,
+    threads: usize,
+    parent: &Span<'_>,
+) -> Vec<(Vec<usize>, Vec<f64>, bool)> {
+    dbex_par::par_map(threads, candidates, |_, units| {
+        let span = parent.child("solve_partition");
+        let scores = preference_scores(units, result, pref);
+        let graph = ConflictGraph::from_similarity(
+            units.len(),
+            |a, b| iunit_similarity(&units[a], &units[b]),
+            tau,
+        );
+        let used_greedy = gauge.time_exhausted();
+        let solution = if used_greedy {
+            greedy(&scores, &graph, k)
+        } else {
+            div_astar(&scores, &graph, k)
+        };
+        let mut chosen: Vec<usize> = solution.items;
+        chosen.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]));
+        span.add("candidates", units.len() as u64);
+        span.add("selected", chosen.len() as u64);
+        span.add("greedy_solves", used_greedy as u64);
+        (chosen, scores, used_greedy)
+    })
+}
+
+/// The one degradation record for the partitions ranked greedily, if any
+/// (recorded once, after the fan-out).
+fn greedy_degradation(
+    gauge: &BudgetGauge,
+    solved: &[(Vec<usize>, Vec<f64>, bool)],
+) -> Option<Degradation> {
+    let greedy_partitions = solved.iter().filter(|s| s.2).count();
+    (greedy_partitions > 0).then(|| Degradation {
+        kind: DegradationKind::GreedyTopK,
+        pivot_value: None,
+        reason: format!(
+            "time budget exhausted after {:?}; ranked IUnits greedily for \
+             {greedy_partitions} partition(s)",
+            gauge.elapsed()
+        ),
+    })
+}
+
+/// The chosen candidates, scored, in `chosen` order. Drains by index
+/// without cloning the rest. Indices from the top-k solvers are distinct
+/// and in range; out-of-contract values are skipped rather than trusted
+/// with a panic.
+fn take_chosen(units: Vec<IUnit>, scores: Vec<f64>, chosen: Vec<usize>) -> Vec<IUnit> {
+    let mut taken: Vec<Option<IUnit>> = units
+        .into_iter()
+        .zip(scores)
+        .map(|(mut u, s)| {
+            u.score = s;
+            Some(u)
+        })
+        .collect();
+    chosen
+        .into_iter()
+        .filter_map(|i| taken.get_mut(i).and_then(Option::take))
+        .collect()
+}
+
+/// Member-list indices bucketed by cluster (`clusters` of them, in
+/// cluster order), empty clusters dropped — the representation the reuse
+/// cache stores.
+fn bucket(assignments: &[usize], clusters: usize) -> Vec<Vec<u32>> {
+    let mut out: Vec<Vec<u32>> = vec![Vec::new(); clusters];
+    for (i, &c) in assignments.iter().enumerate() {
+        if let Some(slot) = out.get_mut(c) {
+            slot.push(i as u32);
+        }
+    }
+    out.retain(|c| !c.is_empty());
+    out
+}
+
+/// One labeled IUnit per cluster of member-list indices.
+fn units_of(
+    clusters: &[Vec<u32>],
+    members: &[usize],
+    coded: &[&CodedColumn],
+    label: &LabelConfig,
+) -> Vec<IUnit> {
+    clusters
+        .iter()
+        .map(|cluster| {
+            let mems: Vec<usize> = cluster
+                .iter()
+                .filter_map(|&i| members.get(i as usize).copied())
+                .collect();
+            IUnit::from_members(mems, coded, label)
+        })
+        .collect()
+}
+
+/// Finishes a paused partition: runs its Lloyd passes to the end and
+/// caches the solution — or, once the deadline has passed or the build
+/// was cancelled, keeps the clusters of the passes already run.
+fn resume(
+    paused: PausedRun,
+    members: &[usize],
+    coded: &[&CodedColumn],
+    config: &CadConfig,
+    gauge: &BudgetGauge,
+    cache: Option<&StatsCache>,
+    pivot_label: &str,
+) -> (Vec<IUnit>, Vec<Degradation>) {
+    let PausedRun { run, l, reuse_key } = paused;
+    let mut degradation = Vec::new();
+    let clusters = if gauge.time_exhausted() {
+        degradation.push(Degradation {
+            kind: DegradationKind::ClampedKMeansIters,
+            pivot_value: Some(pivot_label.to_owned()),
+            reason: format!(
+                "time budget exhausted after {:?}; k-means stopped after \
+                 {PAUSE_AFTER_PASSES} preview pass(es)",
+                gauge.elapsed()
+            ),
+        });
+        bucket(run.assignments().unwrap_or_default(), l)
+    } else {
+        let km = run.finish();
+        let clusters = bucket(&km.assignments, km.centroids.len());
+        if let (Some(key), Some(cache)) = (reuse_key, cache) {
+            cache.cluster_insert(key, ClusterSolution::new(&clusters));
+        }
+        clusters
+    };
+    (
+        units_of(&clusters, members, coded, &config.label),
+        degradation,
+    )
 }
 
 /// The global build-latency histogram (fixed bounds: interactive-latency
@@ -864,7 +1256,9 @@ fn warm_start_key(
 /// `reused` flag). Reuse is bypassed whenever it could diverge from a cold
 /// build: on any degraded rung, in warm-start mode, or while a cluster
 /// fault is armed on this thread (a cold build would descend the ladder).
-/// Returns `(units, degradations, reused, warm_started)`.
+/// With `pause`, a missed full-rung packed partition comes back paused
+/// after its first Lloyd pass instead (see [`CadBuild`]).
+/// Returns `(candidates, degradations, reused, warm_started)`.
 #[allow(clippy::too_many_arguments)]
 fn generate_candidates(
     members: &[usize],
@@ -874,14 +1268,15 @@ fn generate_candidates(
     config: &CadConfig,
     kmeans_iters: usize,
     inner_threads: usize,
-    gauge: &BudgetGauge<'_>,
+    gauge: &BudgetGauge,
     pivot_label: &str,
     cache: Option<&dbex_stats::StatsCache>,
     result: &View<'_>,
-) -> (Vec<IUnit>, Vec<Degradation>, bool, bool) {
+    pause: bool,
+) -> (Candidates, Vec<Degradation>, bool, bool) {
     let mut degradation = Vec::new();
     if members.is_empty() {
-        return (Vec::new(), degradation, false, false);
+        return (Candidates::Done(Vec::new()), degradation, false, false);
     }
     let adaptive_clamp =
         config.adaptive_iunits && members.len() > CadConfig::ADAPTIVE_THRESHOLD;
@@ -942,7 +1337,7 @@ fn generate_candidates(
                     .into_iter()
                     .map(|mems| IUnit::from_members(mems, coded, &config.label))
                     .collect();
-                return (units, degradation, true, false);
+                return (Candidates::Done(units), degradation, true, false);
             }
             reuse_key = Some(key);
         }
@@ -966,8 +1361,18 @@ fn generate_candidates(
             inner_threads,
             rung,
             warm,
+            pause && rung == ClusterRung::Full,
         ) {
-            Ok((clusters, warm_started)) => {
+            Ok((Clustering::Paused(run), _)) => {
+                let paused = PausedRun { run, l, reuse_key };
+                return (
+                    Candidates::Paused(Box::new(paused)),
+                    degradation,
+                    false,
+                    false,
+                );
+            }
+            Ok((Clustering::Done(clusters), warm_started)) => {
                 if rung == ClusterRung::Full {
                     if let (Some(key), Some(cache)) = (reuse_key, cache) {
                         cache.cluster_insert(key, ClusterSolution::new(&clusters));
@@ -976,17 +1381,8 @@ fn generate_candidates(
                 if warm_started {
                     dbex_obs::counter!("cluster.warm_starts").incr(1);
                 }
-                let units = clusters
-                    .iter()
-                    .map(|cluster| {
-                        let mems: Vec<usize> = cluster
-                            .iter()
-                            .filter_map(|&i| members.get(i as usize).copied())
-                            .collect();
-                        IUnit::from_members(mems, coded, &config.label)
-                    })
-                    .collect();
-                return (units, degradation, false, warm_started);
+                let units = units_of(&clusters, members, coded, &config.label);
+                return (Candidates::Done(units), degradation, false, warm_started);
             }
             Err(e) => match rung.next() {
                 Some(next) => {
@@ -1006,18 +1402,28 @@ fn generate_candidates(
                         reason: format!("all clustering fallbacks failed ({e})"),
                     });
                     let unit = IUnit::from_members(members.to_vec(), coded, &config.label);
-                    return (vec![unit], degradation, false, false);
+                    return (Candidates::Done(vec![unit]), degradation, false, false);
                 }
             },
         }
     }
 }
 
+/// What one clustering attempt produced.
+enum Clustering {
+    /// The non-empty clusters as **indices into `members`** (the
+    /// representation the reuse cache stores, position-independent).
+    Done(Vec<Vec<u32>>),
+    /// A Lloyd run stopped after [`PAUSE_AFTER_PASSES`] passes.
+    Paused(PackedLloyd),
+}
+
 /// One attempt at clustering a partition on a specific ladder rung.
 ///
-/// Returns the non-empty clusters as **indices into `members`** (the
-/// representation the reuse cache stores, position-independent) plus
-/// whether the k-means was warm-seeded. The default path clusters on a
+/// Returns the clustering plus whether the k-means was warm-seeded. With
+/// `pause`, a packed Lloyd run over the whole partition (no
+/// `cluster_sample` holdout) stops after its first pass and comes back
+/// [`Clustering::Paused`]. The default path clusters on a
 /// [`PackedMatrix`] of `u8`/`u16` dictionary codes — no per-tuple one-hot
 /// vectors are materialized — and is bit-identical to the sparse one-hot
 /// reference, which remains both the oracle and the automatic fallback
@@ -1033,7 +1439,8 @@ fn cluster_partition(
     inner_threads: usize,
     rung: ClusterRung,
     warm: Option<(&dbex_stats::StatsCache, u64)>,
-) -> Result<(Vec<Vec<u32>>, bool), dbex_cluster::ClusterError> {
+    pause: bool,
+) -> Result<(Clustering, bool), dbex_cluster::ClusterError> {
     // Cluster a sample and assign the rest (Optimization 1). The sampled
     // rung forces a tiny cap regardless of configuration.
     let cap = match rung {
@@ -1097,7 +1504,7 @@ fn cluster_partition(
         (Some(matrix), _) => {
             let initial = warm.and_then(|(cache, key)| cache.warm_centroids(key));
             warm_started = initial.is_some();
-            kmeans_packed_warm(
+            let mut run = PackedLloyd::start(
                 matrix,
                 &KMeansConfig {
                     k: l,
@@ -1107,7 +1514,14 @@ fn cluster_partition(
                     threads: inner_threads,
                 },
                 initial.as_ref().map(|c| c.as_slice()),
-            )?
+            )?;
+            if pause && !warm_started && holdout_idx.is_empty() {
+                for _ in 0..PAUSE_AFTER_PASSES {
+                    run.pass();
+                }
+                return Ok((Clustering::Paused(run), false));
+            }
+            run.finish()
         }
         (None, ClusterRung::MiniBatch) => mini_batch_kmeans(
             &space.encode_positions(coded, &train_members),
@@ -1167,7 +1581,7 @@ fn cluster_partition(
     }
 
     Ok((
-        clusters.into_iter().filter(|c| !c.is_empty()).collect(),
+        Clustering::Done(clusters.into_iter().filter(|c| !c.is_empty()).collect()),
         warm_started,
     ))
 }
@@ -1556,6 +1970,35 @@ mod tests {
         assert_eq!(view_digest(&second), view_digest(&uncached));
         let stats = cache.stats();
         assert!(stats.hits > 0, "second build should hit the cache: {stats}");
+    }
+
+    #[test]
+    fn paused_build_finishes_like_an_unpaused_one() {
+        let t = table();
+        let view = t.full_view();
+        let tracer = Tracer::disabled();
+        for threads in [1, 4] {
+            let request = CadRequest::new("Make")
+                .with_iunits(2)
+                .with_config(CadConfig {
+                    threads,
+                    ..CadConfig::default()
+                });
+            let straight = view_digest(&build_cad_view(&view, &request).unwrap());
+            let cache = StatsCache::new();
+            let build =
+                CadBuild::start(&view, &request, Some(&cache), None, &tracer, true).unwrap();
+            assert!(build.is_paused());
+            build.preview(&view).unwrap();
+            let resumed = build.finish(&view, Some(&cache)).unwrap();
+            assert_eq!(view_digest(&resumed), straight, "{threads} threads");
+            // Both partitions are cached now: nothing pauses, and the
+            // preview already is the exact view.
+            let again =
+                CadBuild::start(&view, &request, Some(&cache), None, &tracer, true).unwrap();
+            assert!(!again.is_paused());
+            assert_eq!(view_digest(&again.preview(&view).unwrap()), straight);
+        }
     }
 
     #[test]

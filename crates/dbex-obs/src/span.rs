@@ -69,6 +69,16 @@ impl Tracer {
         }
     }
 
+    /// Opens a span under `parent`, a span held by its raw id — e.g. the
+    /// root of a build that stays open across calls. Records nothing
+    /// when `parent` is `None` (as on a disabled tracer).
+    pub fn child_of(&self, parent: Option<SpanId>, name: &'static str) -> Span<'_> {
+        Span {
+            tracer: self,
+            id: parent.and_then(|p| self.enter_raw(Some(p), name)),
+        }
+    }
+
     /// Raw API: opens a span under `parent` (or as a root). Returns
     /// `None` on a disabled tracer.
     pub fn enter_raw(&self, parent: Option<SpanId>, name: &'static str) -> Option<SpanId> {

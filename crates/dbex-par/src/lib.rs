@@ -102,6 +102,30 @@ where
     indexed.into_iter().map(|(_, r)| r).collect()
 }
 
+/// [`par_map`] over owned items: `f` takes each item by value, on up to
+/// `threads` workers, and the results come back in item order.
+pub fn par_map_into<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, T) -> R + Sync,
+{
+    let slots: Vec<std::sync::Mutex<Option<T>>> = items
+        .into_iter()
+        .map(|item| std::sync::Mutex::new(Some(item)))
+        .collect();
+    par_map(threads, &slots, |i, slot| {
+        let item = slot
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .take();
+        match item {
+            Some(item) => f(i, item),
+            None => unreachable!("par_map visits each slot once"),
+        }
+    })
+}
+
 /// Deterministic chunk layout for [`par_map_chunks`]: at most `threads`
 /// ranges covering `0..len`, each at least `min_chunk` long (except when
 /// `len < min_chunk`, which yields a single short range). Sizes differ by
@@ -159,6 +183,16 @@ mod tests {
         for threads in [2, 4, 8] {
             let par = par_map(threads, &items, |i, v| (i as u64) * 31 + v);
             assert_eq!(par, seq, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn par_map_into_moves_items_and_preserves_order() {
+        let items: Vec<String> = (0..100).map(|i| i.to_string()).collect();
+        for threads in [1, 4] {
+            let out = par_map_into(threads, items.clone(), |i, s| format!("{i}:{s}"));
+            let want: Vec<String> = (0..100).map(|i| format!("{i}:{i}")).collect();
+            assert_eq!(out, want, "threads={threads}");
         }
     }
 

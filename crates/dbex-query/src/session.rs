@@ -5,8 +5,8 @@ use crate::ast::*;
 use crate::error::{CaughtPanic, QueryError, SessionError};
 use crate::parser::{parse, parse_predicate};
 use dbex_core::{
-    build_cad_view_traced, CadConfig, CadRequest, CadView, ExecBudget, Preference, StatsCache,
-    Tracer,
+    build_cad_view_traced, CadBuild, CadConfig, CadRequest, CadView, ExecBudget, Preference,
+    StatsCache, Tracer,
 };
 use dbex_obs::TraceSink;
 use dbex_stats::CodedColumns;
@@ -266,6 +266,14 @@ impl ResultMemo {
     }
 }
 
+/// A streamed `CREATE CADVIEW`'s build, paused after its preview frame,
+/// with the statement it answers and the result memo it was built over.
+struct PausedCad {
+    stmt: CadViewStmt,
+    memo: Arc<ResultMemo>,
+    build: CadBuild,
+}
+
 /// An interactive session over registered tables.
 #[derive(Default)]
 pub struct Session {
@@ -300,6 +308,12 @@ pub struct Session {
     /// build, `SUGGEST` on the view just built, a pivot change. One entry
     /// of about `4 B × rows × (1 + attributes coded)`.
     result_memo: Option<Arc<ResultMemo>>,
+    /// The build [`Session::preview_create_cadview`] paused. The next
+    /// statement takes it: the same `CREATE CADVIEW`, filtering to the
+    /// same memo, finishes it; any other statement drops it, as do a
+    /// caught panic and every setter that could change its answer or its
+    /// trace (budget, threads, catalog, cache, tracing).
+    paused_cad: Option<PausedCad>,
 }
 
 impl Session {
@@ -350,6 +364,7 @@ impl Session {
     /// table names not registered locally. Local registrations shadow the
     /// catalog.
     pub fn set_catalog(&mut self, catalog: Option<Arc<SharedCatalog>>) {
+        self.paused_cad = None;
         self.catalog = catalog;
     }
 
@@ -357,6 +372,7 @@ impl Session {
     /// installs one process-wide cache into every connection's session so
     /// builds warm each other across clients.
     pub fn set_stats_cache(&mut self, cache: Arc<StatsCache>) {
+        self.paused_cad = None;
         self.stats_cache = cache;
     }
 
@@ -365,6 +381,7 @@ impl Session {
     /// [`QueryOutput::Cad`], and forwards it to the trace sink (if any).
     /// `EXPLAIN ANALYZE` traces its build regardless of this flag.
     pub fn set_tracing(&mut self, on: bool) {
+        self.paused_cad = None;
         self.tracing = on;
     }
 
@@ -377,12 +394,14 @@ impl Session {
     /// of every traced build. Installing a sink implies tracing for CAD
     /// builds even when [`Session::set_tracing`] is off.
     pub fn set_trace_sink(&mut self, sink: Option<Arc<dyn TraceSink>>) {
+        self.paused_cad = None;
         self.trace_sink = sink;
     }
 
     /// Sets the execution budget applied to every CAD View build. The
     /// default is [`ExecBudget::unlimited`].
     pub fn set_budget(&mut self, budget: ExecBudget) {
+        self.paused_cad = None;
         self.budget = budget;
     }
 
@@ -395,6 +414,7 @@ impl Session {
     /// `0` = auto (`DBEX_THREADS` env, else hardware parallelism). Output
     /// is byte-identical for any setting at a fixed seed.
     pub fn set_threads(&mut self, threads: usize) {
+        self.paused_cad = None;
         self.threads = Some(threads);
     }
 
@@ -438,8 +458,13 @@ impl Session {
 
     /// Parses and executes one statement.
     pub fn execute(&mut self, sql: &str) -> Result<QueryOutput> {
-        let stmt = parse(sql)?;
-        self.execute_statement(stmt)
+        match parse(sql) {
+            Ok(stmt) => self.execute_statement(stmt),
+            Err(e) => {
+                self.paused_cad = None;
+                Err(e.into())
+            }
+        }
     }
 
     /// Executes a multi-statement script: statements separated by `;`
@@ -461,7 +486,8 @@ impl Session {
     /// This is a hard panic boundary: a panic anywhere below (a bug, not a
     /// user error) is caught, converted into [`QueryError::Panicked`], and
     /// any CAD View the statement may have left half-mutated is dropped,
-    /// so the shell or a server loop survives every input.
+    /// so the shell or a server loop survives every input. The statement
+    /// takes the build a preview paused, finishing or dropping it.
     pub fn execute_statement(&mut self, stmt: Statement) -> Result<QueryOutput> {
         dbex_obs::counter!("query.statements").incr(1);
         // CREATE CADVIEW inserts atomically at the end, but REORDER
@@ -471,7 +497,8 @@ impl Session {
             Statement::Reorder(r) => Some(r.view.clone()),
             _ => None,
         };
-        match catch_unwind(AssertUnwindSafe(|| self.dispatch(stmt))) {
+        let paused = self.paused_cad.take();
+        match catch_unwind(AssertUnwindSafe(|| self.dispatch(stmt, paused))) {
             Ok(result) => result,
             Err(payload) => {
                 if let Some(name) = at_risk {
@@ -513,10 +540,10 @@ impl Session {
         Ok(memo)
     }
 
-    fn dispatch(&mut self, stmt: Statement) -> Result<QueryOutput> {
+    fn dispatch(&mut self, stmt: Statement, paused: Option<PausedCad>) -> Result<QueryOutput> {
         match stmt {
             Statement::Select(s) => self.run_select(s),
-            Statement::CreateCadView(c) => self.run_create_cadview(c),
+            Statement::CreateCadView(c) => self.run_create_cadview(c, paused),
             Statement::ExplainCadView(c) => self.run_explain_cadview(c, false),
             Statement::ExplainAnalyzeCadView(c) => self.run_explain_cadview(c, true),
             Statement::Highlight(h) => self.run_highlight(h),
@@ -671,8 +698,17 @@ impl Session {
         Ok(QueryOutput::Text(out))
     }
 
-    /// Builds a CAD view, tracing it when the session traces (or
-    /// `force_trace` — the `EXPLAIN ANALYZE` path — demands it) and
+    /// A tracer for one CAD build: enabled when the session traces, has a
+    /// sink, or `force` (the `EXPLAIN ANALYZE` path) demands it.
+    fn build_tracer(&self, force: bool) -> Tracer {
+        if force || self.tracing || self.trace_sink.is_some() {
+            Tracer::enabled()
+        } else {
+            Tracer::disabled()
+        }
+    }
+
+    /// Builds a CAD view, tracing it as [`Self::build_tracer`] says and
     /// forwarding the span tree to the installed sink.
     fn build_cad(
         &self,
@@ -680,18 +716,18 @@ impl Session {
         request: &CadRequest,
         force_trace: bool,
     ) -> Result<CadView> {
-        let traced = force_trace || self.tracing || self.trace_sink.is_some();
-        let tracer = if traced {
-            Tracer::enabled()
-        } else {
-            Tracer::disabled()
-        };
         let cache = Some(self.stats_cache.as_ref());
+        let tracer = self.build_tracer(force_trace);
         let cad = build_cad_view_traced(&memo.view(), request, cache, Some(&memo.coded), &tracer)?;
+        self.record_trace(&cad);
+        Ok(cad)
+    }
+
+    /// Forwards a finished build's span tree to the installed sink.
+    fn record_trace(&self, cad: &CadView) {
         if let (Some(sink), Some(trace)) = (&self.trace_sink, &cad.trace) {
             sink.record(trace);
         }
-        Ok(cad)
     }
 
     fn run_explain_cadview(&mut self, c: CadViewStmt, analyze: bool) -> Result<QueryOutput> {
@@ -785,10 +821,24 @@ impl Session {
         Ok(request)
     }
 
-    fn run_create_cadview(&mut self, c: CadViewStmt) -> Result<QueryOutput> {
+    /// Builds and stores a CAD View. A build that
+    /// [`Session::preview_create_cadview`] paused for this very statement
+    /// over the same result memo is finished instead of built again.
+    fn run_create_cadview(
+        &mut self,
+        c: CadViewStmt,
+        paused: Option<PausedCad>,
+    ) -> Result<QueryOutput> {
         let memo = self.filtered(&c.table, &c.predicate)?;
-        let request = self.cad_request(&c)?;
-        let cad = self.build_cad(&memo, &request, false)?;
+        let cad = match paused {
+            Some(paused) if paused.stmt == c && Arc::ptr_eq(&paused.memo, &memo) => {
+                let cache = Some(self.stats_cache.as_ref());
+                let cad = paused.build.finish(&memo.view(), cache)?;
+                self.record_trace(&cad);
+                cad
+            }
+            _ => self.build_cad(&memo, &self.cad_request(&c)?, false)?,
+        };
         let rendered = cad.render();
         let degradation = cad.degradation.iter().map(|d| d.to_string()).collect();
         let trace = cad.trace.as_ref().map(|t| t.render());
@@ -990,17 +1040,21 @@ impl Session {
 
     /// Result-size floor below which [`Session::preview_create_cadview`]
     /// skips the preview: the exact build of a small result is itself
-    /// interactive, so a preview frame would only double the work.
+    /// interactive, so a preview frame would only add a frame.
     pub const PREVIEW_MIN_ROWS: usize = 2_000;
 
-    /// Builds a **preview** CAD View for a `CREATE CADVIEW` statement
-    /// without storing it — the streamed-response fast path in
-    /// `dbex-serve`. The preview reuses the degradation ladder's sampled
-    /// rungs via a fixed aggressive config (same seed and cache as the
-    /// exact build, so whatever the preview computes warms the follow-up)
-    /// and is never inserted into the session's view map: the exact frame
-    /// that follows owns the name. It filters through the result memo, so
-    /// the exact build finds the result filtered and partly coded.
+    /// Starts the exact build of a `CREATE CADVIEW` statement, pauses it
+    /// after each cold partition's first Lloyd pass, and renders a
+    /// **preview** of it as it stands — the streamed-response fast path in
+    /// `dbex-serve` (see [`CadBuild`]). Partitions served from the cluster
+    /// cache show their exact IUnits, so when every partition hits, the
+    /// preview already is the exact view.
+    ///
+    /// The view is not stored: the paused build is, and executing the
+    /// same statement next finishes it rather than building again (see
+    /// [`Session::execute_statement`]), so that frame owns the name. The
+    /// preview carries no trace; the build's one span tree goes with the
+    /// exact answer.
     ///
     /// Returns `None` whenever a preview is not worth streaming or cannot
     /// be built: the statement is not `CREATE CADVIEW`, the filtered
@@ -1008,6 +1062,7 @@ impl Session {
     /// or panics (the exact build re-runs the statement and surfaces the
     /// failure in FIFO order, so the preview path never reports one).
     pub fn preview_create_cadview(&mut self, sql: &str) -> Option<QueryOutput> {
+        self.paused_cad = None;
         let Ok(Statement::CreateCadView(c)) = parse(sql) else {
             return None;
         };
@@ -1015,25 +1070,33 @@ impl Session {
         if memo.rows.len() < Self::PREVIEW_MIN_ROWS {
             return None;
         }
-        let mut request = self.cad_request(&c).ok()?;
-        let config = &mut request.config;
-        config.fs_sample = Some(config.fs_sample.map_or(1_000, |s| s.min(1_000)));
-        config.cluster_sample = Some(config.cluster_sample.map_or(500, |s| s.min(500)));
-        config.adaptive_iunits = true;
-        config.kmeans_iters = config.kmeans_iters.min(8);
-        catch_unwind(AssertUnwindSafe(|| {
-            let cad = self.build_cad(&memo, &request, false).ok()?;
-            Some(QueryOutput::Cad {
+        let request = self.cad_request(&c).ok()?;
+        let started = catch_unwind(AssertUnwindSafe(|| {
+            let view = memo.view();
+            let cache = Some(self.stats_cache.as_ref());
+            let tracer = self.build_tracer(false);
+            let build =
+                CadBuild::start(&view, &request, cache, Some(&memo.coded), &tracer, true).ok()?;
+            let cad = build.preview(&view).ok()?;
+            let output = QueryOutput::Cad {
                 name: c.name.clone(),
                 rendered: cad.render(),
                 degradation: cad.degradation.iter().map(|d| d.to_string()).collect(),
-                trace: cad.trace.as_ref().map(|t| t.render()),
-            })
-        }))
-        .unwrap_or_else(|_| {
+                trace: None,
+            };
+            Some((output, build))
+        }));
+        let Ok(started) = started else {
             self.result_memo = None;
-            None
-        })
+            return None;
+        };
+        let (output, build) = started?;
+        self.paused_cad = Some(PausedCad {
+            stmt: c,
+            memo,
+            build,
+        });
+        Some(output)
     }
 
     fn run_highlight(&self, h: HighlightStmt) -> Result<QueryOutput> {
@@ -1114,8 +1177,8 @@ mod tests {
         s
     }
 
-    #[test]
-    fn preview_builds_without_storing_the_view() {
+    /// A session over 2,500 rows: past the preview floor.
+    fn preview_session() -> Session {
         let mut b = TableBuilder::new(vec![
             Field::new("Make", DataType::Categorical),
             Field::new("Engine", DataType::Categorical),
@@ -1133,6 +1196,12 @@ mod tests {
         }
         let mut s = Session::new();
         s.register_table("cars", b.finish());
+        s
+    }
+
+    #[test]
+    fn preview_builds_without_storing_the_view() {
+        let mut s = preview_session();
         let sql = "CREATE CADVIEW v AS SET pivot = Make FROM cars LIMIT COLUMNS 2 IUNITS 2";
 
         let preview = s.preview_create_cadview(sql).expect("preview should build");
@@ -1148,6 +1217,66 @@ mod tests {
         // The exact path still works and stores the view.
         s.execute(sql).unwrap();
         assert!(s.cad_view("v").is_ok());
+    }
+
+    #[test]
+    fn a_streamed_build_records_one_tree_when_it_finishes() {
+        let mut s = preview_session();
+        let sink = Arc::new(dbex_obs::MemorySink::new());
+        s.set_trace_sink(Some(sink.clone()));
+        let sql = "CREATE CADVIEW v AS SET pivot = Make FROM cars LIMIT COLUMNS 2 IUNITS 2";
+        let Some(QueryOutput::Cad { trace, .. }) = s.preview_create_cadview(sql) else {
+            panic!("the statement must preview");
+        };
+        assert!(trace.is_none(), "the preview carries no trace");
+        assert!(
+            sink.is_empty(),
+            "nothing is recorded before the build finishes"
+        );
+        s.execute(sql).unwrap();
+        assert_eq!(sink.len(), 1, "one tree per build");
+        let trace = &sink.traces()[0];
+        assert_eq!(trace.roots.len(), 1);
+        assert_eq!(trace.forced_closures, 0);
+        assert!(
+            trace.find("preview").is_some(),
+            "{}",
+            trace.structural_digest()
+        );
+        let clustered = trace.find("cluster_partition").expect("clustering span");
+        assert_eq!(
+            clustered.counter("paused"),
+            2,
+            "{}",
+            trace.structural_digest()
+        );
+        assert_eq!(
+            clustered.counter("resumed"),
+            2,
+            "{}",
+            trace.structural_digest()
+        );
+
+        // The same statement again finds both partitions cached: its
+        // preview is the exact view, and nothing pauses.
+        let Some(QueryOutput::Cad {
+            rendered: preview, ..
+        }) = s.preview_create_cadview(sql)
+        else {
+            panic!("the statement must preview");
+        };
+        let Ok(QueryOutput::Cad {
+            rendered: exact, ..
+        }) = s.execute(sql)
+        else {
+            panic!("the statement must build");
+        };
+        assert_eq!(preview, exact);
+        let trace = &sink.traces()[1];
+        assert_eq!(
+            trace.find("cluster_partition").map(|n| n.counter("paused")),
+            Some(0)
+        );
     }
 
     #[test]

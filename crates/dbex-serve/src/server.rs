@@ -37,10 +37,11 @@
 //!
 //! A connection that opts in with `.stream on` receives *tagged* frames:
 //! every response line carries `"seq"`/`"final"` fields, and expensive
-//! `CREATE CADVIEW` statements stream **two** frames — a cheap sampled
-//! preview (`seq:0, final:false`) the worker builds first, then the exact
-//! answer (`final:true`) whose line minus the tags is byte-identical to
-//! the classic single response. A client that disconnects (or sends
+//! `CREATE CADVIEW` statements stream **two** frames from one build — a
+//! preview (`seq:0, final:false`) of the build paused after its first
+//! k-means pass, then the exact answer (`final:true`) that finishes it,
+//! whose line minus the tags is byte-identical to the classic single
+//! response. A client that disconnects (or sends
 //! `.cancel`) mid-build arms the connection's cancel flag; the running
 //! build observes it as an expired deadline and collapses to the cheapest
 //! degradation rungs instead of wasting worker time on an answer nobody

@@ -211,19 +211,25 @@ pub fn select_compare_attributes_ctx(
     let codec_cache = if sample.is_some() { None } else { ctx.cache };
     let view_fp = ctx.cache.map(|_| coded.fingerprint(scoring_view));
 
-    // Resolve the class label of every scoring row once, up front —
-    // `class_of` used to be re-evaluated per row *per candidate*. The
-    // labels feed the batch contingency fill as a code slice with
+    // Resolve the class label of every scoring row once, on the first
+    // contingency miss — `class_of` used to be re-evaluated per row *per
+    // candidate*, and a build whose tables are all cached needs no labels.
+    // The labels feed the batch contingency fill as a code slice with
     // `NULL_CODE` marking skipped rows (a class index can never collide
     // with the sentinel: contingency rows are bounded far below u32::MAX).
-    let classes: Vec<u32> = scoring_view
-        .row_ids()
-        .iter()
-        .map(|&r| match class_of(r as usize) {
-            Some(c) => c as u32,
-            None => NULL_CODE,
+    let classes = std::sync::OnceLock::new();
+    let classes = || -> &Vec<u32> {
+        classes.get_or_init(|| {
+            scoring_view
+                .row_ids()
+                .iter()
+                .map(|&r| match class_of(r as usize) {
+                    Some(c) => c as u32,
+                    None => NULL_CODE,
+                })
+                .collect()
         })
-        .collect();
+    };
 
     let score_one = |attr: usize| -> Option<FeatureScore> {
         if attr == pivot_col || forced.contains(&attr) {
@@ -233,7 +239,7 @@ pub fn select_compare_attributes_ctx(
         let build = || {
             let column = coded.column(scoring_view, attr, codec_cache).ok()?;
             let mut table = ContingencyTable::new(num_classes, column.codec.cardinality());
-            table.fill_pairs(&classes, &column.codes, NULL_CODE);
+            table.fill_pairs(classes(), &column.codes, NULL_CODE);
             Some(table)
         };
         let table: Arc<ContingencyTable> = match (ctx.cache, view_fp) {

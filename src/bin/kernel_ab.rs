@@ -10,7 +10,12 @@
 //!
 //! 1. each child builds CAD Views over the three benchmark datasets at
 //!    1 and 4 threads (covering the chunked-merge path) and prints one
-//!    FNV-1a digest line per build, plus the dispatch it actually ran;
+//!    FNV-1a digest line per build, plus the dispatch it actually ran.
+//!    It also runs each build the streamed way — started paused after
+//!    the first Lloyd pass, previewed, then finished — prints the
+//!    preview's digest, and fails unless the finished view's digest
+//!    equals the unstreamed one (a family that cannot resume a Lloyd run
+//!    exactly fails here);
 //! 2. the parent deduplicates children by reported dispatch (requests
 //!    for unavailable families clamp to the hardware) and fails unless
 //!    every family's digest block is identical to the scalar reference;
@@ -18,7 +23,7 @@
 //!    a gate where every child silently clamped to scalar proves
 //!    nothing and fails loudly instead.
 
-use dbexplorer::core::{build_cad_view, CadConfig, CadRequest, CadView};
+use dbexplorer::core::{build_cad_view, CadBuild, CadConfig, CadRequest, CadView, Tracer};
 use dbexplorer::data::{HotelsGenerator, MushroomGenerator, UsedCarsGenerator};
 use dbexplorer::table::Table;
 
@@ -92,7 +97,25 @@ fn run_digest() -> i32 {
             });
             let cad = build_cad_view(&view, &request)
                 .unwrap_or_else(|e| fail(&format!("{name} t={threads} build failed: {e}")));
-            println!("digest {name} t{threads} {:016x}", fnv1a(&render_digestible(&cad)));
+            let digest = fnv1a(&render_digestible(&cad));
+            println!("digest {name} t{threads} {digest:016x}");
+            let paused = CadBuild::start(&view, &request, None, None, &Tracer::disabled(), true)
+                .unwrap_or_else(|e| fail(&format!("{name} t={threads} paused start failed: {e}")));
+            let preview = paused
+                .preview(&view)
+                .unwrap_or_else(|e| fail(&format!("{name} t={threads} preview failed: {e}")));
+            println!(
+                "digest {name} t{threads} preview {:016x}",
+                fnv1a(&render_digestible(&preview))
+            );
+            let resumed = paused
+                .finish(&view, None)
+                .unwrap_or_else(|e| fail(&format!("{name} t={threads} resumed build failed: {e}")));
+            if fnv1a(&render_digestible(&resumed)) != digest {
+                fail(&format!(
+                    "{name} t={threads}: the resumed build diverged from the unstreamed one"
+                ));
+            }
         }
     }
     0

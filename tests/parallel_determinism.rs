@@ -8,7 +8,9 @@
 //! (they fire on the arming thread only — honored at `threads = 1`,
 //! invisible to pool workers at `threads > 1`). Last, a session's result
 //! memo is an optimization of the same kind: a statement served from it
-//! answers exactly as a session without it would.
+//! answers exactly as a session without it would; and so is the build a
+//! streamed preview pauses: finishing it answers exactly as an unstreamed
+//! build would, and nothing but the previewed statement ever finishes it.
 
 use dbexplorer::core::{
     build_cad_view, CadConfig, CadRequest, CadView, DegradationKind, ExecBudget,
@@ -18,7 +20,7 @@ use dbexplorer::explore::SyntheticSpec;
 use dbexplorer::obs::{Trace, TraceSink};
 use dbexplorer::query::{QueryError, QueryOutput, Session, SharedCatalog};
 use dbexplorer::table::Table;
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -861,4 +863,232 @@ fn seeded_statement_mix_answers_identically_with_and_without_the_memo() {
         }
         assert_eq!(memoized.len(), oracle.len());
     }
+}
+
+// ---------------------------------------------------------------------------
+// A streamed build is the exact build paused after its first Lloyd pass.
+// ---------------------------------------------------------------------------
+
+/// A seeded mix of `CREATE CADVIEW`s over `cars` and `synth`, every one
+/// over a result past the preview floor. Statements are drawn from eight
+/// distinct ones, so most of the mix repeats an earlier statement and
+/// finds its partitions in the cluster cache.
+fn streamed_mix(seed: u64, len: usize) -> Vec<String> {
+    const TABLES: [(&str, [&str; 3], [&str; 3]); 2] = [
+        (
+            "cars",
+            ["Make", "BodyType", "Drivetrain"],
+            [
+                "WHERE Price BETWEEN 10K AND 30K",
+                "WHERE BodyType = SUV",
+                "WHERE Transmission = Automatic",
+            ],
+        ),
+        (
+            "synth",
+            ["p", "d3", "x1"],
+            ["", "WHERE d0 = d0_v0", "WHERE x1 != x1_v0"],
+        ),
+    ];
+    let mut state = seed;
+    let mut next = move |n: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % n as u64) as usize
+    };
+    let distinct: Vec<String> = (0..8)
+        .map(|_| {
+            let (table, pivots, preds) = TABLES[next(2)];
+            format!(
+                "CREATE CADVIEW v AS SET pivot = {} FROM {table} {} LIMIT COLUMNS 3 IUNITS {}",
+                pivots[next(3)],
+                preds[next(3)],
+                2 + next(2)
+            )
+        })
+        .collect();
+    (0..len)
+        .map(|_| distinct[next(distinct.len())].clone())
+        .collect()
+}
+
+#[test]
+fn streamed_builds_finish_byte_identical_to_unstreamed_ones() {
+    let cars = Arc::new(UsedCarsGenerator::new(23).generate(6_000));
+    let synth = Arc::new(SyntheticSpec::exploration_default(6_000, 23).generate());
+    let mix = streamed_mix(0xC0FF_EE11, 24);
+    // Per statement: the preview (streamed runs only) and the answer.
+    let run = |threads: usize, streamed: bool| -> Vec<(Option<String>, String)> {
+        let mut session = Session::new();
+        session.register_shared("cars", Arc::clone(&cars));
+        session.register_shared("synth", Arc::clone(&synth));
+        session.set_threads(threads);
+        mix.iter()
+            .map(|sql| {
+                let preview = streamed
+                    .then(|| session.preview_create_cadview(sql))
+                    .flatten()
+                    .map(|p| answer(Ok(p)));
+                (preview, answer(session.execute(sql)))
+            })
+            .collect()
+    };
+    let oracle = run(1, false);
+    let streamed = run(1, true);
+    for (i, ((preview, got), (_, want))) in streamed.iter().zip(&oracle).enumerate() {
+        assert!(
+            preview.is_some(),
+            "statement {i} streamed no preview: {}",
+            mix[i]
+        );
+        assert_eq!(
+            got, want,
+            "statement {i} finished unlike its unstreamed build"
+        );
+    }
+    let exact = streamed
+        .iter()
+        .filter(|(preview, answer)| preview.as_ref() == Some(answer))
+        .count();
+    assert!(
+        exact > 0 && exact < streamed.len(),
+        "{exact} of {} previews were exact: repeats must preview exactly, first builds not",
+        streamed.len()
+    );
+    for threads in [2, 8] {
+        let transcript = run(threads, true);
+        for (i, (got, want)) in transcript.iter().zip(&streamed).enumerate() {
+            assert_eq!(got, want, "{threads} threads, statement {i}");
+        }
+    }
+}
+
+/// [`answer`] without the span tree a traced session attaches.
+fn untraced_answer(out: Result<QueryOutput, QueryError>) -> String {
+    answer(out.map(|mut output| {
+        if let QueryOutput::Cad { trace, .. } = &mut output {
+            *trace = None;
+        }
+        output
+    }))
+}
+
+const PREVIEWED: &str =
+    "CREATE CADVIEW v AS SET pivot = Make FROM cars WHERE Mileage > 5K IUNITS 3";
+
+/// What runs between a preview and the statement that follows it, applied
+/// to the session and its catalog (the catalog's `cars` swaps to the
+/// table given).
+type Step = fn(&mut Session, &SharedCatalog, &Arc<Table>);
+
+#[test]
+fn only_the_previewed_statement_finishes_a_paused_build() {
+    let before = Arc::new(UsedCarsGenerator::new(13).generate(4_000));
+    let after = Arc::new(UsedCarsGenerator::new(14).generate(4_000));
+    // Each step, and whether the build the preview paused may survive it.
+    let steps: [(&str, Step, bool); 5] = [
+        ("nothing", |_, _, _| {}, true),
+        (
+            "another statement",
+            |s, _, _| {
+                let other = "CREATE CADVIEW w AS SET pivot = BodyType FROM cars WHERE Mileage > 5K";
+                let out = s.execute(other).expect("another statement builds").render();
+                let header = out.lines().find(|l| l.contains("Compare Attrs"));
+                assert!(
+                    header.is_some_and(|h| h.starts_with("| BodyType ")),
+                    "another statement must get its own view:\n{out}"
+                );
+            },
+            false,
+        ),
+        (
+            "a catalog swap",
+            |_, catalog, after| catalog.insert("cars", Arc::clone(after)),
+            false,
+        ),
+        (
+            "set_budget",
+            |s, _, _| s.set_budget(ExecBudget::unlimited().with_max_rows(300)),
+            false,
+        ),
+        ("set_threads", |s, _, _| s.set_threads(4), false),
+    ];
+    for (name, step, survives) in steps {
+        let session_over = |catalog: &Arc<SharedCatalog>| {
+            let catalog_ = Arc::clone(catalog);
+            catalog_.insert("cars", Arc::clone(&before));
+            let mut session = Session::new();
+            session.set_catalog(Some(catalog_));
+            session
+        };
+        // A cold session in the state the step leaves behind.
+        let cold = {
+            let catalog = Arc::new(SharedCatalog::new());
+            let mut session = session_over(&catalog);
+            if name != "another statement" {
+                step(&mut session, &catalog, &after);
+            }
+            answer(session.execute(PREVIEWED))
+        };
+        let catalog = Arc::new(SharedCatalog::new());
+        let mut session = session_over(&catalog);
+        let sink = Arc::new(dbexplorer::obs::MemorySink::new());
+        session.set_trace_sink(Some(sink.clone()));
+        assert!(
+            session.preview_create_cadview(PREVIEWED).is_some(),
+            "{name}: the statement must preview"
+        );
+        step(&mut session, &catalog, &after);
+        assert_eq!(
+            untraced_answer(session.execute(PREVIEWED)),
+            cold,
+            "after {name}, the statement must answer like a cold session"
+        );
+        // A finished paused build's tree carries its preview's span.
+        let trace = sink.traces().pop().expect("the statement records a trace");
+        assert_eq!(
+            trace.find("preview").is_some(),
+            survives,
+            "after {name}: {}",
+            trace.structural_digest()
+        );
+    }
+}
+
+#[test]
+fn a_panic_finishing_a_paused_build_leaves_a_cold_session() {
+    let cars = Arc::new(UsedCarsGenerator::new(9).generate(4_000));
+    let cold = cold_answer(&cars, PREVIEWED);
+    let mut session = Session::new();
+    session.register_shared("cars", Arc::clone(&cars));
+    // The sink panics when the finished build's trace reaches it.
+    session.set_trace_sink(Some(Arc::new(PanickingSink)));
+    assert!(session.preview_create_cadview(PREVIEWED).is_some());
+    assert!(matches!(
+        session.execute(PREVIEWED),
+        Err(QueryError::Panicked(_))
+    ));
+    session.set_trace_sink(None);
+    assert_eq!(answer(session.execute(PREVIEWED)), cold);
+}
+
+#[test]
+fn a_cancel_between_preview_and_execute_degrades_the_finish() {
+    let cars = Arc::new(UsedCarsGenerator::new(17).generate(4_000));
+    let cancel = Arc::new(AtomicBool::new(false));
+    let mut session = Session::new();
+    session.register_shared("cars", Arc::clone(&cars));
+    session.set_budget(ExecBudget::unlimited().with_cancel_flag(Arc::clone(&cancel)));
+    assert!(session.preview_create_cadview(PREVIEWED).is_some());
+    cancel.store(true, Ordering::Relaxed);
+    let Ok(QueryOutput::Cad { degradation, .. }) = session.execute(PREVIEWED) else {
+        panic!("a cancelled build still answers with a view");
+    };
+    assert!(
+        degradation
+            .iter()
+            .any(|d| d.starts_with("clamped-kmeans-iters [pivot ")),
+        "the paused partitions keep their first pass: {degradation:?}"
+    );
 }

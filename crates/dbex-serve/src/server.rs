@@ -11,10 +11,16 @@
 //!                    └───────┬───────────────▲───────┘
 //!                       jobs │               │ completions
 //!                    ┌───────▼───────────────┴───────┐
-//!                    │ worker pool (N fixed threads)  │
-//!                    │  Session::execute → JSON line  │
-//!                    │  ▲ shared: catalog, StatsCache │
-//!                    └────────────────────────────────┘
+//!                    │ job queue: hot + cold tiers,  │
+//!                    │ each a light and a build lane │
+//!                    └───┬───────────────────────┬───┘
+//!      light jobs, while │                       │ every job, hot tier
+//!     no build is queued │                       │ first, oldest first
+//!     ┌──────────────────▼─────┐   ┌─────────────▼──────────────────┐
+//!     │ interactive executor   │   │ worker pool (N fixed threads)  │
+//!     │ (1 thread, no builds)  │   │  Session::execute → JSON line  │
+//!     └────────────────────────┘   │  ▲ shared: catalog, StatsCache │
+//!                                  └────────────────────────────────┘
 //! ```
 //!
 //! One event-loop thread owns the listener and every connection socket
@@ -22,10 +28,15 @@
 //! connection count is decoupled from thread count: ten thousand idle
 //! sessions cost a few hundred bytes each, not twenty thousand stacks.
 //! Requests decoded by the loop are dispatched — one in flight per
-//! connection, preserving per-connection FIFO order — to a fixed-size
-//! worker pool that executes them against the connection's [`Session`]
-//! and posts the rendered frames back through a completion queue (the
-//! wake pipe interrupts the loop's `wait`).
+//! connection, preserving per-connection FIFO order — to a laned job
+//! queue ([`JobQueue`]). A fixed-size worker pool and one interactive
+//! executor execute the jobs against the connection's [`Session`] and
+//! post the rendered frames back through a completion queue (the wake
+//! pipe interrupts the loop's `wait`). Every thread takes a connection's
+//! first request (and every suggestion) before the established sessions'
+//! other work. The executor runs only requests that build no CAD View,
+//! and only while no build is queued, so a drill or a suggestion does not
+//! wait for a running build unless builds are waiting for the pool too.
 //!
 //! Each accepted connection gets its own [`Session`] (so CAD Views,
 //! budgets and `REORDER` state stay private), but every session points at
@@ -94,6 +105,12 @@ const REQUEST_MS_BOUNDS: &[f64] = &[1.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 50
 /// Bucket bounds (milliseconds) for the `server.preview_ms` histogram —
 /// previews target interactive latency, so the buckets are finer.
 const PREVIEW_MS_BOUNDS: &[f64] = &[1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0];
+
+/// Bucket bounds (milliseconds) for the `server.queue_wait_ms.light` and
+/// `server.queue_wait_ms.build` histograms — an idle thread picks a job
+/// up within tens of microseconds, so the buckets start at 0.05 ms.
+const QUEUE_WAIT_MS_BOUNDS: &[f64] =
+    &[0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 1000.0];
 
 /// Poller tokens 0 and 1 are the listener and the wake pipe; connection
 /// tokens count up from 2 and are never reused within a server lifetime.
@@ -235,7 +252,7 @@ impl Shared {
     }
 }
 
-/// One request handed to the worker pool. The connection's session moves
+/// One request handed to the job threads. The connection's session moves
 /// *into* the job (the loop keeps `None` while a request is in flight) and
 /// comes back in the final [`Completion`] — so exactly one thread touches
 /// a session at a time, without a lock.
@@ -245,6 +262,11 @@ struct Job {
     session: Box<Session>,
     stream_mode: bool,
     cancel: Arc<AtomicBool>,
+    /// The request builds no CAD View ([`RequestClass`]).
+    light: bool,
+    /// When the loop queued the job; the thread that pops it observes the
+    /// wait in `server.queue_wait_ms.light` or `.build`.
+    enqueued: Instant,
 }
 
 /// What a worker produced for a connection.
@@ -264,41 +286,94 @@ struct Completion {
     done: Done,
 }
 
-/// The loop↔worker queues. Jobs are bounded by construction (one in
+/// The loop↔job-thread queues. Jobs are bounded by construction (one in
 /// flight per connection ≤ `max_connections`); completions are bounded by
 /// jobs plus at most one preview each.
 struct Queues {
     jobs: Mutex<JobQueue>,
-    jobs_cv: Condvar,
+    /// Idle pool workers wait here.
+    pool_cv: Condvar,
+    /// The idle interactive executor waits here.
+    executor_cv: Condvar,
     completions: Mutex<VecDeque<Completion>>,
     stop: AtomicBool,
-    /// Write end of the loop's wake pipe; workers poke it after posting a
-    /// completion. Nonblocking — a full pipe already guarantees a wake.
+    /// Write end of the loop's wake pipe; job threads poke it after
+    /// posting a completion. Nonblocking — a full pipe already guarantees
+    /// a wake.
     wake: UnixStream,
 }
 
-/// The worker-pool job queue, split into two FIFO lanes.
+/// The jobs a job thread pops.
+#[derive(Clone, Copy)]
+enum LaneFilter {
+    /// A pool worker: every job.
+    All,
+    /// The interactive executor: light jobs only, so it never runs a
+    /// build.
+    LightOnly,
+}
+
+/// One priority tier of the [`JobQueue`]: its light jobs and its other
+/// jobs, each in a FIFO lane.
+#[derive(Default)]
+struct Tier {
+    light: VecDeque<Job>,
+    build: VecDeque<Job>,
+}
+
+impl Tier {
+    fn len(&self) -> usize {
+        self.light.len() + self.build.len()
+    }
+
+    /// The tier's oldest job, light or not.
+    fn pop_oldest(&mut self) -> Option<Job> {
+        let lane = match (self.light.front(), self.build.front()) {
+            (Some(light), Some(build)) if build.enqueued < light.enqueued => &mut self.build,
+            (Some(_), _) => &mut self.light,
+            (None, _) => &mut self.build,
+        };
+        lane.pop_front()
+    }
+}
+
+/// The job queue: two priority tiers of two FIFO lanes each, popped by the
+/// worker pool and the interactive executor.
 ///
-/// A connection's *first* request lands in the hot lane, which workers
-/// drain before the cold lane. Time-to-first-result is the metric an
-/// exploratory UI lives or dies by: when a thousand sessions ramp up
-/// against a small pool, a new session's first paint must not queue
-/// behind the steady-state grind of established sessions. Every
-/// connection gets exactly one hot job in its lifetime, so cold-lane
-/// starvation is bounded by the connection-accept rate, which the
-/// connection cap in turn bounds.
+/// * **Tier.** A connection's first request and every `SUGGEST` ride the
+///   *hot* tier, which every thread drains before the *cold* tier.
+///   Time-to-first-result is the metric an exploratory UI lives or dies
+///   by: when a thousand sessions ramp up against a small pool, a new
+///   session's first paint must not queue behind the steady-state grind
+///   of established sessions. Suggestions are keystroke-paced, bounded
+///   work that is useless once the next keystroke lands. Every connection
+///   gets one first request in its lifetime, so cold-tier starvation is
+///   bounded by the connection-accept rate (which the connection cap in
+///   turn bounds) and by suggestions, which are cheap by construction.
+/// * **Lane.** Within a tier, light requests — statements that build no
+///   CAD View ([`RequestClass`]): drills, highlights, reorders,
+///   suggestions, schema listings — queue apart from the rest.
 ///
-/// `SUGGEST` requests also ride the hot lane: they are keystroke-paced,
-/// bounded work (a handful of cached contingency-table lookups, never a
-/// clustering build), and queueing one behind a multi-second CAD build
-/// would defeat its purpose. This keeps the starvation bound: suggest
-/// jobs are cheap by construction, and each connection still runs at
-/// most one job at a time, so the hot lane holds at most one entry per
-/// connection.
+/// Pool workers pop each tier's oldest job, light or not: arrival order,
+/// hot before cold. Letting light jobs overtake older builds would keep
+/// builds waiting whenever light arrivals outrun the pool. The executor
+/// pops light lanes only, hot before cold, and only while no build waits
+/// for a pool worker. So a light request starts the moment it is queued
+/// even while builds hold every pool worker — the kernel time-slices the
+/// executor with the running builds instead of the request waiting for a
+/// whole build. Once builds queue too, the pool is the bottleneck, and one
+/// more busy thread would only take CPU time from builds that are already
+/// late (DESIGN.md, "Scheduling rule", has the measurements). Each
+/// connection runs at most one job at a time, so every lane holds at most
+/// one entry per connection.
 #[derive(Default)]
 struct JobQueue {
-    hot: VecDeque<Job>,
-    cold: VecDeque<Job>,
+    hot: Tier,
+    cold: Tier,
+    /// The executor is parked on `executor_cv` and nothing has claimed it
+    /// yet ([`JobQueue::claim_executor`]). Set by the executor when it
+    /// parks.
+    executor_idle: bool,
 }
 
 impl JobQueue {
@@ -306,22 +381,54 @@ impl JobQueue {
         self.hot.len() + self.cold.len()
     }
 
-    fn pop(&mut self) -> Option<Job> {
-        self.hot.pop_front().or_else(|| self.cold.pop_front())
+    /// Whether a build waits for a pool worker.
+    fn builds_waiting(&self) -> bool {
+        !self.hot.build.is_empty() || !self.cold.build.is_empty()
+    }
+
+    /// Queues `job` on its lane: the `hot` tier's or the cold tier's, light
+    /// or build.
+    fn push(&mut self, job: Job, hot: bool) {
+        let tier = if hot { &mut self.hot } else { &mut self.cold };
+        let lane = if job.light { &mut tier.light } else { &mut tier.build };
+        lane.push_back(job);
+    }
+
+    fn pop(&mut self, filter: LaneFilter) -> Option<Job> {
+        match filter {
+            LaneFilter::All => self.hot.pop_oldest().or_else(|| self.cold.pop_oldest()),
+            LaneFilter::LightOnly if self.builds_waiting() => None,
+            LaneFilter::LightOnly => {
+                self.hot.light.pop_front().or_else(|| self.cold.light.pop_front())
+            }
+        }
+    }
+
+    /// Whether the parked executor now has a job it may pop; if so, the
+    /// caller must wake it, and no later caller will.
+    fn claim_executor(&mut self) -> bool {
+        let runnable = !self.builds_waiting() && self.hot.light.len() + self.cold.light.len() > 0;
+        runnable && std::mem::take(&mut self.executor_idle)
     }
 }
 
 impl Queues {
-    fn push_job(&self, job: Job, first: bool) {
+    /// Queues `job` ([`JobQueue::push`]) and wakes exactly one thread that
+    /// can run it: a light job wakes the executor when it is idle and may
+    /// pop it, and otherwise one pool worker (so idle workers never sleep
+    /// while light jobs pile up behind a busy executor); any other job
+    /// wakes one pool worker.
+    fn push_job(&self, job: Job, hot: bool) {
         let mut jobs = self.jobs.lock().unwrap_or_else(|p| p.into_inner());
-        if first {
-            jobs.hot.push_back(job);
-        } else {
-            jobs.cold.push_back(job);
-        }
+        jobs.push(job, hot);
         dbex_obs::gauge!("server.queue_depth").set(jobs.len() as i64);
+        let wake_executor = jobs.claim_executor();
         drop(jobs);
-        self.jobs_cv.notify_one();
+        if wake_executor {
+            self.executor_cv.notify_one();
+        } else {
+            self.pool_cv.notify_one();
+        }
     }
 
     fn push_completion(&self, completion: Completion) {
@@ -437,12 +544,13 @@ impl Server {
         Arc::clone(&self.shared.cache)
     }
 
-    /// Starts the event loop, the worker pool, and (when configured) the
-    /// autosaver on background threads. Fails only when the OS cannot
-    /// spawn a thread or create the wake pipe.
+    /// Starts the event loop, the worker pool, the interactive executor,
+    /// and (when configured) the autosaver on background threads. Fails
+    /// only when the OS cannot spawn a thread or create the wake pipe.
     ///
-    /// Total server threads: 1 event loop + `workers` + at most one
-    /// autosaver — **independent of connection count**.
+    /// Total server threads: 1 event loop + `workers` + 1 interactive
+    /// executor + at most one autosaver — **independent of connection
+    /// count**.
     pub fn spawn(self) -> std::io::Result<ServerHandle> {
         let (wake_rx, wake_tx) = UnixStream::pair()?;
         wake_rx.set_nonblocking(true)?;
@@ -450,7 +558,8 @@ impl Server {
         self.listener.set_nonblocking(true)?;
         let queues = Arc::new(Queues {
             jobs: Mutex::new(JobQueue::default()),
-            jobs_cv: Condvar::new(),
+            pool_cv: Condvar::new(),
+            executor_cv: Condvar::new(),
             completions: Mutex::new(VecDeque::new()),
             stop: AtomicBool::new(false),
             wake: wake_tx,
@@ -459,16 +568,19 @@ impl Server {
             0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             n => n,
         };
-        let mut worker_handles = Vec::with_capacity(workers);
-        for i in 0..workers {
+        let spawn_job_thread = |name: String, filter: LaneFilter| {
             let shared = Arc::clone(&self.shared);
             let queues = Arc::clone(&queues);
-            worker_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("dbex-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, &queues))?,
-            );
+            std::thread::Builder::new()
+                .name(name)
+                .spawn(move || worker_loop(&shared, &queues, filter))
+        };
+        let mut job_threads = Vec::with_capacity(workers + 1);
+        for i in 0..workers {
+            let name = format!("dbex-serve-worker-{i}");
+            job_threads.push(spawn_job_thread(name, LaneFilter::All)?);
         }
+        job_threads.push(spawn_job_thread("dbex-serve-interactive".into(), LaneFilter::LightOnly)?);
         let loop_shared = Arc::clone(&self.shared);
         let loop_queues = Arc::clone(&queues);
         let listener = self.listener;
@@ -500,7 +612,8 @@ impl Server {
             shared: self.shared,
             queues,
             event_loop: Some(event_loop),
-            workers: worker_handles,
+            job_threads,
+            workers,
             autosave,
         })
     }
@@ -548,7 +661,10 @@ pub struct ServerHandle {
     shared: Arc<Shared>,
     queues: Arc<Queues>,
     event_loop: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    /// The pool workers and the interactive executor.
+    job_threads: Vec<JoinHandle<()>>,
+    /// The resolved pool size.
+    workers: usize,
     autosave: Option<JoinHandle<()>>,
 }
 
@@ -591,17 +707,18 @@ impl ServerHandle {
     }
 
     /// The resolved worker-pool size (after `workers: 0` defaulted to the
-    /// host's available parallelism). Together with the event loop and
-    /// optional autosave thread, this bounds the server's thread count
-    /// regardless of how many connections are open.
+    /// host's available parallelism). Together with the event loop, the
+    /// interactive executor and the optional autosave thread, this bounds
+    /// the server's thread count regardless of how many connections are
+    /// open.
     pub fn workers(&self) -> usize {
-        self.workers.len()
+        self.workers
     }
 
     /// Gracefully stops the server: stops accepting, drains in-flight
     /// requests so their responses go out (bounded by [`DRAIN_DEADLINE`]),
-    /// **joins** the event loop and workers, and — when a data dir is
-    /// configured — flushes a final snapshot.
+    /// **joins** the event loop, the workers and the interactive executor,
+    /// and — when a data dir is configured — flushes a final snapshot.
     pub fn shutdown(mut self) -> ShutdownSummary {
         self.shutdown_inner()
     }
@@ -617,18 +734,19 @@ impl ServerHandle {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.queues.wake_loop();
         let _ = event_loop.join();
-        // No loop ⇒ no new jobs. Stop the workers once the queue drains
-        // (each re-checks `stop` between jobs); bounded join so a wedged
-        // request is leaked (detached), not waited on forever.
+        // No loop ⇒ no new jobs. Stop the job threads once the queue
+        // drains (each re-checks `stop` between jobs); bounded join so a
+        // wedged request is leaked (detached), not waited on forever.
         self.queues.stop.store(true, Ordering::SeqCst);
-        self.queues.jobs_cv.notify_all();
+        self.queues.pool_cv.notify_all();
+        self.queues.executor_cv.notify_all();
         let deadline = Instant::now() + DRAIN_DEADLINE;
-        while Instant::now() < deadline && !self.workers.iter().all(|w| w.is_finished()) {
+        while Instant::now() < deadline && !self.job_threads.iter().all(|t| t.is_finished()) {
             std::thread::sleep(Duration::from_millis(5));
         }
-        for worker in self.workers.drain(..) {
-            if worker.is_finished() {
-                let _ = worker.join();
+        for thread in self.job_threads.drain(..) {
+            if thread.is_finished() {
+                let _ = thread.join();
             }
         }
         if let Some(autosave) = self.autosave.take() {
@@ -680,8 +798,8 @@ struct Conn {
     /// One job in flight per connection — the FIFO-order invariant and
     /// the job-queue bound.
     running: bool,
-    /// Jobs dispatched to the worker pool so far; the first one rides
-    /// the hot lane (see [`JobQueue`]). Inline control acks don't count.
+    /// Jobs dispatched to the job threads so far; the first one rides the
+    /// hot tier (see [`JobQueue`]). Inline control acks don't count.
     jobs_started: u64,
     /// Client opted into tagged multi-frame responses (`.stream on`).
     stream_mode: bool,
@@ -1074,19 +1192,20 @@ impl EventLoop {
                     // between requests, so this reset is race-free.
                     conn.cancel.store(false, Ordering::Relaxed);
                     conn.running = true;
-                    // Hot lane: first-request priority, plus the cheap
-                    // keystroke-paced SUGGEST fast path (see [`JobQueue`]).
-                    let first = conn.jobs_started == 0 || is_suggest_request(&request);
+                    let class = RequestClass::of(&request);
+                    let hot = conn.jobs_started == 0 || class == RequestClass::Suggest;
                     conn.jobs_started += 1;
                     queues.push_job(
                         Job {
                             token,
+                            light: class != RequestClass::Build,
                             request,
                             session,
                             stream_mode: conn.stream_mode,
                             cancel: Arc::clone(&conn.cancel),
+                            enqueued: Instant::now(),
                         },
-                        first,
+                        hot,
                     );
                 }
             }
@@ -1177,31 +1296,50 @@ impl EventLoop {
     }
 }
 
-/// A worker: pull a job, execute it against the job's session, post the
-/// frames back. The panic boundary lives here — a panicking request
-/// forfeits its session and closes its connection, nothing else.
-fn worker_loop(shared: &Shared, queues: &Queues) {
+/// A job thread — a pool worker or the interactive executor: pull a job
+/// from the lanes `filter` admits, execute it against the job's session,
+/// post the frames back. The panic boundary lives in [`run_job`] — a
+/// panicking request forfeits its session and closes its connection,
+/// nothing else.
+fn worker_loop(shared: &Shared, queues: &Queues, filter: LaneFilter) {
     loop {
-        let job = {
+        let (job, wake_executor) = {
             let mut jobs = queues.jobs.lock().unwrap_or_else(|p| p.into_inner());
             loop {
-                if let Some(job) = jobs.pop() {
+                if let Some(job) = jobs.pop(filter) {
                     dbex_obs::gauge!("server.queue_depth").set(jobs.len() as i64);
-                    break Some(job);
+                    // Taking the last waiting build lets the parked
+                    // executor run the light jobs queued behind it.
+                    break (Some(job), jobs.claim_executor());
                 }
                 if queues.stop.load(Ordering::SeqCst) {
-                    break None;
+                    break (None, false);
                 }
-                let (guard, _) = queues
-                    .jobs_cv
+                let cv = match filter {
+                    LaneFilter::All => &queues.pool_cv,
+                    LaneFilter::LightOnly => {
+                        jobs.executor_idle = true;
+                        &queues.executor_cv
+                    }
+                };
+                let (guard, _) = cv
                     .wait_timeout(jobs, Duration::from_millis(100))
                     .unwrap_or_else(|p| p.into_inner());
                 jobs = guard;
             }
         };
+        if wake_executor {
+            queues.executor_cv.notify_one();
+        }
         let Some(job) = job else {
             return;
         };
+        let queue_wait = if job.light {
+            dbex_obs::histogram!("server.queue_wait_ms.light", QUEUE_WAIT_MS_BOUNDS)
+        } else {
+            dbex_obs::histogram!("server.queue_wait_ms.build", QUEUE_WAIT_MS_BOUNDS)
+        };
+        queue_wait.observe_ms(job.enqueued.elapsed());
         run_job(shared, queues, job);
     }
 }
@@ -1213,6 +1351,7 @@ fn run_job(shared: &Shared, queues: &Queues, job: Job) {
         mut session,
         stream_mode,
         cancel,
+        ..
     } = job;
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         execute_request(shared, queues, token, &request, &mut session, stream_mode, &cancel)
@@ -1309,22 +1448,40 @@ fn output_kind(output: &QueryOutput) -> &'static str {
     }
 }
 
-/// Whether a request is a `SUGGEST` statement (optionally under
-/// `EXPLAIN ANALYZE`) — the cheap op class that rides the hot job lane
-/// so it never queues behind CAD builds.
-fn is_suggest_request(request: &str) -> bool {
-    let mut words = request.split_whitespace();
-    match words.next() {
-        Some(w) if w.eq_ignore_ascii_case("SUGGEST") => true,
-        Some(w) if w.eq_ignore_ascii_case("EXPLAIN") => {
-            words
-                .next()
-                .is_some_and(|w| w.eq_ignore_ascii_case("ANALYZE"))
-                && words
-                    .next()
-                    .is_some_and(|w| w.eq_ignore_ascii_case("SUGGEST"))
+/// How the job queue treats a request (see [`JobQueue`]), decided by its
+/// leading whitespace-separated keyword(s), case-insensitively.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum RequestClass {
+    /// A statement that builds no CAD View: `SELECT`, `HIGHLIGHT`,
+    /// `REORDER`, `DESCRIBE`/`DESC`, `SHOW`, `DROP`. Rides a light lane.
+    Light,
+    /// `SUGGEST`, optionally under `EXPLAIN ANALYZE`: light, and
+    /// keystroke-paced, so it also rides the hot tier — a suggestion that
+    /// arrives after the next keystroke is useless.
+    Suggest,
+    /// Everything else: `CREATE`, every other `EXPLAIN`, every dot-command
+    /// that reaches a job thread, and anything unrecognised.
+    Build,
+}
+
+impl RequestClass {
+    fn of(request: &str) -> RequestClass {
+        const LIGHT: &[&str] =
+            &["SELECT", "HIGHLIGHT", "REORDER", "DESCRIBE", "DESC", "SHOW", "DROP"];
+        let is = |word: Option<&str>, keyword: &str| {
+            word.is_some_and(|w| w.eq_ignore_ascii_case(keyword))
+        };
+        let mut words = request.split_whitespace();
+        let first = words.next();
+        if is(first, "SUGGEST")
+            || (is(first, "EXPLAIN") && is(words.next(), "ANALYZE") && is(words.next(), "SUGGEST"))
+        {
+            RequestClass::Suggest
+        } else if LIGHT.iter().any(|keyword| is(first, keyword)) {
+            RequestClass::Light
+        } else {
+            RequestClass::Build
         }
-        _ => false,
     }
 }
 
@@ -1776,6 +1933,111 @@ mod tests {
         assert_eq!(handle.active_connections(), 0);
         assert_eq!(handle.panics(), 0);
         handle.shutdown();
+    }
+
+    #[test]
+    fn pool_workers_pop_oldest_first_and_the_executor_light_jobs_without_a_backlog() {
+        let t0 = Instant::now();
+        // (token, hot, light), queued 1 ms apart in this order.
+        let arrivals = [
+            (1, false, false),
+            (2, false, true),
+            (3, true, false),
+            (4, true, true),
+            (5, false, true),
+        ];
+        let fill = || {
+            let mut queue = JobQueue::default();
+            for (at, &(token, hot, light)) in arrivals.iter().enumerate() {
+                let job = Job {
+                    token,
+                    request: String::new(),
+                    session: Box::new(Session::new()),
+                    stream_mode: false,
+                    cancel: Arc::new(AtomicBool::new(false)),
+                    light,
+                    enqueued: t0 + Duration::from_millis(at as u64),
+                };
+                queue.push(job, hot);
+            }
+            queue
+        };
+        let drain = |queue: &mut JobQueue, filter| {
+            std::iter::from_fn(|| queue.pop(filter).map(|job| job.token)).collect::<Vec<_>>()
+        };
+
+        // A pool worker: the hot tier in arrival order, then the cold one.
+        let mut queue = fill();
+        assert_eq!(drain(&mut queue, LaneFilter::All), [3, 4, 1, 2, 5]);
+        assert_eq!(queue.len(), 0);
+        // The executor: light jobs only, the hot tier first, and only once
+        // no build waits for a pool worker.
+        let mut queue = fill();
+        queue.executor_idle = true;
+        assert_eq!(drain(&mut queue, LaneFilter::LightOnly), Vec::<u64>::new());
+        assert!(!queue.claim_executor());
+        let pool: Vec<u64> =
+            (0..3).filter_map(|_| queue.pop(LaneFilter::All)).map(|job| job.token).collect();
+        assert_eq!(pool, [3, 4, 1]);
+        assert!(queue.claim_executor(), "the last waiting build is gone");
+        assert!(!queue.claim_executor(), "only one caller wakes the executor");
+        assert_eq!(drain(&mut queue, LaneFilter::LightOnly), [2, 5]);
+    }
+
+    #[test]
+    fn request_classes_follow_the_parsed_statement() {
+        use dbex_query::Statement;
+        // One spelling per `Statement` variant (two for DESCRIBE and
+        // SUGGEST), in mixed case behind leading whitespace.
+        let statements = [
+            "  sElEcT Make FROM cars WHERE Make = Jeep LIMIT 2",
+            "\tcreate CADVIEW v AS SET pivot = Make FROM cars LIMIT COLUMNS 2 IUNITS 2",
+            " Explain CADVIEW v AS SET pivot = Make FROM cars IUNITS 2",
+            "\n explain Analyze CREATE CADVIEW v AS SET pivot = Make FROM cars IUNITS 2",
+            "  Highlight SIMILAR IUNITS IN v WHERE SIMILARITY(Jeep, 2) > 1.5",
+            "  reorder ROWS IN v ORDER BY SIMILARITY(Jeep) DESC",
+            "  Describe cars",
+            "  desc cars",
+            "  Show CADVIEWS",
+            "  dRoP CADVIEW v",
+            "  Suggest NEXT FOR v",
+            "  suggest COMPLETE SELECT * FROM cars WHERE Make =",
+            "\t EXPLAIN analyze Suggest NEXT FOR v",
+        ];
+        for statement in statements {
+            let parsed = dbex_query::parse(statement)
+                .unwrap_or_else(|e| panic!("{statement:?} must parse: {e}"));
+            let class = match parsed {
+                Statement::CreateCadView(_)
+                | Statement::ExplainCadView(_)
+                | Statement::ExplainAnalyzeCadView(_) => RequestClass::Build,
+                Statement::Select(_)
+                | Statement::Highlight(_)
+                | Statement::Reorder(_)
+                | Statement::Describe(_)
+                | Statement::ShowCadViews
+                | Statement::DropCadView(_) => RequestClass::Light,
+                Statement::Suggest(_) => RequestClass::Suggest,
+            };
+            assert_eq!(RequestClass::of(statement), class, "{statement:?}");
+        }
+        for dot in [
+            ".ping",
+            ".tables",
+            ".metrics",
+            ".load cars 100",
+            ".save",
+            ".stream on",
+            ".stream sideways",
+            ".cancel",
+            ".select",
+            " .unknown",
+            "",
+            "EXPLAIN",
+            "EXPLAIN ANALYZE",
+        ] {
+            assert_eq!(RequestClass::of(dot), RequestClass::Build, "{dot:?}");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!    the committed golden `tests/snapshots/suggest_wire.txt` after
 //!    timing masking (regenerate with `UPDATE_SNAPSHOTS=1`),
 //! 2. every concurrent client's live-server transcript is byte-identical
-//!    to that oracle — suggestions ride the hot lane but stay
+//!    to that oracle — suggestions ride the hot tier but stay
 //!    deterministic under concurrency,
 //! 3. the wire frames carry exactly what an in-process session renders,
 //!    so the REPL's `.suggest` output and the wire SUGGEST frames can

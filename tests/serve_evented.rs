@@ -11,14 +11,22 @@
 //! * **Mid-preview disconnect** — a streaming client that vanishes after
 //!   the preview frame must arm the in-flight exact build's cancel flag
 //!   and release the connection slot.
+//! * **Busy pool** — while another connection's exact build holds the
+//!   only pool worker, a light request (a drill, a suggestion) must run
+//!   on the interactive executor instead of waiting for the build.
 //!
 //! All assertions use per-server `ServerHandle` counters, not the
-//! process-wide gauges, so these tests can share a binary.
+//! process-wide gauges, so these tests can share a binary. The one
+//! process-wide histogram read here is only checked to have grown.
 
 use dbexplorer::data::UsedCarsGenerator;
-use dbexplorer::serve::{encode_frame, Client, ServeConfig, Server, ServerHandle};
+use dbexplorer::serve::{
+    encode_frame, oracle_transcript, strip_stream_tags, Client, ServeConfig, Server, ServerHandle,
+    WireResponse,
+};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 fn spawn_server(rows: usize) -> ServerHandle {
@@ -157,5 +165,107 @@ fn mid_preview_disconnect_cancels_the_exact_build() {
     );
     wait_for_connections(&handle, 0, "after the streaming client vanished");
     assert_eq!(handle.panics(), 0);
+    handle.shutdown();
+}
+
+/// Observations in the process-wide `server.queue_wait_ms.light`
+/// histogram so far (0 until the first light job registers it).
+fn light_queue_waits() -> u64 {
+    dbexplorer::obs::global()
+        .snapshot()
+        .histograms
+        .get("server.queue_wait_ms.light")
+        .map_or(0, |h| h.count)
+}
+
+/// A's exact build holds the only pool worker. B's drill and suggestion,
+/// sent after A's preview, must run on the interactive executor instead
+/// of waiting for that build, and every answer must still equal the
+/// single-session oracle's.
+///
+/// A's exact phase must take well over 100 ms, so that B's answers — a
+/// few milliseconds of work and thread wake-ups — land far inside the
+/// quarter bound, while a pool without the executor answers B together
+/// with A's final frame. That takes 40,000 rows in the unoptimised
+/// profile `cargo test` builds (about 220 ms) and 1,000,000 in an
+/// optimised one (about 170 ms; 40,000 rows there take about 5 ms, the
+/// scale of a few wake-ups on a busy CPU).
+#[test]
+fn light_requests_run_while_a_build_holds_the_pool() {
+    let config = ServeConfig {
+        workers: 1,
+        threads: 1,
+        ..ServeConfig::default()
+    };
+    let rows = if cfg!(debug_assertions) { 40_000 } else { 1_000_000 };
+    let cars = UsedCarsGenerator::new(11).generate(rows);
+    let server = Server::bind("127.0.0.1:0", config.clone()).expect("bind ephemeral port");
+    server.preload("cars", cars.clone());
+    let handle = server.spawn().expect("spawn server threads");
+    let addr = handle.addr();
+
+    let a_script = [
+        ".stream on",
+        "CREATE CADVIEW wide AS SET pivot = Make FROM cars LIMIT COLUMNS 5 IUNITS 5",
+    ];
+    let b_script = [
+        "CREATE CADVIEW jeeps AS SET pivot = BodyType FROM cars WHERE Make = Jeep \
+         LIMIT COLUMNS 2 IUNITS 2",
+        "SELECT Make, Model, Price FROM cars WHERE Make = Jeep LIMIT 3",
+        "SUGGEST NEXT FOR jeeps",
+    ];
+
+    // B builds its view first, so the pool is idle when A's build starts.
+    let mut b = Client::connect(addr).expect("connect B");
+    let mut b_lines = vec![b.request_line(b_script[0]).expect("B's build")];
+    let light_before = light_queue_waits();
+
+    let (preview_tx, preview_rx) = mpsc::channel();
+    let a = std::thread::spawn(move || {
+        let mut raw = TcpStream::connect(addr).expect("connect A");
+        raw.set_nodelay(true).ok();
+        let _hello = read_line(&mut raw);
+        let mut send = |request: &str| {
+            let frame = encode_frame(request).expect("encode A's request");
+            raw.write_all(&frame).expect("send A's request");
+        };
+        send(a_script[0]);
+        send(a_script[1]);
+        let ack = read_line(&mut raw);
+        let preview = read_line(&mut raw);
+        preview_tx.send(Instant::now()).expect("signal A's preview");
+        let last = read_line(&mut raw);
+        (Instant::now(), preview, vec![ack, last])
+    });
+
+    let preview_at = preview_rx.recv().expect("A's preview arrives");
+    let mut b_answered = Vec::new();
+    for request in &b_script[1..] {
+        b_lines.push(b.request_line(request).expect("B's light request"));
+        b_answered.push(preview_at.elapsed());
+    }
+    let (final_at, preview, a_lines) = a.join().expect("A's client thread");
+    let a_final = final_at - preview_at;
+
+    let preview = WireResponse::parse(&preview).expect("A's preview parses");
+    assert!(!preview.is_final(), "A's build must stream a preview first: {preview:?}");
+    for (request, answered) in b_script[1..].iter().zip(&b_answered) {
+        assert!(
+            *answered * 4 < a_final,
+            "{request:?} answered {answered:?} after A's preview, A's final {a_final:?}: \
+             it waited behind the running build"
+        );
+    }
+    let a_stripped: Vec<String> = a_lines.iter().map(|line| strip_stream_tags(line)).collect();
+    let a_oracle = oracle_transcript(vec![("cars".to_owned(), cars.clone())], &config, &a_script);
+    assert_eq!(a_stripped, a_oracle, "A's stripped frames diverge from the oracle");
+    let b_oracle = oracle_transcript(vec![("cars".to_owned(), cars)], &config, &b_script);
+    assert_eq!(b_lines, b_oracle, "B's answers diverge from the oracle");
+    assert!(
+        light_queue_waits() >= light_before + 2,
+        "B's light requests were not observed in server.queue_wait_ms.light"
+    );
+    assert_eq!(handle.panics(), 0);
+    drop(b);
     handle.shutdown();
 }

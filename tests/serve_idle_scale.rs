@@ -49,9 +49,11 @@ fn ten_thousand_idle_connections_on_a_fixed_thread_budget() {
     let target = 10_000.min((fd_soft_limit().saturating_sub(200)) / 2);
     assert!(target >= 1_000, "fd limit too low to say anything interesting");
 
+    // A fixed pool, so the absolute thread cap below holds on any host.
     let config = ServeConfig {
         max_connections: target + 16,
         backlog: 8_192,
+        workers: 2,
         ..ServeConfig::default()
     };
     let server = Server::bind("127.0.0.1:0", config).expect("bind ephemeral port");
@@ -93,9 +95,9 @@ fn ten_thousand_idle_connections_on_a_fixed_thread_budget() {
     }
     drop(active);
 
-    // The whole point: thread count is workers + loop (+ slack for the
-    // test harness), not O(connections); and idle connections hold no
-    // stacks or read buffers, so RSS stays within a small fixed budget.
+    // The whole point: thread count is loop + workers + executor (+ slack
+    // for the test harness), not O(connections); and idle connections hold
+    // no stacks or read buffers, so RSS stays within a small fixed budget.
     let threads_during = thread_count();
     assert!(
         threads_during <= threads_before + 4 && threads_during < 20,

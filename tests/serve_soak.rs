@@ -3,9 +3,11 @@
 //!
 //! Two variants share one harness ([`run_soak`]):
 //!
-//! * `hostile_mixed_workload_quick` — ~2 s, runs in the default
+//! * `hostile_mixed_workload_quick` — ~2 s twice, runs in the default
 //!   `cargo test` gate. Same worker zoo, same zero-panic /
-//!   gauge-returns-to-0 assertions, small table.
+//!   gauges-return-to-0 assertions, small table; the second pass runs
+//!   on a one-worker pool, so light requests meet a busy pool and run
+//!   on the interactive executor.
 //! * `hostile_mixed_workload_leaks_nothing` — `DBEX_SERVE_SOAK_SECS`
 //!   (default 60) seconds, ignored by default; run via
 //!   `scripts/check.sh --serve-soak` or:
@@ -23,13 +25,14 @@
 //! `SUGGEST NEXT` (typed error, never a panic), and connection hammers
 //! that overrun the cap.
 //! Afterwards the server must show zero caught panics, `BUSY` rejections
-//! (the cap held under pressure), and a connection gauge back at 0 — no
-//! leaked sessions, threads, or slots.
+//! (the cap held under pressure), and connection and queue-depth gauges
+//! back at 0 — no leaked sessions, threads, slots, or jobs.
 //!
 //! The two variants assert on the same process-wide
-//! `server.connections` gauge, so they must not run concurrently; the
-//! quick one runs in the default gate and the long one only under
-//! `-- --ignored`, which never mixes the two.
+//! `server.connections` and `server.queue_depth` gauges, so they must not
+//! run concurrently; the quick one runs its two passes in sequence inside
+//! one test, and the long one only runs under `-- --ignored`, which never
+//! mixes the two.
 
 use dbexplorer::data::UsedCarsGenerator;
 use dbexplorer::serve::{Client, ClientError, ServeConfig, Server, MAX_FRAME};
@@ -53,19 +56,23 @@ fn soak_secs() -> u64 {
 /// so the streamed clients genuinely get multi-frame responses.
 #[test]
 fn hostile_mixed_workload_quick() {
-    run_soak(2, 2_500);
+    run_soak(2, 2_500, 0);
+    run_soak(2, 2_500, 1);
 }
 
 #[test]
 #[ignore = "long-running; invoked by scripts/check.sh --serve-soak"]
 fn hostile_mixed_workload_leaks_nothing() {
-    run_soak(soak_secs(), 4_000);
+    run_soak(soak_secs(), 4_000, 0);
 }
 
-fn run_soak(secs: u64, rows: usize) {
+/// Runs the hostile mix for `secs` seconds against a server with
+/// `workers` pool workers (`0` = the host's available parallelism).
+fn run_soak(secs: u64, rows: usize, workers: usize) {
     let config = ServeConfig {
         max_connections: CAP,
         request_time_limit: Some(Duration::from_millis(150)),
+        workers,
         ..ServeConfig::default()
     };
     let server = Server::bind("127.0.0.1:0", config).expect("bind");
@@ -335,9 +342,11 @@ fn run_soak(secs: u64, rows: usize) {
     });
 
     // Every worker has exited and dropped its sockets; the server must
-    // release every slot.
+    // release every slot and run every queued job.
+    let queue_depth = dbexplorer::obs::global().gauge("server.queue_depth");
     let deadline = Instant::now() + Duration::from_secs(10);
-    while handle.active_connections() > 0 && Instant::now() < deadline {
+    let settled = || handle.active_connections() == 0 && queue_depth.get() == 0;
+    while !settled() && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
     }
 
@@ -352,6 +361,7 @@ fn run_soak(secs: u64, rows: usize) {
         0,
         "server.connections gauge did not return to 0"
     );
+    assert_eq!(queue_depth.get(), 0, "server.queue_depth gauge did not return to 0");
     assert!(
         handle.busy_rejections() > 0 || busy_seen.load(Ordering::Relaxed) > 0,
         "12 holders against a cap of {CAP} never produced a BUSY rejection"
@@ -374,7 +384,7 @@ fn run_soak(secs: u64, rows: usize) {
     let busy = handle.busy_rejections() + busy_seen.load(Ordering::Relaxed);
     handle.shutdown();
     println!(
-        "soak[{secs}s]: {ok} ok requests, {sok} ok suggests, {serr} typed suggest errors, \
-         {busy} busy rejections, 0 panics, gauge at 0"
+        "soak[{secs}s, workers={workers}]: {ok} ok requests, {sok} ok suggests, \
+         {serr} typed suggest errors, {busy} busy rejections, 0 panics, gauges at 0"
     );
 }

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dbex_bench::{base_cars_table, five_make_view, FIVE_MAKES};
-use dbex_cluster::{kmeans, KMeansConfig, OneHotSpace};
+use dbex_cluster::{kmeans_packed, KMeansConfig, PackedMatrix};
 use dbex_stats::discretize::{CodedColumn, CodedMatrix};
 use dbex_stats::feature::{select_compare_attributes, FeatureSelectionConfig};
 use dbex_stats::histogram::BinningStrategy;
@@ -69,14 +69,12 @@ fn bench_kmeans(c: &mut Criterion) {
         let result = population.sample(size);
         let matrix = CodedMatrix::encode(&result, &attrs, 6, BinningStrategy::EquiDepth);
         let coded: Vec<&CodedColumn> = matrix.columns.iter().collect();
-        let space = OneHotSpace::from_columns(&coded);
         let positions: Vec<usize> = (0..result.len()).collect();
-        let points = space.encode_positions(&coded, &positions);
+        let points = PackedMatrix::from_columns(&coded, &positions).expect("bench data packs");
         group.bench_with_input(BenchmarkId::new("l15", size), &size, |b, _| {
             b.iter(|| {
-                black_box(kmeans(
+                black_box(kmeans_packed(
                     &points,
-                    space.dim(),
                     &KMeansConfig {
                         k: 15,
                         ..Default::default()

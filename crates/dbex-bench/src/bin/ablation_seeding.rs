@@ -1,11 +1,12 @@
 //! Ablation: **k-means++** vs **random seeding** (DESIGN.md ablation 2).
 //!
 //! Clusters real pivot partitions of the used-car data (the Ford SUV
-//! partition one-hot encoded over the Table-1 Compare Attributes) and
-//! compares final inertia and iterations across seeds.
+//! partition packed over the Table-1 Compare Attributes) with the
+//! production k-means kernel and compares final inertia and iterations
+//! across seeds.
 
 use dbex_bench::{base_cars_table, five_make_view};
-use dbex_cluster::{kmeans, KMeansConfig, OneHotSpace};
+use dbex_cluster::{kmeans_packed, KMeansConfig, PackedMatrix};
 use dbex_stats::discretize::{CodedColumn, CodedMatrix};
 use dbex_stats::histogram::BinningStrategy;
 
@@ -19,7 +20,6 @@ fn main() {
         .collect();
     let matrix = CodedMatrix::encode(&population, &attrs, 6, BinningStrategy::EquiDepth);
     let coded: Vec<&CodedColumn> = matrix.columns.iter().collect();
-    let space = OneHotSpace::from_columns(&coded);
 
     let make_col = schema.index_of("Make").expect("Make exists");
     let pivot_column = population.table().column(make_col);
@@ -36,20 +36,19 @@ fn main() {
         .filter(|(_, &r)| pivot_column.get_code(r as usize) == Some(first_code))
         .map(|(pos, _)| pos)
         .collect();
-    let points = space.encode_positions(&coded, &members);
+    let points = PackedMatrix::from_columns(&coded, &members).expect("bench data packs");
     println!(
         "Ablation: k-means seeding on a real pivot partition ({} tuples, dim {})\n",
-        points.len(),
-        space.dim()
+        points.rows(),
+        points.dim()
     );
     println!("{:>10}  {:>14}  {:>14}  {:>6}", "seed", "++inertia", "rand-inertia", "worse");
 
     let mut pp_total = 0.0;
     let mut rand_total = 0.0;
     for seed in 0..10u64 {
-        let pp = kmeans(
+        let pp = kmeans_packed(
             &points,
-            space.dim(),
             &KMeansConfig {
                 k: 9,
                 seed,
@@ -58,9 +57,8 @@ fn main() {
             },
         )
         .expect("k-means on bench data");
-        let rnd = kmeans(
+        let rnd = kmeans_packed(
             &points,
-            space.dim(),
             &KMeansConfig {
                 k: 9,
                 seed,

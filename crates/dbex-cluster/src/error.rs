@@ -19,6 +19,20 @@ pub enum ClusterError {
         /// Dimensionality of the space.
         space: usize,
     },
+    /// A packed cell has no live code: a stored code is at or above its
+    /// codec's cardinality, or a row position lies past the column.
+    CodeOutOfRange {
+        /// Index of the offending attribute in the packed set.
+        attr: usize,
+    },
+    /// `rows · attrs` exceeds `u32::MAX`, the bound that keeps the packed
+    /// kernels' integer dot accumulators exact.
+    MatrixTooLarge {
+        /// Rows to pack.
+        rows: usize,
+        /// Attributes per row.
+        attrs: usize,
+    },
     /// Discretization failed while preparing clustering inputs.
     Stats(StatsError),
     /// A deliberately injected fault (testing only; see [`crate::fault`]).
@@ -36,6 +50,15 @@ impl fmt::Display for ClusterError {
             ClusterError::DimensionOutOfRange { point, dim, space } => write!(
                 f,
                 "point {point} activates dimension {dim} outside the {space}-dimensional space"
+            ),
+            ClusterError::CodeOutOfRange { attr } => write!(
+                f,
+                "attribute {attr} holds a code outside its codec or a position past its column"
+            ),
+            ClusterError::MatrixTooLarge { rows, attrs } => write!(
+                f,
+                "{rows} rows x {attrs} attributes exceed the packed kernels' {} cells",
+                u32::MAX
             ),
             ClusterError::Stats(_) => write!(f, "discretization failed"),
             ClusterError::FaultInjected { site } => write!(f, "injected fault at {site}"),

@@ -1,4 +1,4 @@
-//! Lloyd's k-means over sparse one-hot points.
+//! Lloyd's k-means over packed dictionary-code rows.
 //!
 //! Matches the paper's use of Weka `SimpleKMeans` (Section 3.1.2) with the
 //! quality/latency refinements the performance study relies on:
@@ -9,19 +9,20 @@
 //! * **Out-of-sample assignment**: the paper's Optimization 1 clusters a
 //!   sample and assigns remaining tuples to the nearest learned centroid.
 //!
-//! Points are sparse binary vectors (active dimensions, one per non-NULL
-//! attribute). During Lloyd iterations a centroid is represented as an
-//! integer **histogram**: the per-dimension member counts `h_d` plus the
-//! cluster size `m` (the conceptual dense centroid is `h_d / m`). The
-//! squared distance between point `x` and centroid `(h, m)` is then
+//! A row of a [`PackedMatrix`] is a sparse binary one-hot point (active
+//! dimensions, one per non-NULL attribute). During Lloyd iterations a
+//! centroid is represented as an integer **histogram**: the per-dimension
+//! member counts `h_d` plus the cluster size `m` (the conceptual dense
+//! centroid is `h_d / m`). The squared distance between point `x` and
+//! centroid `(h, m)` is then
 //!
 //! ```text
 //! ‖c‖² − 2·Σ_{d∈x} h_d · (1/m) + |x|      where ‖c‖² = Σ_d h_d² · (1/m)²
 //! ```
 //!
 //! so the per-point inner loop is a pure *integer* accumulation — exact in
-//! any evaluation order, which frees the packed kernel below to vectorize
-//! it — followed by one float multiply per centroid. Each distance costs
+//! any evaluation order, which frees the kernel to vectorize it — followed
+//! by one float multiply per centroid. Each distance costs
 //! `O(#attributes)` regardless of dimensionality.
 
 use crate::error::ClusterError;
@@ -31,7 +32,7 @@ use dbex_stats::simd::SimdDispatch;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-/// Configuration for [`kmeans`].
+/// Configuration for [`kmeans_packed`].
 #[derive(Debug, Clone)]
 pub struct KMeansConfig {
     /// Number of clusters (`l` candidate IUnits in the paper).
@@ -48,7 +49,7 @@ pub struct KMeansConfig {
     /// deterministic chunks whose integer partials merge in chunk order,
     /// so the output is **byte-identical at any thread count**; the f64
     /// inertia is folded sequentially in row order for the same reason.
-    /// The reference [`kmeans`] ignores this field.
+    /// The one-hot oracle ([`crate::oracle::kmeans`]) ignores this field.
     pub threads: usize,
 }
 
@@ -77,182 +78,10 @@ pub struct KMeansResult {
     pub inertia: f64,
     /// Lloyd iterations actually run.
     pub iterations: usize,
-    /// Integer centroid histograms from the final Lloyd state — per
-    /// cluster, the per-dimension member counts plus the update-step
-    /// cluster size (`centroids[c][d] == histograms[c].0[d] / histograms[c].1`).
-    /// Only the clusters that actually ran Lloyd are present (fewer than
-    /// the padded `centroids` when `k` was clamped to the point count);
-    /// empty for mini-batch results, whose learning-rate centroids are
-    /// not count ratios. The incremental-reuse warm-start path feeds
-    /// these into a later build.
-    pub histograms: Vec<(Vec<u32>, u32)>,
-}
-
-impl KMeansResult {
-    /// Assigns an out-of-sample sparse point to its nearest centroid.
-    pub fn assign(&self, point: &[u32]) -> usize {
-        let norms: Vec<f64> = self
-            .centroids
-            .iter()
-            .map(|c| c.iter().map(|v| v * v).sum())
-            .collect();
-        nearest(point, &self.centroids, &norms).0
-    }
-
-    /// Assigns many out-of-sample points (shares the centroid-norm cache).
-    pub fn assign_all(&self, points: &[Vec<u32>]) -> Vec<usize> {
-        let norms: Vec<f64> = self
-            .centroids
-            .iter()
-            .map(|c| c.iter().map(|v| v * v).sum())
-            .collect();
-        points
-            .iter()
-            .map(|p| nearest(p, &self.centroids, &norms).0)
-            .collect()
-    }
-}
-
-/// Runs k-means on sparse one-hot `points` of dimensionality `dim`.
-///
-/// When `points.len() <= config.k`, each point gets its own cluster (and
-/// surplus clusters stay empty with zero centroids). Points may be empty
-/// (all-NULL tuples); they land in whichever cluster is nearest by `‖c‖²`.
-///
-/// Fails with a typed [`ClusterError`] when `config.k == 0` or a point
-/// activates a dimension outside `0..dim`.
-pub fn kmeans(
-    points: &[Vec<u32>],
-    dim: usize,
-    config: &KMeansConfig,
-) -> Result<KMeansResult, ClusterError> {
-    fault::check("cluster::kmeans")?;
-    if config.k == 0 {
-        return Err(ClusterError::ZeroClusters);
-    }
-    validate_points(points, dim)?;
-    let n = points.len();
-    let k = config.k.min(n.max(1));
-    if n == 0 {
-        return Ok(KMeansResult {
-            assignments: Vec::new(),
-            centroids: vec![vec![0.0; dim]; config.k],
-            sizes: vec![0; config.k],
-            inertia: 0.0,
-            iterations: 0,
-            histograms: Vec::new(),
-        });
-    }
-
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let seeds = if config.plus_plus {
-        seed_plus_plus(points, k, &mut rng)
-    } else {
-        seed_random(n, k, &mut rng)
-    };
-    let mut hist: Vec<Vec<u32>> = seeds.iter().map(|&i| hist_onehot(&points[i], dim)).collect();
-    let mut count: Vec<u32> = vec![1; k];
-
-    let mut assignments = vec![0usize; n];
-    let mut iterations = 0;
-    for iter in 0..config.max_iters {
-        iterations = iter + 1;
-        // Assignment step.
-        let inv: Vec<f64> = count.iter().map(|&m| 1.0 / f64::from(m)).collect();
-        let norms: Vec<f64> = hist
-            .iter()
-            .zip(&inv)
-            .map(|(h, &iv)| hist_norm2(h, iv))
-            .collect();
-        let mut changed = false;
-        for (i, p) in points.iter().enumerate() {
-            let (best, _) = nearest_hist(p, &hist, &norms, &inv);
-            if assignments[i] != best {
-                assignments[i] = best;
-                changed = true;
-            }
-        }
-        if !changed && iter > 0 {
-            break;
-        }
-        // Update step (integer sums; `n < 2³²` is implied by the points
-        // fitting in memory).
-        let mut sums = vec![vec![0u32; dim]; k];
-        let mut counts = vec![0u32; k];
-        for (i, p) in points.iter().enumerate() {
-            let c = assignments[i];
-            counts[c] += 1;
-            for &d in p {
-                sums[c][d as usize] += 1;
-            }
-        }
-        for c in 0..k {
-            if counts[c] == 0 {
-                // Reseed empty cluster to the point farthest from its
-                // centroid (against the mixed state: clusters before `c`
-                // already hold this iteration's histograms).
-                let inv: Vec<f64> = count.iter().map(|&m| 1.0 / f64::from(m)).collect();
-                let norms: Vec<f64> = hist
-                    .iter()
-                    .zip(&inv)
-                    .map(|(h, &iv)| hist_norm2(h, iv))
-                    .collect();
-                let far = (0..n)
-                    .max_by(|&a, &b| {
-                        let ca = assignments[a];
-                        let cb = assignments[b];
-                        let da = hist_dist2(&points[a], &hist[ca], norms[ca], inv[ca]);
-                        let db = hist_dist2(&points[b], &hist[cb], norms[cb], inv[cb]);
-                        da.total_cmp(&db)
-                    })
-                    .unwrap_or(0);
-                hist[c] = hist_onehot(&points[far], dim);
-                count[c] = 1;
-            } else {
-                std::mem::swap(&mut hist[c], &mut sums[c]);
-                count[c] = counts[c];
-            }
-        }
-    }
-
-    // Final stats.
-    let inv: Vec<f64> = count.iter().map(|&m| 1.0 / f64::from(m)).collect();
-    let norms: Vec<f64> = hist
-        .iter()
-        .zip(&inv)
-        .map(|(h, &iv)| hist_norm2(h, iv))
-        .collect();
-    let mut inertia = 0.0;
-    let mut sizes = vec![0usize; k];
-    for (i, p) in points.iter().enumerate() {
-        let (best, d) = nearest_hist(p, &hist, &norms, &inv);
-        assignments[i] = best;
-        sizes[best] += 1;
-        inertia += d;
-    }
-    let mut centroids: Vec<Vec<f64>> = hist
-        .iter()
-        .zip(&count)
-        .map(|(h, &m)| h.iter().map(|&v| f64::from(v) / f64::from(m)).collect())
-        .collect();
-    // Pad to the requested k so callers can index by cluster id uniformly
-    // (histograms stay unpadded: padded clusters never ran Lloyd).
-    while centroids.len() < config.k {
-        centroids.push(vec![0.0; dim]);
-        sizes.push(0);
-    }
-    Ok(KMeansResult {
-        assignments,
-        centroids,
-        sizes,
-        inertia,
-        iterations,
-        histograms: hist.into_iter().zip(count).collect(),
-    })
 }
 
 /// The one-hot integer histogram of a sparse point (cluster size 1).
-fn hist_onehot(point: &[u32], dim: usize) -> Vec<u32> {
+pub(crate) fn hist_onehot(point: &[u32], dim: usize) -> Vec<u32> {
     let mut h = vec![0u32; dim];
     for &d in point {
         h[d as usize] = 1;
@@ -261,8 +90,9 @@ fn hist_onehot(point: &[u32], dim: usize) -> Vec<u32> {
 }
 
 /// `‖c‖²` of histogram centroid `(h, 1/m)`: `Σ_d h_d² · (1/m)²`, summed
-/// in ascending dimension order — the canonical order both kernels use.
-fn hist_norm2(hist: &[u32], inv: f64) -> f64 {
+/// in ascending dimension order — the canonical order the packed kernel
+/// and the oracle both use.
+pub(crate) fn hist_norm2(hist: &[u32], inv: f64) -> f64 {
     let mut sum = 0.0;
     for &v in hist {
         let f = f64::from(v);
@@ -273,7 +103,7 @@ fn hist_norm2(hist: &[u32], inv: f64) -> f64 {
 
 /// Squared distance between a sparse point and a histogram centroid:
 /// `(‖c‖² − 2·dot·(1/m) + |x|).max(0)` with an exact integer `dot`.
-fn hist_dist2(point: &[u32], hist: &[u32], norm2: f64, inv: f64) -> f64 {
+pub(crate) fn hist_dist2(point: &[u32], hist: &[u32], norm2: f64, inv: f64) -> f64 {
     let mut dot: u64 = 0;
     for &d in point {
         dot += u64::from(hist[d as usize]);
@@ -281,60 +111,7 @@ fn hist_dist2(point: &[u32], hist: &[u32], norm2: f64, inv: f64) -> f64 {
     (norm2 - 2.0 * dot as f64 * inv + point.len() as f64).max(0.0)
 }
 
-fn nearest_hist(point: &[u32], hists: &[Vec<u32>], norms: &[f64], invs: &[f64]) -> (usize, f64) {
-    let mut best = 0;
-    let mut best_d = f64::INFINITY;
-    for (c, h) in hists.iter().enumerate() {
-        let d = hist_dist2(point, h, norms[c], invs[c]);
-        if d < best_d {
-            best_d = d;
-            best = c;
-        }
-    }
-    (best, best_d)
-}
-
-/// Rejects points referencing dimensions outside `0..dim` — they would
-/// otherwise index out of bounds in the centroid update.
-pub(crate) fn validate_points(points: &[Vec<u32>], dim: usize) -> Result<(), ClusterError> {
-    for (i, p) in points.iter().enumerate() {
-        for &d in p {
-            if d as usize >= dim {
-                return Err(ClusterError::DimensionOutOfRange {
-                    point: i,
-                    dim: d,
-                    space: dim,
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Squared distance between sparse point and dense centroid with cached
-/// `‖c‖²`.
-fn dist2(point: &[u32], centroid: &[f64], norm2: f64) -> f64 {
-    let mut dot = 0.0;
-    for &d in point {
-        dot += centroid[d as usize];
-    }
-    (norm2 - 2.0 * dot + point.len() as f64).max(0.0)
-}
-
-fn nearest(point: &[u32], centroids: &[Vec<f64>], norms: &[f64]) -> (usize, f64) {
-    let mut best = 0;
-    let mut best_d = f64::INFINITY;
-    for (c, centroid) in centroids.iter().enumerate() {
-        let d = dist2(point, centroid, norms[c]);
-        if d < best_d {
-            best_d = d;
-            best = c;
-        }
-    }
-    (best, best_d)
-}
-
-fn seed_random(n: usize, k: usize, rng: &mut StdRng) -> Vec<usize> {
+pub(crate) fn seed_random(n: usize, k: usize, rng: &mut StdRng) -> Vec<usize> {
     // Partial Fisher-Yates over 0..n.
     let mut idx: Vec<usize> = (0..n).collect();
     for i in 0..k {
@@ -345,58 +122,21 @@ fn seed_random(n: usize, k: usize, rng: &mut StdRng) -> Vec<usize> {
     idx
 }
 
-fn seed_plus_plus(points: &[Vec<u32>], k: usize, rng: &mut StdRng) -> Vec<usize> {
-    let n = points.len();
-    let mut seeds = Vec::with_capacity(k);
-    let mut last = rng.random_range(0..n);
-    seeds.push(last);
-    // Squared distance of each point to its nearest chosen seed. In one-hot
-    // space the distance between two sparse points x,y is |x| + |y| − 2|x∩y|.
-    let mut d2 = vec![f64::INFINITY; n];
-    for _ in 1..k {
-        for (i, p) in points.iter().enumerate() {
-            let d = sparse_dist2(p, &points[last]);
-            if d < d2[i] {
-                d2[i] = d;
-            }
-        }
-        let total: f64 = d2.iter().sum();
-        let next = if total <= 0.0 {
-            rng.random_range(0..n)
-        } else {
-            let mut target = rng.random_range(0.0..total);
-            let mut chosen = n - 1;
-            for (i, &d) in d2.iter().enumerate() {
-                if target < d {
-                    chosen = i;
-                    break;
-                }
-                target -= d;
-            }
-            chosen
-        };
-        seeds.push(next);
-        last = next;
-    }
-    seeds
-}
-
 // --- Packed-code kernel -------------------------------------------------
 //
-// The packed variants mirror the sparse reference implementation above
-// *operation for operation*: the histogram formulation makes the per-point
-// inner loop a pure integer accumulation (exact in any order — the
-// reference's u64 scalar dot and the packed kernel's u32 strip adds
-// compute the same integers), every floating-point combine happens in the
-// same canonical expression (`‖c‖² − 2·dot·(1/m) + |x|`, norms summed in
-// ascending dimension order), every RNG draw happens at the same point in
-// the control flow, and ties break identically. The results are therefore
-// bit-equal to `kmeans` / `KMeansResult::assign_all` on the same data —
-// the reference path stays available as the oracle the packed path is
-// tested against.
+// The packed kernels mirror the sparse one-hot reference in
+// `crate::oracle` *operation for operation*: the histogram formulation
+// makes the per-point inner loop a pure integer accumulation (exact in any
+// order — the reference's u64 scalar dot and the packed kernel's u32 strip
+// adds compute the same integers), every floating-point combine happens in
+// the same canonical expression (`‖c‖² − 2·dot·(1/m) + |x|`, norms summed
+// in ascending dimension order), every RNG draw happens at the same point
+// in the control flow, and ties break identically. The results are
+// therefore bit-equal to `oracle::kmeans` / `oracle::assign_all` on the
+// same data — the oracle the packed path is tested against.
 //
 // The speed comes from the data layout: no per-tuple heap allocation,
-// contiguous u8/u16 rows, and a per-iteration transposed centroid-count
+// contiguous u8/u32 rows, and a per-iteration transposed centroid-count
 // table (`lut[d·k + c] = hist[c][d]` as u32, k ≤ dozens, so it lives in
 // L1) that turns the assignment step's inner loop into a dense integer
 // `dot[0..k] += lut[base..base+k]` strip add the compiler is free to
@@ -409,20 +149,24 @@ fn seed_plus_plus(points: &[Vec<u32>], k: usize, rng: &mut StdRng) -> Vec<usize>
 
 use crate::packed::{CodeWord, PackedMatrix, PackedView};
 
-
 /// Minimum rows per worker chunk in the packed kernel. Below this the
 /// per-chunk partials (k histograms of `dim` u32s each) cost more to
 /// allocate and merge than the row walk saves, so short partitions stay
 /// on one chunk regardless of the requested thread count.
 pub(crate) const KMEANS_PAR_MIN_CHUNK: usize = 256;
 
-/// [`kmeans`] over a [`PackedMatrix`] — bit-identical results, packed
-/// storage. See the module comment above for why the bits match.
+/// Runs k-means over the rows of `matrix` — bit-identical to the one-hot
+/// oracle ([`crate::oracle::kmeans`]); see the packed-kernel comment above
+/// for why the bits match.
+///
+/// When `matrix.rows() <= config.k`, each row gets its own cluster (and
+/// surplus clusters stay empty with zero centroids). Fails with a typed
+/// [`ClusterError`] when `config.k == 0`.
 pub fn kmeans_packed(
     matrix: &PackedMatrix,
     config: &KMeansConfig,
 ) -> Result<KMeansResult, ClusterError> {
-    Ok(PackedLloyd::start(matrix, config, None)?.finish())
+    Ok(PackedLloyd::start(matrix, config)?.finish())
 }
 
 /// A packed Lloyd run that can stop after any pass and resume later.
@@ -467,36 +211,23 @@ pub struct PackedLloyd {
 }
 
 impl PackedLloyd {
-    /// Validates `config`, flattens the rows and seeds: from `initial`
-    /// when it supplies at least `min(k, rows)` histograms of the right
-    /// dimensionality with non-zero cluster sizes (first `min(k, rows)`
-    /// taken) — the incremental-reuse path feeds a previous build's
-    /// [`KMeansResult::histograms`] here — and by k-means++ (or random)
-    /// seeding otherwise. Unusable `initial` values (too few clusters,
-    /// wrong dimensionality, zero sizes, or counts large enough to
-    /// overflow the u32 dot accumulator) fall back to cold seeding. Warm
-    /// starts converge faster but are *not* bit-identical to a cold run.
+    /// Validates `config`, flattens the rows and seeds by k-means++ (or
+    /// random) seeding.
     pub fn start(
         matrix: &PackedMatrix,
         config: &KMeansConfig,
-        initial: Option<&[(Vec<u32>, u32)]>,
     ) -> Result<PackedLloyd, ClusterError> {
         fault::check("cluster::kmeans")?;
         if config.k == 0 {
             return Err(ClusterError::ZeroClusters);
         }
         Ok(matrix.dispatch(|view| match view {
-            PackedView::U8(codes) => Self::seed(codes, matrix, config, initial),
-            PackedView::U16(codes) => Self::seed(codes, matrix, config, initial),
+            PackedView::U8(codes) => Self::seed(codes, matrix, config),
+            PackedView::U32(codes) => Self::seed(codes, matrix, config),
         }))
     }
 
-    fn seed<T: CodeWord>(
-        codes: &[T],
-        m: &PackedMatrix,
-        config: &KMeansConfig,
-        initial: Option<&[(Vec<u32>, u32)]>,
-    ) -> PackedLloyd {
+    fn seed<T: CodeWord>(codes: &[T], m: &PackedMatrix, config: &KMeansConfig) -> PackedLloyd {
         let n = m.rows();
         let dim = m.dim();
         let attrs = m.attrs();
@@ -529,36 +260,17 @@ impl PackedLloyd {
             return run;
         }
         let k = config.k.min(n);
-        // A warm start is usable when it covers k clusters of this space's
-        // dimensionality, every cluster is non-empty, and no histogram entry
-        // could overflow the u32 dot accumulator (`attrs · max_entry`).
-        let warm = initial.filter(|init| {
-            init.len() >= k
-                && init.iter().all(|(h, count)| {
-                    h.len() == dim
-                        && *count > 0
-                        && h.iter()
-                            .all(|&v| (v as usize).saturating_mul(attrs) <= u32::MAX as usize)
-                })
-        });
-        (run.hist, run.count) = match warm {
-            Some(init) => init.iter().take(k).cloned().unzip(),
-            None => {
-                let mut rng = StdRng::seed_from_u64(config.seed);
-                let seeds = if config.plus_plus {
-                    packed_seed_plus_plus(codes, m, k, &mut rng)
-                } else {
-                    seed_random(n, k, &mut rng)
-                };
-                (
-                    seeds
-                        .iter()
-                        .map(|&i| hist_onehot(run.row(i), dim))
-                        .collect(),
-                    vec![1; k],
-                )
-            }
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let seeds = if config.plus_plus {
+            packed_seed_plus_plus(codes, m, k, &mut rng)
+        } else {
+            seed_random(n, k, &mut rng)
         };
+        run.hist = seeds
+            .iter()
+            .map(|&i| hist_onehot(run.row(i), dim))
+            .collect();
+        run.count = vec![1; k];
         run.sums = vec![0; k * dim];
         run.counts = vec![0; k];
         run
@@ -714,8 +426,7 @@ impl PackedLloyd {
             .map(|(h, &m)| h.iter().map(|&v| f64::from(v) / f64::from(m)).collect())
             .collect();
         // Pad to the requested k so callers can index by cluster id
-        // uniformly (histograms stay unpadded: padded clusters never ran
-        // Lloyd).
+        // uniformly.
         while centroids.len() < self.k {
             centroids.push(vec![0.0; dim]);
             sizes.push(0);
@@ -726,7 +437,6 @@ impl PackedLloyd {
             sizes,
             inertia,
             iterations: self.iterations,
-            histograms: self.hist.into_iter().zip(self.count).collect(),
         }
     }
 }
@@ -747,7 +457,7 @@ fn padded_constants(hist: &[Vec<u32>], count: &[u32]) -> (Vec<f64>, Vec<f64>) {
 }
 
 /// Assigns every row of `matrix` to its nearest centroid — the packed
-/// mirror of [`KMeansResult::assign_all`] (bit-identical assignments).
+/// mirror of [`crate::oracle::assign_all`] (bit-identical assignments).
 pub fn assign_all_packed(result: &KMeansResult, matrix: &PackedMatrix) -> Vec<usize> {
     let norms: Vec<f64> = result
         .centroids
@@ -756,7 +466,7 @@ pub fn assign_all_packed(result: &KMeansResult, matrix: &PackedMatrix) -> Vec<us
         .collect();
     matrix.dispatch(|view| match view {
         PackedView::U8(codes) => assign_all_packed_impl(codes, matrix, &result.centroids, &norms),
-        PackedView::U16(codes) => assign_all_packed_impl(codes, matrix, &result.centroids, &norms),
+        PackedView::U32(codes) => assign_all_packed_impl(codes, matrix, &result.centroids, &norms),
     })
 }
 
@@ -849,7 +559,7 @@ pub(crate) fn build_int_lut(hists: &[Vec<u32>], dim: usize) -> Vec<u32> {
 // `nearest` over precomputed integer dots lives in [`crate::simd`]
 // (`nearest_from_int_dots_with`): it evaluates the canonical histogram
 // expression `(norm2 − 2·dot·inv + len).max(0)` — identical to
-// [`hist_dist2`] in the reference kernel (clamped, first-min ties) —
+// [`hist_dist2`] in the oracle (clamped, first-min ties) —
 // with per-lane-exact SIMD variants behind the runtime dispatch.
 
 /// The one-hot (dense) centroid of a packed row.
@@ -863,8 +573,9 @@ pub(crate) fn packed_onehot<T: CodeWord>(row: &[T], m: &PackedMatrix, dim: usize
     c
 }
 
-/// The packed mirror of [`sparse_dist2`]: `|x| + |y| − 2|x∩y|` with the
-/// intersection counted as matching non-NULL `(attribute, code)` cells.
+/// The packed mirror of the oracle's `sparse_dist2`: `|x| + |y| − 2|x∩y|`
+/// with the intersection counted as matching non-NULL `(attribute, code)`
+/// cells.
 /// Pure integer arithmetic, so the cast is exact either way.
 #[inline]
 pub(crate) fn packed_sparse_dist2<T: CodeWord>(a: &[T], b: &[T], la: usize, lb: usize) -> f64 {
@@ -877,7 +588,8 @@ pub(crate) fn packed_sparse_dist2<T: CodeWord>(a: &[T], b: &[T], la: usize, lb: 
     (la + lb - 2 * common) as f64
 }
 
-/// The packed mirror of [`seed_plus_plus`] (identical RNG draw sequence).
+/// k-means++ seeding, the packed mirror of the oracle's `seed_plus_plus`
+/// (identical RNG draw sequence).
 ///
 /// For `u8` matrices on an x86_64 SIMD dispatch the per-round distance
 /// refresh runs column-major: the codes are transposed once, then each
@@ -906,7 +618,7 @@ fn packed_seed_plus_plus<T: CodeWord>(
         && matches!(disp, SimdDispatch::Sse2 | SimdDispatch::Avx2)
     {
         // SAFETY: `size_of::<T>() == 1` means `T` is `u8` (`CodeWord` is
-        // implemented for `u8` and `u16` only), so this is an identity
+        // implemented for `u8` and `u32` only), so this is an identity
         // reinterpretation of the same initialized bytes.
         let bytes = unsafe { std::slice::from_raw_parts(codes.as_ptr().cast::<u8>(), codes.len()) };
         return packed_seed_plus_plus_u8(bytes, m, k, disp, rng);
@@ -992,186 +704,5 @@ fn seed_sample(d2: &[f64], rng: &mut StdRng) -> usize {
             target -= d;
         }
         chosen
-    }
-}
-
-/// Squared distance between two sparse binary points (sorted dim lists).
-fn sparse_dist2(a: &[u32], b: &[u32]) -> f64 {
-    let mut i = 0;
-    let mut j = 0;
-    let mut common = 0usize;
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                common += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    (a.len() + b.len() - 2 * common) as f64
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Two obvious groups: points activating dims {0,2} vs dims {1,3}.
-    fn two_groups(n_each: usize) -> Vec<Vec<u32>> {
-        let mut pts = Vec::new();
-        for _ in 0..n_each {
-            pts.push(vec![0, 2]);
-            pts.push(vec![1, 3]);
-        }
-        pts
-    }
-
-    #[test]
-    fn separates_two_groups() {
-        let pts = two_groups(20);
-        let result = kmeans(
-            &pts,
-            4,
-            &KMeansConfig {
-                k: 2,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        // All even-index points together, all odd-index points together.
-        let c0 = result.assignments[0];
-        let c1 = result.assignments[1];
-        assert_ne!(c0, c1);
-        for (i, &a) in result.assignments.iter().enumerate() {
-            assert_eq!(a, if i % 2 == 0 { c0 } else { c1 });
-        }
-        assert!(result.inertia < 1e-9);
-        assert_eq!(result.sizes.iter().sum::<usize>(), 40);
-    }
-
-    #[test]
-    fn deterministic_for_fixed_seed() {
-        let pts = two_groups(10);
-        let cfg = KMeansConfig {
-            k: 2,
-            seed: 7,
-            ..Default::default()
-        };
-        let a = kmeans(&pts, 4, &cfg)
-        .unwrap();
-        let b = kmeans(&pts, 4, &cfg)
-        .unwrap();
-        assert_eq!(a.assignments, b.assignments);
-        assert_eq!(a.inertia, b.inertia);
-    }
-
-    #[test]
-    fn fewer_points_than_k() {
-        let pts = vec![vec![0u32], vec![1u32]];
-        let result = kmeans(
-            &pts,
-            2,
-            &KMeansConfig {
-                k: 5,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(result.centroids.len(), 5);
-        assert_eq!(result.sizes.len(), 5);
-        assert_eq!(result.sizes.iter().sum::<usize>(), 2);
-        assert_ne!(result.assignments[0], result.assignments[1]);
-    }
-
-    #[test]
-    fn empty_input() {
-        let result = kmeans(&[], 3, &KMeansConfig::default())
-        .unwrap();
-        assert!(result.assignments.is_empty());
-        assert_eq!(result.inertia, 0.0);
-    }
-
-    #[test]
-    fn out_of_sample_assignment() {
-        let pts = two_groups(20);
-        let result = kmeans(
-            &pts,
-            4,
-            &KMeansConfig {
-                k: 2,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let a = result.assign(&[0, 2]);
-        let b = result.assign(&[1, 3]);
-        assert_eq!(a, result.assignments[0]);
-        assert_eq!(b, result.assignments[1]);
-        assert_eq!(result.assign_all(&pts), result.assignments);
-    }
-
-    #[test]
-    fn plus_plus_no_worse_than_random_on_structured_data() {
-        // Three groups; compare final inertia.
-        let mut pts = Vec::new();
-        for _ in 0..30 {
-            pts.push(vec![0u32, 3]);
-            pts.push(vec![1u32, 4]);
-            pts.push(vec![2u32, 5]);
-        }
-        let pp = kmeans(
-            &pts,
-            6,
-            &KMeansConfig {
-                k: 3,
-                plus_plus: true,
-                seed: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let mut best_rand = f64::INFINITY;
-        for seed in 0..5 {
-            let r = kmeans(
-                &pts,
-                6,
-                &KMeansConfig {
-                    k: 3,
-                    plus_plus: false,
-                    seed,
-                    ..Default::default()
-                },
-            )
-        .unwrap();
-            best_rand = best_rand.min(r.inertia);
-        }
-        assert!(pp.inertia <= best_rand + 1e-9);
-    }
-
-    #[test]
-    fn sparse_dist2_matches_definition() {
-        assert_eq!(sparse_dist2(&[0, 2], &[0, 2]), 0.0);
-        assert_eq!(sparse_dist2(&[0, 2], &[1, 3]), 4.0);
-        assert_eq!(sparse_dist2(&[0, 2], &[0, 3]), 2.0);
-        assert_eq!(sparse_dist2(&[], &[1]), 1.0);
-    }
-
-    #[test]
-    fn all_identical_points_single_effective_cluster() {
-        let pts = vec![vec![1u32, 5]; 12];
-        let result = kmeans(
-            &pts,
-            8,
-            &KMeansConfig {
-                k: 3,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(result.inertia < 1e-9);
-        // Every point in the same cluster.
-        assert!(result.assignments.iter().all(|&a| a == result.assignments[0]));
     }
 }

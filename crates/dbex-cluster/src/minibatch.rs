@@ -10,14 +10,14 @@
 use crate::error::ClusterError;
 use crate::fault;
 use crate::kmeans::{
-    accumulate_dots, build_lut, kmeans, kmeans_packed, packed_onehot, packed_sparse_dist2,
-    validate_points, KMeansConfig, KMeansResult,
+    accumulate_dots, build_lut, kmeans_packed, packed_onehot, packed_sparse_dist2, KMeansConfig,
+    KMeansResult,
 };
 use crate::packed::{CodeWord, PackedMatrix, PackedView};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-/// Configuration for [`mini_batch_kmeans`].
+/// Configuration for [`mini_batch_kmeans_packed`].
 #[derive(Debug, Clone)]
 pub struct MiniBatchConfig {
     /// Number of clusters.
@@ -41,153 +41,16 @@ impl Default for MiniBatchConfig {
     }
 }
 
-/// Runs mini-batch k-means on sparse one-hot `points` of dimensionality
-/// `dim`. Returns the same result type as [`kmeans`] (final assignments
-/// are a full pass over all points).
+/// Runs mini-batch k-means over the rows of `matrix`. Returns the same
+/// result type as [`kmeans_packed`] (final assignments are a full pass
+/// over all rows), bit-identical to the one-hot oracle
+/// ([`crate::oracle::mini_batch_kmeans`]; see the packed-kernel comment in
+/// [`crate::kmeans`]).
 ///
-/// Fails with a typed [`ClusterError`] when `config.k == 0`,
-/// `config.batch_size == 0`, or a point activates a dimension outside
-/// `0..dim`.
-pub fn mini_batch_kmeans(
-    points: &[Vec<u32>],
-    dim: usize,
-    config: &MiniBatchConfig,
-) -> Result<KMeansResult, ClusterError> {
-    fault::check("cluster::minibatch")?;
-    if config.k == 0 {
-        return Err(ClusterError::ZeroClusters);
-    }
-    if config.batch_size == 0 {
-        return Err(ClusterError::ZeroBatchSize);
-    }
-    validate_points(points, dim)?;
-    let n = points.len();
-    if n == 0 {
-        return Ok(KMeansResult {
-            assignments: Vec::new(),
-            centroids: vec![vec![0.0; dim]; config.k],
-            sizes: vec![0; config.k],
-            inertia: 0.0,
-            iterations: 0,
-            histograms: Vec::new(),
-        });
-    }
-    if n <= config.batch_size {
-        // Batches would cover everything anyway: run exact k-means.
-        return kmeans(
-            points,
-            dim,
-            &KMeansConfig {
-                k: config.k,
-                seed: config.seed,
-                ..KMeansConfig::default()
-            },
-        );
-    }
-
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let k = config.k.min(n);
-
-    // Farthest-point seeding: a random first seed, then repeatedly the
-    // point farthest from every chosen seed. Distinct *indices* are not
-    // enough — one-hot datasets are full of duplicate points, and two
-    // identical centroids strand a cluster.
-    let mut seed_idx = vec![rng.random_range(0..n)];
-    let sparse_d2 = |a: &[u32], b: &[u32]| -> f64 {
-        let common = a.iter().filter(|d| b.contains(d)).count();
-        (a.len() + b.len() - 2 * common) as f64
-    };
-    let mut min_d2: Vec<f64> = points
-        .iter()
-        .map(|p| sparse_d2(p, &points[seed_idx[0]]))
-        .collect();
-    while seed_idx.len() < k {
-        let far = (0..n)
-            .max_by(|&a, &b| min_d2[a].total_cmp(&min_d2[b]))
-            .unwrap_or(0);
-        seed_idx.push(far);
-        for (i, p) in points.iter().enumerate() {
-            let d = sparse_d2(p, &points[far]);
-            if d < min_d2[i] {
-                min_d2[i] = d;
-            }
-        }
-    }
-    let mut centroids: Vec<Vec<f64>> = seed_idx
-        .iter()
-        .map(|&i| {
-            let mut c = vec![0.0; dim];
-            for &d in &points[i] {
-                c[d as usize] = 1.0;
-            }
-            c
-        })
-        .collect();
-
-    // Per-centroid update counts drive the decaying learning rate.
-    let mut counts = vec![0u64; k];
-    for _ in 0..config.batches {
-        // Sample a batch (with replacement — standard for mini-batch).
-        let batch: Vec<usize> = (0..config.batch_size)
-            .map(|_| rng.random_range(0..n))
-            .collect();
-        // Assign, then update with per-center learning rates.
-        let norms: Vec<f64> = centroids
-            .iter()
-            .map(|c| c.iter().map(|v| v * v).sum())
-            .collect();
-        let assigned: Vec<usize> = batch
-            .iter()
-            .map(|&i| nearest(&points[i], &centroids, &norms))
-            .collect();
-        for (&i, &c) in batch.iter().zip(&assigned) {
-            counts[c] += 1;
-            let eta = 1.0 / counts[c] as f64;
-            // Move centroid toward the one-hot point: scale everything
-            // down, then add eta at the active dimensions.
-            for v in centroids[c].iter_mut() {
-                *v *= 1.0 - eta;
-            }
-            for &d in &points[i] {
-                centroids[c][d as usize] += eta;
-            }
-        }
-    }
-
-    // Final full assignment pass.
-    let norms: Vec<f64> = centroids
-        .iter()
-        .map(|c| c.iter().map(|v| v * v).sum())
-        .collect();
-    let mut assignments = Vec::with_capacity(n);
-    let mut sizes = vec![0usize; k];
-    let mut inertia = 0.0;
-    for p in points {
-        let best = nearest(p, &centroids, &norms);
-        let dot: f64 = p.iter().map(|&d| centroids[best][d as usize]).sum();
-        inertia += (norms[best] - 2.0 * dot + p.len() as f64).max(0.0);
-        sizes[best] += 1;
-        assignments.push(best);
-    }
-    while centroids.len() < config.k {
-        centroids.push(vec![0.0; dim]);
-        sizes.push(0);
-    }
-    Ok(KMeansResult {
-        assignments,
-        centroids,
-        sizes,
-        inertia,
-        iterations: config.batches,
-        histograms: Vec::new(),
-    })
-}
-
-/// [`mini_batch_kmeans`] over a [`PackedMatrix`] — bit-identical results,
-/// packed storage (see the packed-kernel comment in [`crate::kmeans`]).
-///
-/// The small-input fallback mirrors the sparse path: `n ≤ batch_size`
+/// When `n ≤ batch_size` the batches would cover everything anyway, so it
 /// delegates to [`kmeans_packed`] with the same derived configuration.
+/// Fails with a typed [`ClusterError`] when `config.k == 0` or
+/// `config.batch_size == 0`.
 pub fn mini_batch_kmeans_packed(
     matrix: &PackedMatrix,
     config: &MiniBatchConfig,
@@ -207,7 +70,6 @@ pub fn mini_batch_kmeans_packed(
             sizes: vec![0; config.k],
             inertia: 0.0,
             iterations: 0,
-            histograms: Vec::new(),
         });
     }
     if n <= config.batch_size {
@@ -223,7 +85,7 @@ pub fn mini_batch_kmeans_packed(
     }
     matrix.dispatch(|view| match view {
         PackedView::U8(codes) => mini_batch_packed_impl(codes, matrix, config),
-        PackedView::U16(codes) => mini_batch_packed_impl(codes, matrix, config),
+        PackedView::U32(codes) => mini_batch_packed_impl(codes, matrix, config),
     })
 }
 
@@ -239,7 +101,7 @@ fn mini_batch_packed_impl<T: CodeWord>(
     let mut rng = StdRng::seed_from_u64(config.seed);
     let k = config.k.min(n);
 
-    // Farthest-point seeding, mirroring the sparse path draw for draw.
+    // Farthest-point seeding, mirroring the oracle draw for draw.
     let mut seed_idx = vec![rng.random_range(0..n)];
     let mut min_d2: Vec<f64> = (0..n)
         .map(|i| packed_sparse_dist2(row(i), row(seed_idx[0]), m.len_of(i), m.len_of(seed_idx[0])))
@@ -271,7 +133,7 @@ fn mini_batch_packed_impl<T: CodeWord>(
             .collect();
         // Assign, then update with per-center learning rates. The whole
         // batch is assigned against the pre-batch centroids (as in the
-        // sparse path), so one LUT snapshot per batch is exact.
+        // oracle), so one LUT snapshot per batch is exact.
         let norms: Vec<f64> = centroids
             .iter()
             .map(|c| c.iter().map(|v| v * v).sum())
@@ -327,12 +189,11 @@ fn mini_batch_packed_impl<T: CodeWord>(
         sizes,
         inertia,
         iterations: config.batches,
-        histograms: Vec::new(),
     })
 }
 
-/// The packed mirror of [`nearest`]: *unclamped* distance (this file's
-/// historical behavior, kept bit-compatible), first-min tie-break.
+/// The nearest centroid by *unclamped* distance (the oracle's historical
+/// behavior, kept bit-compatible), first-min tie-break.
 #[inline]
 fn nearest_unclamped_from_dots(norms: &[f64], dot: &[f64], len: f64) -> usize {
     let mut best = 0;
@@ -345,123 +206,4 @@ fn nearest_unclamped_from_dots(norms: &[f64], dot: &[f64], len: f64) -> usize {
         }
     }
     best
-}
-
-fn nearest(point: &[u32], centroids: &[Vec<f64>], norms: &[f64]) -> usize {
-    let mut best = 0;
-    let mut best_d = f64::INFINITY;
-    for (c, centroid) in centroids.iter().enumerate() {
-        let dot: f64 = point.iter().map(|&d| centroid[d as usize]).sum();
-        let d = norms[c] - 2.0 * dot + point.len() as f64;
-        if d < best_d {
-            best_d = d;
-            best = c;
-        }
-    }
-    best
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn three_groups(n_each: usize) -> Vec<Vec<u32>> {
-        let mut pts = Vec::new();
-        for _ in 0..n_each {
-            pts.push(vec![0, 3]);
-            pts.push(vec![1, 4]);
-            pts.push(vec![2, 5]);
-        }
-        pts
-    }
-
-    #[test]
-    fn separates_clear_groups() {
-        let pts = three_groups(300);
-        let result = mini_batch_kmeans(
-            &pts,
-            6,
-            &MiniBatchConfig {
-                k: 3,
-                batch_size: 64,
-                batches: 80,
-                seed: 1,
-            },
-        )
-        .unwrap();
-        // Near-perfect clustering: inertia close to zero.
-        assert!(
-            result.inertia < 0.1 * pts.len() as f64,
-            "inertia {}",
-            result.inertia
-        );
-        // All three groups get distinct clusters.
-        let a = result.assignments[0];
-        let b = result.assignments[1];
-        let c = result.assignments[2];
-        assert!(a != b && b != c && a != c);
-    }
-
-    #[test]
-    fn inertia_close_to_full_kmeans() {
-        let pts = three_groups(200);
-        let full = kmeans(
-            &pts,
-            6,
-            &KMeansConfig {
-                k: 3,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let mb = mini_batch_kmeans(
-            &pts,
-            6,
-            &MiniBatchConfig {
-                k: 3,
-                batch_size: 50,
-                batches: 60,
-                seed: 3,
-            },
-        )
-        .unwrap();
-        assert!(
-            mb.inertia <= full.inertia * 1.25 + 1.0,
-            "mini-batch {} vs full {}",
-            mb.inertia,
-            full.inertia
-        );
-    }
-
-    #[test]
-    fn small_input_falls_back_to_exact() {
-        let pts = three_groups(2); // 6 points < batch_size
-        let result = mini_batch_kmeans(&pts, 6, &MiniBatchConfig::default())
-        .unwrap();
-        assert_eq!(result.assignments.len(), 6);
-        assert!(result.inertia < 1e-9);
-    }
-
-    #[test]
-    fn deterministic() {
-        let pts = three_groups(100);
-        let cfg = MiniBatchConfig {
-            k: 3,
-            batch_size: 32,
-            batches: 40,
-            seed: 9,
-        };
-        let a = mini_batch_kmeans(&pts, 6, &cfg)
-        .unwrap();
-        let b = mini_batch_kmeans(&pts, 6, &cfg)
-        .unwrap();
-        assert_eq!(a.assignments, b.assignments);
-    }
-
-    #[test]
-    fn empty_input() {
-        let result = mini_batch_kmeans(&[], 4, &MiniBatchConfig::default())
-        .unwrap();
-        assert!(result.assignments.is_empty());
-    }
 }

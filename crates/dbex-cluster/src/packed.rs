@@ -1,20 +1,24 @@
-//! Packed dictionary-code point storage for the clustering hot path.
+//! Packed dictionary-code point storage: the one representation the
+//! clustering kernels run on.
 //!
-//! The one-hot representation ([`crate::onehot`]) materializes one heap
-//! `Vec<u32>` per tuple. For the CAD hot path — tens of thousands of rows
-//! per pivot partition, re-encoded on every build — those allocations and
-//! the pointer chase per distance dominate the profile. A [`PackedMatrix`]
-//! stores the same information as one contiguous row-major code matrix:
-//! one `u8` (or `u16`, see below) per `(tuple, attribute)` cell holding the
-//! attribute's discrete code, with the all-ones sentinel marking NULL.
+//! A tuple's one-hot point activates one dimension per non-NULL Compare
+//! Attribute. Materializing those points costs one heap `Vec<u32>` per
+//! tuple and a pointer chase per distance; for the CAD hot path — tens of
+//! thousands of rows per pivot partition, re-encoded on every build —
+//! that dominates the profile. A [`PackedMatrix`] stores the same
+//! information as one contiguous row-major code matrix: one `u8` (or
+//! `u32`, see below) per `(tuple, attribute)` cell holding the attribute's
+//! discrete code, with the all-ones sentinel marking NULL.
 //!
-//! # Width promotion
+//! # Widths
 //!
 //! Codes are stored as `u8` when every attribute cardinality is ≤ 255 (the
-//! sentinel `u8::MAX` must not collide with a live code), promoted to
-//! `u16` up to cardinality 65 535, and refused beyond that —
-//! [`PackedMatrix::from_columns`] returns `None` and the caller falls back
-//! to the sparse one-hot reference path.
+//! sentinel `u8::MAX` must not collide with a live code), and as `u32`
+//! otherwise, whose sentinel `u32::MAX` is already the dictionary's
+//! `NULL_CODE`. Every attribute set packs; [`PackedMatrix::from_columns`]
+//! refuses only broken input (a code outside its codec, a position past
+//! its column) and matrices over `u32::MAX` cells, with a typed
+//! [`ClusterError`].
 //!
 //! # Equivalence with the one-hot space
 //!
@@ -22,18 +26,19 @@
 //! active dimension `offsets[a] + code` for every non-NULL attribute `a`.
 //! Because the one-hot dimensions of a tuple are sorted and attribute
 //! offsets ascend, iterating packed cells in attribute order visits the
-//! active dimensions in the same order the sparse kernels do — which is
-//! what lets the packed kernels ([`crate::kmeans::kmeans_packed`],
-//! [`crate::minibatch::mini_batch_kmeans_packed`]) reproduce the reference
+//! active dimensions in the same order the sparse kernels of
+//! [`crate::oracle`] do — which is what lets the packed kernels
+//! ([`crate::kmeans::kmeans_packed`],
+//! [`crate::minibatch::mini_batch_kmeans_packed`]) reproduce the oracle's
 //! results *bit for bit*, not just approximately.
 
-use crate::onehot::OneHotSpace;
+use crate::error::ClusterError;
 use dbex_stats::discretize::CodedColumn;
 use dbex_table::dict::NULL_CODE;
 
 /// A fixed-width storage cell of a [`PackedMatrix`].
 ///
-/// Implemented for `u8` and `u16`; the all-ones value is the NULL
+/// Implemented for `u8` and `u32`; the all-ones value is the NULL
 /// sentinel, so the maximum representable live code is `MAX - 1`.
 pub trait CodeWord: Copy + Eq {
     /// The NULL sentinel (`MAX` of the carrier type).
@@ -49,8 +54,8 @@ impl CodeWord for u8 {
     }
 }
 
-impl CodeWord for u16 {
-    const NULL: Self = u16::MAX;
+impl CodeWord for u32 {
+    const NULL: Self = NULL_CODE;
     fn index(self) -> usize {
         self as usize
     }
@@ -60,7 +65,7 @@ impl CodeWord for u16 {
 #[derive(Debug, Clone)]
 enum PackedCodes {
     U8(Vec<u8>),
-    U16(Vec<u16>),
+    U32(Vec<u32>),
 }
 
 /// Row-major packed code matrix over a set of discretized attributes.
@@ -69,10 +74,10 @@ enum PackedCodes {
 /// kernels then stream the matrix with zero further allocation per row.
 #[derive(Debug, Clone)]
 pub struct PackedMatrix {
-    space: OneHotSpace,
-    /// Attribute block offsets, mirrored out of `space` for direct access
-    /// in the kernels' inner loops.
+    /// Start of each attribute's block of one-hot dimensions.
     offsets: Vec<usize>,
+    /// Total one-hot dimensionality (sum of attribute cardinalities).
+    dim: usize,
     rows: usize,
     attrs: usize,
     /// Non-NULL attribute count per row (`|x|` in the distance formula).
@@ -83,32 +88,36 @@ pub struct PackedMatrix {
 impl PackedMatrix {
     /// Packs the tuples at `positions` of the given coded columns.
     ///
-    /// Returns `None` when any attribute cardinality exceeds the `u16`
-    /// carrier (sentinel collision), a stored code is out of its codec's
-    /// range, or `rows·attrs` exceeds `u32::MAX` (the packed kernel's
-    /// integer dot accumulator bound) — the caller must use the one-hot
-    /// reference path.
-    pub fn from_columns(columns: &[&CodedColumn], positions: &[usize]) -> Option<PackedMatrix> {
+    /// Fails with [`ClusterError::CodeOutOfRange`] when a stored code is
+    /// at or above its codec's cardinality or a position lies past a
+    /// column, and with [`ClusterError::MatrixTooLarge`] when
+    /// `rows·attrs` exceeds `u32::MAX` (the packed kernels' integer dot
+    /// accumulator bound).
+    pub fn from_columns(
+        columns: &[&CodedColumn],
+        positions: &[usize],
+    ) -> Result<PackedMatrix, ClusterError> {
         let cards: Vec<usize> = columns.iter().map(|c| c.codec.cardinality()).collect();
-        let space = OneHotSpace::from_cardinalities(&cards);
-        let offsets: Vec<usize> = (0..columns.len()).map(|a| space.dim_of(a, 0)).collect();
-        let max_card = cards.iter().copied().max().unwrap_or(0);
         let rows = positions.len();
         let attrs = columns.len();
         if rows.saturating_mul(attrs) > u32::MAX as usize {
-            return None;
+            return Err(ClusterError::MatrixTooLarge { rows, attrs });
+        }
+        let mut offsets = Vec::with_capacity(attrs);
+        let mut dim = 0;
+        for &c in &cards {
+            offsets.push(dim);
+            dim += c;
         }
         let mut lens = vec![0u32; rows];
-        let codes = if max_card <= u8::MAX as usize {
+        let codes = if cards.iter().all(|&c| c <= u8::MAX as usize) {
             PackedCodes::U8(pack::<u8>(columns, positions, &cards, &mut lens)?)
-        } else if max_card <= u16::MAX as usize {
-            PackedCodes::U16(pack::<u16>(columns, positions, &cards, &mut lens)?)
         } else {
-            return None;
+            PackedCodes::U32(pack::<u32>(columns, positions, &cards, &mut lens)?)
         };
-        Some(PackedMatrix {
-            space,
+        Ok(PackedMatrix {
             offsets,
+            dim,
             rows,
             attrs,
             lens,
@@ -126,14 +135,9 @@ impl PackedMatrix {
         self.attrs
     }
 
-    /// The induced one-hot space (offsets and total dimensionality).
-    pub fn space(&self) -> &OneHotSpace {
-        &self.space
-    }
-
     /// Total one-hot dimensionality.
     pub fn dim(&self) -> usize {
-        self.space.dim()
+        self.dim
     }
 
     /// True when codes are stored as `u8` (every cardinality ≤ 255).
@@ -141,7 +145,7 @@ impl PackedMatrix {
         matches!(self.codes, PackedCodes::U8(_))
     }
 
-    /// Attribute block offset `a` (same as `space().dim_of(a, 0)`).
+    /// Start of attribute `a`'s block of one-hot dimensions.
     #[inline]
     pub fn offset(&self, a: usize) -> usize {
         self.offsets[a]
@@ -163,50 +167,20 @@ impl PackedMatrix {
     pub(crate) fn dispatch<R>(&self, f: impl FnOnce(PackedView<'_>) -> R) -> R {
         match &self.codes {
             PackedCodes::U8(codes) => f(PackedView::U8(codes)),
-            PackedCodes::U16(codes) => f(PackedView::U16(codes)),
+            PackedCodes::U32(codes) => f(PackedView::U32(codes)),
         }
-    }
-
-    /// The sparse one-hot point of row `r` — the reference representation
-    /// the packed kernels are checked against.
-    pub fn onehot_row(&self, r: usize) -> Vec<u32> {
-        let mut active = Vec::with_capacity(self.attrs);
-        match &self.codes {
-            PackedCodes::U8(codes) => {
-                for a in 0..self.attrs {
-                    let code = codes[r * self.attrs + a];
-                    if code != u8::NULL {
-                        active.push((self.offsets[a] + code.index()) as u32);
-                    }
-                }
-            }
-            PackedCodes::U16(codes) => {
-                for a in 0..self.attrs {
-                    let code = codes[r * self.attrs + a];
-                    if code != u16::NULL {
-                        active.push((self.offsets[a] + code.index()) as u32);
-                    }
-                }
-            }
-        }
-        active
-    }
-
-    /// Every row as a sparse one-hot point (oracle/testing path).
-    pub fn onehot_rows(&self) -> Vec<Vec<u32>> {
-        (0..self.rows).map(|r| self.onehot_row(r)).collect()
     }
 }
 
 /// Width-monomorphized borrow of the code matrix.
 pub(crate) enum PackedView<'a> {
     U8(&'a [u8]),
-    U16(&'a [u16]),
+    U32(&'a [u32]),
 }
 
-/// Gathers and narrows the codes at `positions`; `None` on any code
-/// outside its codec's cardinality (broken invariant — let the one-hot
-/// path surface the typed error).
+/// Gathers and narrows the codes at `positions`, failing on a position
+/// past a column or a code outside its codec's cardinality (a broken
+/// invariant, surfaced as a typed error for the caller's fallback).
 ///
 /// Extraction runs column-at-a-time through [`dbex_table::batch::gather_into`]
 /// — one sequential pass over each column's code slice — before narrowing
@@ -216,31 +190,33 @@ fn pack<T: CodeWord + TryFrom<u32>>(
     positions: &[usize],
     cards: &[usize],
     lens: &mut [u32],
-) -> Option<Vec<T>> {
+) -> Result<Vec<T>, ClusterError> {
     let attrs = columns.len();
     let mut out = vec![T::NULL; positions.len() * attrs];
     let mut gathered: Vec<u32> = Vec::new();
     for (a, col) in columns.iter().enumerate() {
+        let bad = ClusterError::CodeOutOfRange { attr: a };
         if !dbex_table::batch::gather_into(&col.codes, positions, &mut gathered) {
-            return None;
+            return Err(bad);
         }
         for (r, &code) in gathered.iter().enumerate() {
             if code == NULL_CODE {
                 continue; // cell already holds the NULL sentinel
             }
-            if code as usize >= cards[a] {
-                return None;
+            match T::try_from(code) {
+                Ok(cell) if (code as usize) < cards[a] => out[r * attrs + a] = cell,
+                _ => return Err(bad),
             }
-            out[r * attrs + a] = T::try_from(code).ok()?;
             lens[r] += 1;
         }
     }
-    Some(out)
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{onehot_rows, OneHotSpace};
     use dbex_stats::discretize::AttributeCodec;
 
     fn coded(attr_index: usize, labels: &[&str], codes: Vec<u32>) -> CodedColumn {
@@ -251,6 +227,12 @@ mod tests {
             },
             codes,
         }
+    }
+
+    fn wide(card: usize, codes: Vec<u32>) -> CodedColumn {
+        let labels: Vec<String> = (0..card).map(|i| format!("v{i}")).collect();
+        let label_refs: Vec<&str> = labels.iter().map(String::as_str).collect();
+        coded(0, &label_refs, codes)
     }
 
     #[test]
@@ -265,7 +247,7 @@ mod tests {
         assert_eq!(m.dim(), 5);
         let space = OneHotSpace::from_columns(&cols);
         let expected = space.encode_positions(&cols, &[0, 1, 2, 3]);
-        assert_eq!(m.onehot_rows(), expected);
+        assert_eq!(onehot_rows(&m), expected);
         assert_eq!(m.len_of(0), 2);
         assert_eq!(m.len_of(1), 1);
         assert_eq!(m.len_of(2), 1);
@@ -277,41 +259,40 @@ mod tests {
         let cols = [&c0];
         let m = PackedMatrix::from_columns(&cols, &[3, 1]).unwrap();
         assert_eq!(m.rows(), 2);
-        assert_eq!(m.onehot_row(0), vec![1]);
-        assert_eq!(m.onehot_row(1), vec![1]);
+        assert_eq!(onehot_rows(&m), vec![vec![1], vec![1]]);
     }
 
     #[test]
-    fn promotes_to_u16_above_255() {
-        let labels: Vec<String> = (0..300).map(|i| format!("v{i}")).collect();
-        let label_refs: Vec<&str> = labels.iter().map(String::as_str).collect();
-        let c0 = coded(0, &label_refs, vec![0, 255, 299, NULL_CODE]);
-        let cols = [&c0];
-        let m = PackedMatrix::from_columns(&cols, &[0, 1, 2, 3]).unwrap();
+    fn promotes_to_u32_above_255() {
+        let c0 = wide(300, vec![0, 255, 299, NULL_CODE]);
+        let m = PackedMatrix::from_columns(&[&c0], &[0, 1, 2, 3]).unwrap();
         assert!(!m.is_u8());
-        assert_eq!(m.onehot_rows(), vec![vec![0], vec![255], vec![299], vec![]]);
+        assert_eq!(onehot_rows(&m), vec![vec![0], vec![255], vec![299], vec![]]);
     }
 
     #[test]
     fn u8_sentinel_never_collides_with_live_code() {
         // Cardinality 256 must promote: code 255 would alias the sentinel.
-        let labels: Vec<String> = (0..256).map(|i| format!("v{i}")).collect();
-        let label_refs: Vec<&str> = labels.iter().map(String::as_str).collect();
-        let c0 = coded(0, &label_refs, vec![255]);
-        let cols = [&c0];
-        let m = PackedMatrix::from_columns(&cols, &[0]).unwrap();
+        let c0 = wide(256, vec![255]);
+        let m = PackedMatrix::from_columns(&[&c0], &[0]).unwrap();
         assert!(!m.is_u8());
         assert_eq!(m.len_of(0), 1);
-        assert_eq!(m.onehot_row(0), vec![255]);
+        assert_eq!(onehot_rows(&m), vec![vec![255]]);
     }
 
     #[test]
-    fn refuses_out_of_range_codes_and_oversized_cardinalities() {
-        let c0 = coded(0, &["a", "b"], vec![5]); // code ≥ cardinality
-        assert!(PackedMatrix::from_columns(&[&c0], &[0]).is_none());
-        let labels: Vec<String> = (0..70_000).map(|i| format!("v{i}")).collect();
-        let label_refs: Vec<&str> = labels.iter().map(String::as_str).collect();
-        let big = coded(0, &label_refs, vec![0]);
-        assert!(PackedMatrix::from_columns(&[&big], &[0]).is_none());
+    fn packs_any_cardinality_and_refuses_out_of_range_codes() {
+        let big = wide(70_000, vec![0, 69_999, NULL_CODE]);
+        let m = PackedMatrix::from_columns(&[&big], &[0, 1, 2]).unwrap();
+        assert!(!m.is_u8());
+        assert_eq!(m.dim(), 70_000);
+        assert_eq!(onehot_rows(&m), vec![vec![0], vec![69_999], vec![]]);
+        let c0 = coded(0, &["a", "b"], vec![0]);
+        let c1 = coded(1, &["a", "b"], vec![5]); // code ≥ cardinality
+        let err = PackedMatrix::from_columns(&[&c0, &c1], &[0]).unwrap_err();
+        assert_eq!(err, ClusterError::CodeOutOfRange { attr: 1 });
+        // A position past the column is refused the same way.
+        let err = PackedMatrix::from_columns(&[&c0], &[1]).unwrap_err();
+        assert_eq!(err, ClusterError::CodeOutOfRange { attr: 0 });
     }
 }

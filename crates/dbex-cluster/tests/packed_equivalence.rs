@@ -4,15 +4,17 @@
 //! packed k-means / mini-batch / out-of-sample-assignment paths must
 //! return exactly the assignments, centroids (to the float bit), sizes,
 //! inertia bits, and iteration counts of the sparse reference
-//! implementations. Random fixtures cover NULLs, duplicate rows, empty
-//! rows, tiny n, and the `u8 → u16` width promotion above 255 distinct
-//! values per attribute. A packed run paused after any number of passes
-//! and finished later must also equal the run nobody paused.
+//! implementations in `dbex_cluster::oracle`. Random fixtures cover
+//! NULLs, duplicate rows, empty rows, tiny n, and the `u8 → u32` width
+//! promotion above 255 distinct values per attribute. A packed run paused
+//! after any number of passes and finished later must also equal the run
+//! nobody paused.
 
-use dbex_cluster::kmeans::{assign_all_packed, kmeans, kmeans_packed, KMeansConfig, PackedLloyd};
-use dbex_cluster::minibatch::{mini_batch_kmeans, mini_batch_kmeans_packed, MiniBatchConfig};
+use dbex_cluster::kmeans::{assign_all_packed, kmeans_packed, KMeansConfig, PackedLloyd};
+use dbex_cluster::minibatch::{mini_batch_kmeans_packed, MiniBatchConfig};
+use dbex_cluster::oracle::{assign_all, kmeans, mini_batch_kmeans, OneHotSpace};
 use dbex_cluster::packed::PackedMatrix;
-use dbex_cluster::{KMeansResult, OneHotSpace};
+use dbex_cluster::KMeansResult;
 use dbex_stats::discretize::{AttributeCodec, CodedColumn};
 use dbex_table::dict::NULL_CODE;
 use proptest::prelude::*;
@@ -91,7 +93,7 @@ fn check_equivalence(cards: &[usize], rows: &[Vec<Option<u32>>], k: usize, seed:
     let space = OneHotSpace::from_columns(&refs);
     let points = space.encode_positions(&refs, &positions);
     let matrix = PackedMatrix::from_columns(&refs, &positions)
-        .unwrap_or_else(|| panic!("cards {cards:?} must pack"));
+        .unwrap_or_else(|e| panic!("cards {cards:?} must pack: {e}"));
     assert_eq!(matrix.dim(), space.dim());
 
     for plus_plus in [true, false] {
@@ -116,7 +118,7 @@ fn check_equivalence(cards: &[usize], rows: &[Vec<Option<u32>>], k: usize, seed:
         assert_bit_identical(&threaded, &reference, &format!("kmeans t=3 pp={plus_plus}"));
         assert_eq!(
             assign_all_packed(&reference, &matrix),
-            reference.assign_all(&points),
+            assign_all(&reference, &points),
             "assign_all pp={plus_plus}"
         );
     }
@@ -160,7 +162,7 @@ fn packed_kmeans_matches_reference_fewer_points_than_k() {
 
 #[test]
 fn width_promotion_keeps_kernels_exact_above_255_values() {
-    // Cardinality 300 forces u16 storage; distances must not corrupt.
+    // Cardinality 300 forces u32 storage; distances must not corrupt.
     let cards = [300, 4];
     for seed in 0..3u64 {
         let rows = random_rows(&cards, 150, seed + 11);
@@ -168,7 +170,7 @@ fn width_promotion_keeps_kernels_exact_above_255_values() {
         let refs: Vec<&CodedColumn> = columns.iter().collect();
         let matrix =
             PackedMatrix::from_columns(&refs, &(0..rows.len()).collect::<Vec<_>>()).unwrap();
-        assert!(!matrix.is_u8(), "cardinality 300 must promote to u16");
+        assert!(!matrix.is_u8(), "cardinality 300 must promote to u32");
         check_equivalence(&cards, &rows, 5, seed);
     }
 }
@@ -191,7 +193,7 @@ fn empty_input_matches_reference() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Satellite: arbitrary inputs spanning the u8/u16 promotion boundary.
+    /// Satellite: arbitrary inputs spanning the u8/u32 promotion boundary.
     /// Attribute 0's cardinality ranges across 255/256 so some cases pack
     /// as u8 and others must promote; either way the packed kernels must
     /// equal the one-hot reference bit for bit.
@@ -222,11 +224,11 @@ proptest! {
 
     /// A resumed Lloyd run equals a straight one: `start`, then `t`
     /// passes, then `finish` returns bit for bit what the unpaused run
-    /// returns — assignments, centroids, inertia, iterations and
-    /// histograms — for every `t` from 0 to past convergence, and both
-    /// equal the one-hot reference. Rows are drawn from a small pool, so
-    /// duplicates leave clusters empty and force farthest-point reseeds;
-    /// attribute 0 packs as u8 or, at 300 values, as u16; a quarter of the
+    /// returns — assignments, centroids, inertia and iterations — for
+    /// every `t` from 0 to past convergence, and both equal the one-hot
+    /// reference. Rows are drawn from a small pool, so duplicates leave
+    /// clusters empty and force farthest-point reseeds; attribute 0 packs
+    /// as u8 or, at 300 values, as u32; a quarter of the
     /// cases have fewer rows than `k`, and up to 700 rows let 4 threads
     /// split a pass into chunks.
     #[test]
@@ -268,19 +270,17 @@ proptest! {
                 threads,
             };
             let ctx = format!("k={k} iters={max_iters} seed={seed} rows={} t={threads}", rows.len());
-            let straight = PackedLloyd::start(&matrix, &cfg, None).unwrap().finish();
+            let straight = PackedLloyd::start(&matrix, &cfg).unwrap().finish();
             let reference = kmeans(&space.encode_positions(&refs, &positions), space.dim(), &cfg).unwrap();
             assert_bit_identical(&straight, &reference, &ctx);
-            prop_assert_eq!(&straight.histograms, &reference.histograms);
             for paused in 0..=straight.iterations + 1 {
-                let mut run = PackedLloyd::start(&matrix, &cfg, None).unwrap();
+                let mut run = PackedLloyd::start(&matrix, &cfg).unwrap();
                 let ran = (0..paused).filter(|_| run.pass()).count();
                 prop_assert_eq!(ran, paused.min(straight.iterations));
                 prop_assert_eq!(run.assignments().is_some(), ran > 0);
                 let resumed = run.finish();
                 let ctx = format!("{ctx} paused after {paused}");
                 assert_bit_identical(&resumed, &straight, &ctx);
-                prop_assert_eq!(&resumed.histograms, &straight.histograms);
             }
         }
     }

@@ -21,8 +21,8 @@ use crate::error::CadError;
 use crate::iunit::{IUnit, LabelConfig};
 use crate::simil::iunit_similarity;
 use dbex_cluster::{
-    assign_all_packed, kmeans, mini_batch_kmeans, mini_batch_kmeans_packed, KMeansConfig,
-    KMeansResult, MiniBatchConfig, OneHotSpace, PackedLloyd, PackedMatrix,
+    assign_all_packed, mini_batch_kmeans_packed, KMeansConfig, KMeansResult, MiniBatchConfig,
+    PackedLloyd, PackedMatrix,
 };
 use dbex_obs::{Span, SpanId, Tracer};
 use dbex_stats::cache::{ClusterKey, ClusterSolution};
@@ -84,20 +84,6 @@ pub struct CadConfig {
     pub plus_plus: bool,
     /// PRNG seed for clustering.
     pub seed: u64,
-    /// Cluster directly on packed `u8`/`u16` dictionary-code rows instead
-    /// of materialized sparse one-hot points (the default). The packed
-    /// kernels are bit-identical to the one-hot reference — this switch
-    /// exists for A/B verification and as an escape hatch; attribute sets
-    /// the packed layout cannot represent (cardinality > 65 535) fall back
-    /// to the reference path automatically.
-    pub packed_kernel: bool,
-    /// Seed k-means from the previous build's centroids for the same pivot
-    /// value when the partition's membership *changed* (a shrunken or grown
-    /// facet refinement). Warm seeding converges in fewer Lloyd iterations
-    /// but produces a (deterministically) different clustering than a cold
-    /// build, so it is opt-in and disables exact cluster reuse; the default
-    /// preserves the byte-identical cold-vs-incremental contract.
-    pub warm_start: bool,
     /// Worker threads for the per-attribute and per-pivot-value stages.
     /// `1` (the default) runs the whole pipeline sequentially on the
     /// caller's thread — required by the fault-injection hooks, whose
@@ -140,8 +126,6 @@ impl Default for CadConfig {
             kmeans_iters: 20,
             plus_plus: true,
             seed: 0xCAD,
-            packed_kernel: true,
-            warm_start: false,
             threads: 1,
         }
     }
@@ -350,10 +334,10 @@ const PAUSE_AFTER_PASSES: usize = 1;
 ///
 /// * [`CadBuild::start`] encodes the pivot, selects the Compare
 ///   Attributes and probes the cluster cache, exactly as an unstreamed
-///   build does. Asked to pause, it seeds each missed full-rung packed
-///   partition and runs one Lloyd pass ([`PackedLloyd`]); every other
-///   partition — cached, mini-batch, sampled, one-hot, warm-started, or
-///   clustered on a `cluster_sample` — finishes inside `start`.
+///   build does. Asked to pause, it seeds each missed full-rung partition
+///   and runs one Lloyd pass ([`PackedLloyd`]); every other partition —
+///   cached, mini-batch, sampled, or clustered on a `cluster_sample` —
+///   finishes inside `start`.
 /// * [`CadBuild::preview`] labels and ranks the build as it stands:
 ///   finished partitions as they are, paused ones from their first-pass
 ///   assignment. With nothing paused it is already the exact view.
@@ -384,7 +368,6 @@ pub struct CadBuild {
     partitions: Vec<Partition>,
     degradation: Vec<Degradation>,
     partitions_reused: usize,
-    warm_starts: usize,
     timing_compare: Duration,
     timing_iunits: Duration,
     started: Instant,
@@ -417,7 +400,7 @@ impl Candidates {
     }
 }
 
-/// A full-rung packed Lloyd run stopped after [`PAUSE_AFTER_PASSES`].
+/// A full-rung Lloyd run stopped after [`PAUSE_AFTER_PASSES`].
 struct PausedRun {
     run: PackedLloyd,
     /// The candidate count `l` the run clusters into.
@@ -428,7 +411,7 @@ struct PausedRun {
 
 impl CadBuild {
     /// Runs the build up to its clustering; with `pause`, stops each
-    /// missed full-rung packed partition after its first Lloyd pass (see
+    /// missed full-rung partition after its first Lloyd pass (see
     /// the type docs). Errors as [`build_cad_view`] does before ranking.
     pub fn start(
         result: &View<'_>,
@@ -649,7 +632,6 @@ impl CadBuild {
             threads_used: self.threads,
             degradation,
             partitions_reused: self.partitions_reused,
-            warm_starts: self.warm_starts,
             trace,
         }
     }
@@ -892,7 +874,6 @@ fn start_build(
         enc_cache_after.misses - enc_cache_before.misses,
     );
     drop(enc_span);
-    let space = OneHotSpace::from_columns(&coded);
     let k = request.iunits;
 
     // Iteration-cap clamping is recorded once, not per partition.
@@ -916,7 +897,7 @@ fn start_build(
     //
     // When there are fewer partitions than workers (few pivot values,
     // the common shape on real datasets), the leftover parallelism
-    // moves *inside* each partition: the packed kernel splits its row
+    // moves *inside* each partition: the Lloyd kernel splits its row
     // walk into deterministically-merged chunks. Dividing keeps the
     // worst-case thread count near `threads` (outer workers × inner
     // chunks).
@@ -931,10 +912,9 @@ fn start_build(
         |_, (_, label, members)| {
             let span = gen_span.child("cluster_partition");
             gauge.charge_rows(members.len());
-            let (candidates, degraded, reused, warm) = generate_candidates(
+            let (candidates, degraded, reused) = generate_candidates(
                 members,
                 &coded,
-                &space,
                 k,
                 &request.config,
                 kmeans_iters,
@@ -952,19 +932,16 @@ fn start_build(
             }
             span.add("degradations", degraded.len() as u64);
             span.add("partitions_reused", reused as u64);
-            span.add("warm_starts", warm as u64);
-            (candidates, degraded, reused, warm)
+            (candidates, degraded, reused)
         },
     );
     let mut partitions = Vec::with_capacity(selected_partitions.len());
     let mut partitions_reused = 0usize;
-    let mut warm_starts = 0usize;
-    for ((code, label, members), (candidates, degraded, reused, warm)) in
+    for ((code, label, members), (candidates, degraded, reused)) in
         selected_partitions.into_iter().zip(clustered)
     {
         degradation.extend(degraded);
         partitions_reused += reused as usize;
-        warm_starts += warm as usize;
         partitions.push(Partition {
             code,
             label,
@@ -983,7 +960,6 @@ fn start_build(
         partitions,
         degradation,
         partitions_reused,
-        warm_starts,
         timing_compare,
         timing_iunits: t1.elapsed(),
         started,
@@ -1211,36 +1187,6 @@ fn partition_fingerprint(
     hash
 }
 
-/// Identity under which a pivot value's centroids are kept for warm
-/// seeding: table, pivot value, live attribute set, and the parameters
-/// that shape the centroid space. Deliberately *excludes* the partition
-/// membership — warm starts exist precisely for when membership changed.
-fn warm_start_key(
-    result: &View<'_>,
-    pivot_label: &str,
-    coded: &[&CodedColumn],
-    l: usize,
-    config: &CadConfig,
-) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |word: u64| {
-        hash = (hash ^ word).wrapping_mul(PRIME);
-    };
-    mix(result.table().id());
-    for byte in pivot_label.as_bytes() {
-        mix(u64::from(*byte) + 1);
-    }
-    for col in coded {
-        mix(col.attr_index as u64);
-        mix(col.codec.cardinality() as u64);
-    }
-    mix(l as u64);
-    mix(config.seed);
-    mix(config.plus_plus as u64);
-    hash
-}
-
 /// Clusters one pivot partition into `l` candidate IUnits.
 ///
 /// Budget exhaustion and clustering failures never propagate: the ladder
@@ -1254,16 +1200,14 @@ fn warm_start_key(
 /// partition fingerprint, so a facet refinement that leaves this pivot
 /// value's rows untouched skips re-clustering entirely (the returned
 /// `reused` flag). Reuse is bypassed whenever it could diverge from a cold
-/// build: on any degraded rung, in warm-start mode, or while a cluster
-/// fault is armed on this thread (a cold build would descend the ladder).
-/// With `pause`, a missed full-rung packed partition comes back paused
-/// after its first Lloyd pass instead (see [`CadBuild`]).
-/// Returns `(candidates, degradations, reused, warm_started)`.
+/// build: on any degraded rung, or while a cluster fault is armed on this
+/// thread (a cold build would descend the ladder). With `pause`, a missed
+/// full-rung partition comes back paused after its first Lloyd pass
+/// instead (see [`CadBuild`]). Returns `(candidates, degradations, reused)`.
 #[allow(clippy::too_many_arguments)]
 fn generate_candidates(
     members: &[usize],
     coded: &[&CodedColumn],
-    space: &OneHotSpace,
     k: usize,
     config: &CadConfig,
     kmeans_iters: usize,
@@ -1273,10 +1217,10 @@ fn generate_candidates(
     cache: Option<&dbex_stats::StatsCache>,
     result: &View<'_>,
     pause: bool,
-) -> (Candidates, Vec<Degradation>, bool, bool) {
+) -> (Candidates, Vec<Degradation>, bool) {
     let mut degradation = Vec::new();
     if members.is_empty() {
-        return (Candidates::Done(Vec::new()), degradation, false, false);
+        return (Candidates::Done(Vec::new()), degradation, false);
     }
     let adaptive_clamp =
         config.adaptive_iunits && members.len() > CadConfig::ADAPTIVE_THRESHOLD;
@@ -1314,13 +1258,12 @@ fn generate_candidates(
     };
 
     // Exact cluster reuse: only at full fidelity (degraded rungs are shaped
-    // by transient budget state), only outside warm-start mode (warm
-    // results are history-dependent), and only with no armed cluster fault
-    // (a cold build would degrade, so a cache hit would diverge from it).
+    // by transient budget state), and only with no armed cluster fault (a
+    // cold build would degrade, so a cache hit would diverge from it).
     let faults_clear = dbex_cluster::fault::check("cluster::kmeans").is_ok()
         && dbex_cluster::fault::check("cluster::minibatch").is_ok();
     let mut reuse_key = None;
-    if rung == ClusterRung::Full && !config.warm_start && faults_clear {
+    if rung == ClusterRung::Full && faults_clear {
         if let Some(cache) = cache {
             let key = ClusterKey {
                 partition_fp: partition_fingerprint(result, members, coded),
@@ -1337,52 +1280,35 @@ fn generate_candidates(
                     .into_iter()
                     .map(|mems| IUnit::from_members(mems, coded, &config.label))
                     .collect();
-                return (Candidates::Done(units), degradation, true, false);
+                return (Candidates::Done(units), degradation, true);
             }
             reuse_key = Some(key);
         }
     }
 
-    // Warm seeding is keyed on the pivot value's identity, not its
-    // membership, so a refined (shrunken/grown) partition can still seed
-    // from the previous build's centroids.
-    let warm = (config.warm_start && rung != ClusterRung::MiniBatch)
-        .then(|| cache.map(|c| (c, warm_start_key(result, pivot_label, coded, l, config))))
-        .flatten();
-
     loop {
         match cluster_partition(
             members,
             coded,
-            space,
             l,
             config,
             kmeans_iters,
             inner_threads,
             rung,
-            warm,
             pause && rung == ClusterRung::Full,
         ) {
-            Ok((Clustering::Paused(run), _)) => {
+            Ok(Clustering::Paused(run)) => {
                 let paused = PausedRun { run, l, reuse_key };
-                return (
-                    Candidates::Paused(Box::new(paused)),
-                    degradation,
-                    false,
-                    false,
-                );
+                return (Candidates::Paused(Box::new(paused)), degradation, false);
             }
-            Ok((Clustering::Done(clusters), warm_started)) => {
+            Ok(Clustering::Done(clusters)) => {
                 if rung == ClusterRung::Full {
                     if let (Some(key), Some(cache)) = (reuse_key, cache) {
                         cache.cluster_insert(key, ClusterSolution::new(&clusters));
                     }
                 }
-                if warm_started {
-                    dbex_obs::counter!("cluster.warm_starts").incr(1);
-                }
                 let units = units_of(&clusters, members, coded, &config.label);
-                return (Candidates::Done(units), degradation, false, warm_started);
+                return (Candidates::Done(units), degradation, false);
             }
             Err(e) => match rung.next() {
                 Some(next) => {
@@ -1402,7 +1328,7 @@ fn generate_candidates(
                         reason: format!("all clustering fallbacks failed ({e})"),
                     });
                     let unit = IUnit::from_members(members.to_vec(), coded, &config.label);
-                    return (Candidates::Done(vec![unit]), degradation, false, false);
+                    return (Candidates::Done(vec![unit]), degradation, false);
                 }
             },
         }
@@ -1420,27 +1346,22 @@ enum Clustering {
 
 /// One attempt at clustering a partition on a specific ladder rung.
 ///
-/// Returns the clustering plus whether the k-means was warm-seeded. With
-/// `pause`, a packed Lloyd run over the whole partition (no
-/// `cluster_sample` holdout) stops after its first pass and comes back
-/// [`Clustering::Paused`]. The default path clusters on a
-/// [`PackedMatrix`] of `u8`/`u16` dictionary codes — no per-tuple one-hot
-/// vectors are materialized — and is bit-identical to the sparse one-hot
-/// reference, which remains both the oracle and the automatic fallback
-/// when the attribute set cannot pack.
+/// Clusters on a [`PackedMatrix`] of dictionary codes — no per-tuple
+/// one-hot vectors are materialized — bit-identical to the sparse one-hot
+/// oracle in `dbex_cluster::oracle`. With `pause`, a Lloyd run over the
+/// whole partition (no `cluster_sample` holdout) stops after its first
+/// pass and comes back [`Clustering::Paused`].
 #[allow(clippy::too_many_arguments)]
 fn cluster_partition(
     members: &[usize],
     coded: &[&CodedColumn],
-    space: &OneHotSpace,
     l: usize,
     config: &CadConfig,
     kmeans_iters: usize,
     inner_threads: usize,
     rung: ClusterRung,
-    warm: Option<(&dbex_stats::StatsCache, u64)>,
     pause: bool,
-) -> Result<(Clustering, bool), dbex_cluster::ClusterError> {
+) -> Result<Clustering, dbex_cluster::ClusterError> {
     // Cluster a sample and assign the rest (Optimization 1). The sampled
     // rung forces a tiny cap regardless of configuration.
     let cap = match rung {
@@ -1479,21 +1400,10 @@ fn cluster_partition(
     };
     let train_members: Vec<usize> = train_idx.iter().map(|&i| members[i]).collect();
 
-    let packed = if config.packed_kernel {
-        PackedMatrix::from_columns(coded, &train_members)
-    } else {
-        None
-    };
-    if packed.is_some() {
-        dbex_obs::counter!("cluster.packed_path").incr(1);
-    } else {
-        dbex_obs::counter!("cluster.onehot_path").incr(1);
-    }
-
-    let mut warm_started = false;
-    let km: KMeansResult = match (&packed, rung) {
-        (Some(matrix), ClusterRung::MiniBatch) => mini_batch_kmeans_packed(
-            matrix,
+    let matrix = PackedMatrix::from_columns(coded, &train_members)?;
+    let km: KMeansResult = match rung {
+        ClusterRung::MiniBatch => mini_batch_kmeans_packed(
+            &matrix,
             &MiniBatchConfig {
                 k: l,
                 batch_size: 256,
@@ -1501,11 +1411,9 @@ fn cluster_partition(
                 seed: config.seed,
             },
         )?,
-        (Some(matrix), _) => {
-            let initial = warm.and_then(|(cache, key)| cache.warm_centroids(key));
-            warm_started = initial.is_some();
+        _ => {
             let mut run = PackedLloyd::start(
-                matrix,
+                &matrix,
                 &KMeansConfig {
                     k: l,
                     max_iters: kmeans_iters,
@@ -1513,48 +1421,16 @@ fn cluster_partition(
                     plus_plus: config.plus_plus,
                     threads: inner_threads,
                 },
-                initial.as_ref().map(|c| c.as_slice()),
             )?;
-            if pause && !warm_started && holdout_idx.is_empty() {
+            if pause && holdout_idx.is_empty() {
                 for _ in 0..PAUSE_AFTER_PASSES {
                     run.pass();
                 }
-                return Ok((Clustering::Paused(run), false));
+                return Ok(Clustering::Paused(run));
             }
             run.finish()
         }
-        (None, ClusterRung::MiniBatch) => mini_batch_kmeans(
-            &space.encode_positions(coded, &train_members),
-            space.dim(),
-            &MiniBatchConfig {
-                k: l,
-                batch_size: 256,
-                batches: kmeans_iters.max(1) * 3,
-                seed: config.seed,
-            },
-        )?,
-        (None, _) => kmeans(
-            &space.encode_positions(coded, &train_members),
-            space.dim(),
-            &KMeansConfig {
-                k: l,
-                max_iters: kmeans_iters,
-                seed: config.seed,
-                plus_plus: config.plus_plus,
-                threads: 1, // the one-hot reference path is sequential
-            },
-        )?,
     };
-    if let Some((cache, key)) = warm {
-        // Publish this build's centroid histograms so the *next* build of
-        // the same pivot value (possibly over refined membership) can
-        // warm-seed. Mini-batch runs leave `histograms` empty (their
-        // centroids are learning-rate blends, not count ratios) and keep
-        // whatever a previous Lloyd run stored.
-        if !km.histograms.is_empty() {
-            cache.set_warm_centroids(key, km.histograms.clone());
-        }
-    }
 
     // Bucket every member (train + holdout) into its cluster.
     let mut clusters: Vec<Vec<u32>> = vec![Vec::new(); km.centroids.len()];
@@ -1565,14 +1441,8 @@ fn cluster_partition(
     }
     if !holdout_idx.is_empty() {
         let holdout_members: Vec<usize> = holdout_idx.iter().map(|&i| members[i]).collect();
-        let holdout_packed = packed
-            .is_some()
-            .then(|| PackedMatrix::from_columns(coded, &holdout_members))
-            .flatten();
-        let assignments = match &holdout_packed {
-            Some(matrix) => assign_all_packed(&km, matrix),
-            None => km.assign_all(&space.encode_positions(coded, &holdout_members)),
-        };
+        let assignments =
+            assign_all_packed(&km, &PackedMatrix::from_columns(coded, &holdout_members)?);
         for (assignment, &mi) in assignments.iter().zip(&holdout_idx) {
             if let Some(slot) = clusters.get_mut(*assignment) {
                 slot.push(mi as u32);
@@ -1580,9 +1450,8 @@ fn cluster_partition(
         }
     }
 
-    Ok((
-        Clustering::Done(clusters.into_iter().filter(|c| !c.is_empty()).collect()),
-        warm_started,
+    Ok(Clustering::Done(
+        clusters.into_iter().filter(|c| !c.is_empty()).collect(),
     ))
 }
 

@@ -50,10 +50,6 @@ pub struct CadView {
     /// stats cache's cluster-reuse map (always 0 without a cache).
     /// Surfaced by `EXPLAIN CADVIEW`.
     pub partitions_reused: usize,
-    /// Partitions whose k-means was warm-seeded from a previous build's
-    /// centroids (only in opt-in [`crate::builder::CadConfig::warm_start`]
-    /// mode). Surfaced by `EXPLAIN CADVIEW`.
-    pub warm_starts: usize,
     /// Span tree recorded by [`crate::builder::build_cad_view_traced`]
     /// when built with an enabled tracer (`None` otherwise). Surfaced by
     /// `EXPLAIN ANALYZE CADVIEW` and the REPL's `.trace on` mode.

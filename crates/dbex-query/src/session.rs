@@ -767,8 +767,8 @@ impl Session {
         ));
         out.push_str(&format!("  stats cache: {}\n", self.stats_cache.stats()));
         out.push_str(&format!(
-            "  cluster reuse: {} partition(s) served from cache, {} warm start(s)\n",
-            cad.partitions_reused, cad.warm_starts
+            "  cluster reuse: {} partition(s) served from cache\n",
+            cad.partitions_reused
         ));
         if cad.is_degraded() {
             out.push_str("  degradation:\n");

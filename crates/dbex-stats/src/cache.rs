@@ -184,13 +184,6 @@ impl PackedIndices {
     }
 }
 
-/// A Lloyd centroid in integer-histogram form: per-one-hot-dimension
-/// member counts plus the cluster size (the conceptual centroid is
-/// `counts / size`). Stored for warm-starting k-means on a changed
-/// partition; mini-batch centroids have no such form and are never
-/// stored.
-pub type CentroidHistogram = (Vec<u32>, u32);
-
 /// Counters and sizes reported by [`StatsCache::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -204,7 +197,7 @@ pub struct CacheStats {
     pub codec_entries: usize,
     /// Live contingency-table entries.
     pub contingency_entries: usize,
-    /// Live cluster-reuse entries (exact solutions + warm centroid sets).
+    /// Live cluster-reuse entries.
     pub cluster_entries: usize,
 }
 
@@ -322,10 +315,6 @@ pub struct StatsCache {
     codecs: ShardedLru<CodecKey, AttributeCodec>,
     tables: ShardedLru<ContingencyKey, ContingencyTable>,
     clusters: ShardedLru<ClusterKey, ClusterSolution>,
-    /// Latest centroid histograms per warm-start identity (pivot value +
-    /// attribute set + params), for seeding k-means after the partition
-    /// *changed*.
-    warm: ShardedLru<u64, Vec<CentroidHistogram>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -344,8 +333,8 @@ impl StatsCache {
     }
 
     /// Creates an empty cache holding up to `entries` entries in **each**
-    /// of its four maps (codecs, contingency tables, cluster solutions,
-    /// warm-start centroids); zero is clamped to one.
+    /// of its three maps (codecs, contingency tables, cluster solutions);
+    /// zero is clamped to one.
     ///
     /// The default suits a single session's working set. A server shared
     /// by hundreds of concurrent sessions needs proportionally more: at
@@ -359,7 +348,6 @@ impl StatsCache {
             codecs: ShardedLru::new(entries),
             tables: ShardedLru::new(entries),
             clusters: ShardedLru::new(entries),
-            warm: ShardedLru::new(entries),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -435,28 +423,11 @@ impl StatsCache {
         self.clusters.insert(key, Arc::new(solution));
     }
 
-    /// The most recent centroid histograms stored under a warm-start
-    /// identity.
-    ///
-    /// Warm lookups do **not** count toward hit/miss statistics: they are
-    /// seeding hints for a clustering that runs regardless, not avoided
-    /// recomputation.
-    pub fn warm_centroids(&self, key: u64) -> Option<Arc<Vec<CentroidHistogram>>> {
-        self.warm.get(&key)
-    }
-
-    /// Stores (replacing) the centroid histograms for a warm-start
-    /// identity.
-    pub fn set_warm_centroids(&self, key: u64, centroids: Vec<CentroidHistogram>) {
-        self.warm.insert(key, Arc::new(centroids));
-    }
-
     /// Snapshot of every memoized exact cluster solution, for persistence:
     /// `dbex-store` saves these alongside the catalog so a warm-restarted
     /// server's first CAD build reuses partitions instead of re-clustering.
     /// Order is unspecified; callers needing deterministic output sort by
-    /// key. Warm-start centroids are deliberately excluded — they are
-    /// seeding hints, not reusable answers.
+    /// key.
     pub fn export_clusters(&self) -> Vec<(ClusterKey, ClusterSolution)> {
         self.clusters
             .entries()
@@ -465,8 +436,9 @@ impl StatsCache {
             .collect()
     }
 
-    /// Number of exact cluster solutions currently memoized (excludes
-    /// warm-start centroid sets, unlike [`CacheStats::cluster_entries`]).
+    /// Number of exact cluster solutions currently memoized (the
+    /// [`CacheStats::cluster_entries`] count, without locking the other
+    /// maps).
     pub fn exact_cluster_entries(&self) -> usize {
         self.clusters.len()
     }
@@ -476,7 +448,6 @@ impl StatsCache {
         self.codecs.clear();
         self.tables.clear();
         self.clusters.clear();
-        self.warm.clear();
     }
 
     /// Snapshot of hit/miss/eviction counters and live entry counts.
@@ -486,11 +457,10 @@ impl StatsCache {
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.codecs.evictions()
                 + self.tables.evictions()
-                + self.clusters.evictions()
-                + self.warm.evictions(),
+                + self.clusters.evictions(),
             codec_entries: self.codecs.len(),
             contingency_entries: self.tables.len(),
-            cluster_entries: self.clusters.len() + self.warm.len(),
+            cluster_entries: self.clusters.len(),
         }
     }
 }
@@ -625,7 +595,6 @@ mod tests {
         };
         cache.cluster_insert(key(1), ClusterSolution::new(&[vec![0, 1], vec![2]]));
         cache.cluster_insert(key(2), ClusterSolution::new(&[vec![3]]));
-        cache.set_warm_centroids(9, vec![(vec![1, 0], 1)]); // must NOT be exported
         assert_eq!(cache.exact_cluster_entries(), 2);
 
         let mut exported = cache.export_clusters();
@@ -639,7 +608,6 @@ mod tests {
         }
         let hit = rehydrated.cluster_lookup(&key(1)).expect("rehydrated entry hits");
         assert_eq!(hit.to_vecs(), vec![vec![0, 1], vec![2]]);
-        assert!(rehydrated.warm_centroids(9).is_none());
     }
 
     #[test]
@@ -662,21 +630,6 @@ mod tests {
             );
         }
         assert!(ClusterSolution::new(&[]).to_vecs().is_empty());
-    }
-
-    #[test]
-    fn warm_centroids_replace_and_skip_counters() {
-        let cache = StatsCache::new();
-        assert!(cache.warm_centroids(9).is_none());
-        cache.set_warm_centroids(9, vec![(vec![1, 0], 1)]);
-        cache.set_warm_centroids(9, vec![(vec![0, 2], 2)]);
-        assert_eq!(*cache.warm_centroids(9).expect("stored"), vec![(vec![0, 2], 2)]);
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (0, 0), "warm lookups are not hits/misses");
-        assert_eq!(s.cluster_entries, 1);
-        cache.clear();
-        assert!(cache.warm_centroids(9).is_none());
-        assert_eq!(cache.stats().cluster_entries, 0);
     }
 
     #[test]

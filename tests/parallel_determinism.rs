@@ -339,102 +339,107 @@ fn incremental_rebuild_matches_cold_under_budget_degradation() {
     }
 }
 
+/// FNV-1a of [`digest`] without its feature-score lines, whose p-value
+/// bits come from the platform libm: what is left — every IUnit's members,
+/// size, labels and score bits, and the degradation log — is what the
+/// clustering kernels decide.
+fn clustering_digest(cad: &CadView) -> u64 {
+    digest(cad)
+        .lines()
+        .filter(|line| !line.starts_with("score attr="))
+        .flat_map(|line| line.bytes().chain([b'\n']))
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// `rows` tuples with a 5-value `Make`, a unique `Id` per row and a
+/// 4-value `Body`.
+fn wide_id_table(rows: usize) -> Table {
+    use dbexplorer::table::{DataType, Field, TableBuilder, Value};
+    let mut b = TableBuilder::new(vec![
+        Field::new("Make", DataType::Categorical),
+        Field::new("Id", DataType::Categorical),
+        Field::new("Body", DataType::Categorical),
+    ])
+    .expect("schema");
+    for i in 0..rows {
+        b.push_row(vec![
+            Value::Str(format!("m{}", i % 5)),
+            Value::Str(format!("id{i}")),
+            Value::Str(["sedan", "suv", "coupe", "van"][(i * 7 / 3) % 4].to_string()),
+        ])
+        .expect("row");
+    }
+    b.finish()
+}
+
 #[test]
 fn packed_kernel_matches_onehot_oracle_end_to_end() {
-    // The packed-code kernels are an optimization with a bit-identity
-    // contract: a build on packed `u8`/`u16` code rows must equal the
-    // sparse one-hot reference build byte for byte — at full fidelity and
-    // on the mini-batch degradation rung.
-    let with_kernel = |pivot: &str, packed: bool| {
-        CadRequest::new(pivot).with_iunits(3).with_config(CadConfig {
-            packed_kernel: packed,
-            ..CadConfig::default()
-        })
-    };
-    for (name, table, pivot) in datasets() {
-        let view = table.full_view();
-        let packed = build_cad_view(&view, &with_kernel(pivot, true))
-            .unwrap_or_else(|e| panic!("{name}: packed build failed: {e}"));
-        let onehot = build_cad_view(&view, &with_kernel(pivot, false))
-            .unwrap_or_else(|e| panic!("{name}: one-hot build failed: {e}"));
+    // The packed-code kernels carry a bit-identity contract with the sparse
+    // one-hot k-means the builder once ran. Each constant below is the
+    // `clustering_digest` of that one-hot build of the same request, so the
+    // packed builds must reproduce them byte for byte — at full fidelity,
+    // on the mini-batch degradation rung, and on a Compare Attribute of
+    // more than 65,535 values (packed as `u32`).
+    let request = |pivot: &str| CadRequest::new(pivot).with_iunits(3);
+    let pins = [
+        ("cars", 0x7632_e70c_ee43_f060_u64),
+        ("mushroom", 0x30b3_b6ee_c353_188b),
+        ("hotels", 0x23b0_1186_da60_d612),
+    ];
+    for ((name, table, pivot), (pinned_name, pinned)) in datasets().into_iter().zip(pins) {
+        assert_eq!(name, pinned_name);
+        let cad = build_cad_view(&table.full_view(), &request(pivot))
+            .unwrap_or_else(|e| panic!("{name}: build failed: {e}"));
         assert_eq!(
-            digest(&packed),
-            digest(&onehot),
-            "{name}: packed kernel diverged from the one-hot oracle"
+            clustering_digest(&cad),
+            pinned,
+            "{name}: packed build diverged from the one-hot oracle"
         );
     }
-    // Mini-batch rung (row budget forces it) — packed and reference
-    // mini-batch must agree too.
+    // Mini-batch rung (the row budget forces it).
     let table = UsedCarsGenerator::new(29).generate(5_000);
-    let view = table.full_view();
-    let budgeted = |packed: bool| {
-        let request = with_kernel("Make", packed)
-            .with_budget(ExecBudget::unlimited().with_max_rows(50));
-        build_cad_view(&view, &request).expect("row budget degrades, not fails")
-    };
-    let packed = budgeted(true);
+    let budgeted = request("Make").with_budget(ExecBudget::unlimited().with_max_rows(50));
+    let cad =
+        build_cad_view(&table.full_view(), &budgeted).expect("row budget degrades, not fails");
     assert!(
-        packed
-            .degradation
+        cad.degradation
             .iter()
             .any(|d| d.kind == DegradationKind::MiniBatchClustering),
         "{:?}",
-        packed.degradation
+        cad.degradation
     );
-    assert_eq!(digest(&packed), digest(&budgeted(false)));
-}
-
-#[test]
-fn warm_start_mode_reseeds_and_stays_deterministic() {
-    use dbexplorer::core::{build_cad_view_cached, StatsCache};
-    use dbexplorer::table::predicate::{CmpOp, Predicate};
-
-    // Opt-in warm starting seeds k-means from the previous build's
-    // centroids for the same pivot value, even after the partition's
-    // membership changed. It is allowed to differ from a cold build —
-    // but it must be deterministic: the same build history replayed
-    // gives the same bytes, at any thread count.
-    let table = UsedCarsGenerator::new(31).generate(4_000);
-    let full = table.full_view();
-    let refined = full
-        .refine(&Predicate::cmp("Make", CmpOp::Ne, "BMW"))
-        .expect("refine");
-    let warm_request = |threads: usize| {
-        let mut request = categorical_request(threads);
-        request.config.warm_start = true;
-        request
-    };
-    let run = |threads: usize| {
-        let cache = StatsCache::new();
-        let first =
-            build_cad_view_cached(&full, &warm_request(threads), Some(&cache)).expect("first");
-        let second = build_cad_view_cached(&refined, &warm_request(threads), Some(&cache))
-            .expect("second");
-        (digest(&first), digest(&second), second.warm_starts)
-    };
-    let (first_a, second_a, warm_a) = run(1);
-    assert!(warm_a > 0, "second build must warm-start from stored centroids");
-    let (first_b, second_b, warm_b) = run(1);
-    assert_eq!((&first_a, &second_a, warm_a), (&first_b, &second_b, warm_b));
-    for threads in [2, 8] {
-        let (first_t, second_t, warm_t) = run(threads);
-        assert_eq!(
-            (&first_t, &second_t, warm_t),
-            (&first_a, &second_a, warm_a),
-            "{threads}-thread warm-start history diverged"
-        );
-    }
+    assert_eq!(
+        clustering_digest(&cad),
+        0x79d3_a44e_1171_d338,
+        "mini-batch rung"
+    );
+    // A forced 70,000-value Compare Attribute, on the full rung.
+    let table = wide_id_table(70_000);
+    let wide = request("Make")
+        .with_compare(vec!["Id", "Body"])
+        .with_max_compare_attrs(2);
+    let cad = build_cad_view(&table.full_view(), &wide).expect("wide build");
+    assert_eq!(cad.compare_names, ["Id", "Body"]);
+    assert!(!cad.is_degraded(), "{:?}", cad.degradation);
+    assert_eq!(
+        clustering_digest(&cad),
+        0x656a_4cc0_fcb9_f3ae,
+        "70,000-value attribute"
+    );
 }
 
 // ---------------------------------------------------------------------
-// Property-based A/B digests for the packed clustering kernels: the u16
+// Property-based A/B digests for the packed clustering kernels: the u32
 // width-promoted path and the chunked-merge parallel path. The CAD-level
 // tests above pin end-to-end determinism on curated datasets; these pin
 // the same contracts on *arbitrary* inputs, including row counts that
 // land chunk boundaries unevenly.
 // ---------------------------------------------------------------------
 
-use dbexplorer::cluster::{kmeans, kmeans_packed, KMeansConfig, KMeansResult, OneHotSpace, PackedMatrix};
+use dbexplorer::cluster::oracle::{kmeans, OneHotSpace};
+use dbexplorer::cluster::{kmeans_packed, KMeansConfig, KMeansResult, PackedMatrix};
 use dbexplorer::stats::discretize::{AttributeCodec, CodedColumn};
 use proptest::prelude::*;
 
@@ -451,9 +456,6 @@ fn kmeans_digest(r: &KMeansResult) -> String {
     for (c, centroid) in r.centroids.iter().enumerate() {
         let bits: Vec<u64> = centroid.iter().map(|v| v.to_bits()).collect();
         out.push_str(&format!("centroid {c} {bits:?}\n"));
-    }
-    for (h, count) in &r.histograms {
-        out.push_str(&format!("hist {h:?} {count}\n"));
     }
     out
 }
@@ -507,23 +509,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// A/B digest for the width-promoted packed path: an attribute
-    /// cardinality above 255 forces `u16` code storage, and the promoted
-    /// kernel must still equal the one-hot reference bit for bit — and
-    /// stay byte-identical when the assignment pass is chunked across
-    /// worker threads.
+    /// cardinality above 255 — just above it, or above 65,535 — forces
+    /// `u32` code storage, and the promoted kernel must still equal the
+    /// one-hot reference bit for bit — and stay byte-identical when the
+    /// assignment pass is chunked across worker threads.
     #[test]
-    fn u16_promoted_kernel_matches_onehot_reference_at_any_thread_count(
-        wide_card in 256usize..340,
+    fn u32_promoted_kernel_matches_onehot_reference_at_any_thread_count(
+        above_u16 in 0usize..2,
+        extra in 0usize..84,
         narrow_card in 2usize..6,
         n in 40usize..160,
         k in 2usize..6,
         seed in 0u64..10_000,
     ) {
+        let wide_card = if above_u16 == 1 { 65_536 + extra } else { 256 + extra };
         let columns = seeded_columns(&[wide_card, narrow_card], n, seed | 1);
         let refs: Vec<&CodedColumn> = columns.iter().collect();
         let positions: Vec<usize> = (0..n).collect();
         let matrix = PackedMatrix::from_columns(&refs, &positions).expect("packable");
-        prop_assert!(!matrix.is_u8(), "cardinality {wide_card} must promote to u16");
+        prop_assert!(!matrix.is_u8(), "cardinality {wide_card} must promote to u32");
         let space = OneHotSpace::from_columns(&refs);
         let points = space.encode_positions(&refs, &positions);
         let reference = kmeans(&points, space.dim(), &packed_config(k, seed, 1)).unwrap();
@@ -533,7 +537,7 @@ proptest! {
             prop_assert_eq!(
                 &kmeans_digest(&packed),
                 &a,
-                "u16 packed kernel at {} threads diverged from the one-hot reference",
+                "u32 packed kernel at {} threads diverged from the one-hot reference",
                 threads
             );
         }

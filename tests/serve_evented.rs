@@ -136,9 +136,17 @@ fn never_reading_client_does_not_wedge_the_loop() {
 /// exact answer: the loop must arm the running request's cancel flag
 /// (the `BudgetGauge` then abandons the exact build early) and close the
 /// connection once the worker comes home.
+///
+/// The exact phase must clearly outlast the loop's handling of the EOF,
+/// or the build completes before the disconnect is read and there is
+/// nothing left to cancel. With 6,000 rows it takes some 30 ms in the
+/// unoptimised profile `cargo test` builds but only 1–2 ms in an
+/// optimised one — within a scheduler tick when the loop and the worker
+/// share a CPU — so an optimised build clusters 200,000 rows (25–50 ms).
 #[test]
 fn mid_preview_disconnect_cancels_the_exact_build() {
-    let handle = spawn_server(6_000);
+    let rows = if cfg!(debug_assertions) { 6_000 } else { 200_000 };
+    let handle = spawn_server(rows);
     let mut client = Client::connect(handle.addr()).expect("connect");
     let ack = client.request(".stream on").expect("enable streaming");
     assert!(ack.ok, "{ack:?}");

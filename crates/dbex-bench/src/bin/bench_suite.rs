@@ -27,7 +27,7 @@
 //! ```
 //!
 //! `--baseline <report.json>` additionally diffs the fresh report
-//! against a committed schema-2 or schema-3 report: per-workload and
+//! against a committed report of the current schema: per-workload and
 //! per-span regressions/speedups are printed, and the run exits
 //! non-zero when the `cluster_partition` median regresses by more than
 //! 25% on any comparable workload (row-count mismatches — e.g. a

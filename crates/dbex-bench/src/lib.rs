@@ -157,10 +157,10 @@ pub fn median_ms(samples: &[f64]) -> f64 {
 /// `"warm_cache"` object (cache hits/misses and partitions served from
 /// the cluster-reuse cache) and `"span_medians_ms"` (per-span medians
 /// over repeated traced builds, the values the `--baseline` diff
-/// compares). `median_ms` is retained as an alias of `cold_median_ms`
-/// so schema-2 baselines stay diffable. Schema 4 adds kernel-dispatch
-/// provenance — top-level `"cpu_features"` (the detected ISA feature
-/// string) and `"kernel_dispatch"` (which SIMD family the process
+/// compares). `median_ms` is retained as an alias of `cold_median_ms`.
+/// Schema 4 adds kernel-dispatch provenance — top-level
+/// `"cpu_features"` (the detected ISA feature string) and
+/// `"kernel_dispatch"` (which SIMD family the process
 /// routed the packed kernels to) — plus a per-workload
 /// `"kernel_speedups"` object (span-median speedup of the kernel-heavy
 /// spans at the max measured pool size over 1 thread), and tightens
@@ -175,20 +175,19 @@ pub const BENCH_SCHEMA: u64 = 4;
 /// fields (a stale generator, or hand edits) are rejected with an
 /// actionable message rather than silently consumed.
 pub fn validate_report(text: &str) -> Result<(), String> {
-    validate_json(text)?;
-    let Some(found) = extract_schema(text) else {
+    let parsed = Json::parse(text)?;
+    let Some(found) = parsed.get("schema").and_then(Json::as_f64) else {
         return Err(format!(
             "report has no \"schema\" field (pre-versioning output?); \
              this validator understands schema {BENCH_SCHEMA} — regenerate with bench_suite"
         ));
     };
-    if found != BENCH_SCHEMA {
+    if found != BENCH_SCHEMA as f64 {
         return Err(format!(
             "unknown report schema {found}; this validator understands schema \
              {BENCH_SCHEMA} — regenerate with bench_suite"
         ));
     }
-    let parsed = Json::parse(text)?;
     validate_fields(&parsed)
 }
 
@@ -281,117 +280,10 @@ fn validate_span_nodes(tree: &Json, workload: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Extracts the integer value of a top-level-looking `"schema"` key.
-/// Good enough for reports bench_suite itself writes (the key appears
-/// exactly once); returns `None` when absent or non-numeric.
-fn extract_schema(text: &str) -> Option<u64> {
-    let key = "\"schema\"";
-    let at = text.find(key)?;
-    let rest = text[at + key.len()..].trim_start();
-    let rest = rest.strip_prefix(':')?.trim_start();
-    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
-}
-
-/// Minimal JSON well-formedness check for the machine-readable bench
-/// output (`BENCH_cad.json`): one value, full-input consumption, no
-/// dependency on a JSON crate. Returns a position-tagged message on the
-/// first syntax error.
-pub fn validate_json(text: &str) -> Result<(), String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
-    Ok(())
-}
-
 fn skip_ws(b: &[u8], pos: &mut usize) {
     while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
         *pos += 1;
     }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    match b.get(*pos) {
-        None => Err(format!("unexpected end of input at byte {pos}")),
-        Some(b'{') => {
-            *pos += 1;
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(());
-            }
-            loop {
-                skip_ws(b, pos);
-                parse_string(b, pos)?;
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}"));
-                }
-                *pos += 1;
-                skip_ws(b, pos);
-                parse_value(b, pos)?;
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(());
-            }
-            loop {
-                skip_ws(b, pos);
-                parse_value(b, pos)?;
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => parse_string(b, pos),
-        Some(b't') => parse_literal(b, pos, "true"),
-        Some(b'f') => parse_literal(b, pos, "false"),
-        Some(b'n') => parse_literal(b, pos, "null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-        Some(c) => Err(format!("unexpected byte {c:?} at {pos}")),
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected '\"' at byte {pos}"));
-    }
-    *pos += 1;
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => *pos += 2, // escape; next byte consumed blindly
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".to_owned())
 }
 
 fn parse_literal(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
@@ -444,9 +336,9 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<(), String> {
     Ok(())
 }
 
-/// A parsed JSON value — just enough structure for bench-report diffing
-/// (no crate dependency; the reports are small and written by this
-/// harness or its predecessors).
+/// A parsed JSON value — just enough structure for bench-report
+/// validation and diffing (no crate dependency; the reports are small and
+/// written by this harness or its predecessors).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`
@@ -469,7 +361,7 @@ impl Json {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
         skip_ws(bytes, &mut pos);
-        let value = parse_value_tree(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -510,7 +402,7 @@ impl Json {
     }
 }
 
-fn parse_value_tree(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     match b.get(*pos) {
         None => Err(format!("unexpected end of input at byte {pos}")),
         Some(b'{') => {
@@ -523,14 +415,14 @@ fn parse_value_tree(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = parse_string_tree(b, pos)?;
+                let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 if b.get(*pos) != Some(&b':') {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
                 skip_ws(b, pos);
-                let value = parse_value_tree(b, pos)?;
+                let value = parse_value(b, pos)?;
                 fields.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -553,7 +445,7 @@ fn parse_value_tree(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(b, pos);
-                items.push(parse_value_tree(b, pos)?);
+                items.push(parse_value(b, pos)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -565,7 +457,7 @@ fn parse_value_tree(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 }
             }
         }
-        Some(b'"') => parse_string_tree(b, pos).map(Json::Str),
+        Some(b'"') => parse_string(b, pos).map(Json::Str),
         Some(b't') => parse_literal(b, pos, "true").map(|()| Json::Bool(true)),
         Some(b'f') => parse_literal(b, pos, "false").map(|()| Json::Bool(false)),
         Some(b'n') => parse_literal(b, pos, "null").map(|()| Json::Null),
@@ -582,7 +474,7 @@ fn parse_value_tree(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_string_tree(b: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     if b.get(*pos) != Some(&b'"') {
         return Err(format!("expected '\"' at byte {pos}"));
     }
@@ -764,20 +656,19 @@ const EXPLORE_TRAJ_FIELDS: &[&str] = &["at_ms", "hits", "misses", "evictions", "
 /// Shared preamble of the sibling-report validators: well-formed JSON,
 /// the expected `"schema"` number, and the expected `"harness"` tag.
 fn validate_sibling(text: &str, schema: u64, harness: &str) -> Result<Json, String> {
-    validate_json(text)?;
-    let Some(found) = extract_schema(text) else {
+    let parsed = Json::parse(text)?;
+    let Some(found) = parsed.get("schema").and_then(Json::as_f64) else {
         return Err(format!(
             "report has no \"schema\" field; this validator understands \
              schema {schema} — regenerate with {harness}"
         ));
     };
-    if found != schema {
+    if found != schema as f64 {
         return Err(format!(
             "unknown report schema {found}; this validator understands schema \
              {schema} — regenerate with {harness}"
         ));
     }
-    let parsed = Json::parse(text)?;
     match parsed.get("harness").and_then(Json::as_str) {
         Some(h) if h == harness => Ok(parsed),
         Some(h) => Err(format!(
@@ -887,15 +778,8 @@ pub fn diff_explore_reports(
     }
     let mut lines = Vec::new();
     for key in ["rows", "seed", "ops_per_session", "quick", "streamed"] {
-        let (c, b) = (cur.get(key), base.get(key));
-        let same = match (c, b) {
-            (Some(c), Some(b)) => match (c.as_f64(), b.as_f64()) {
-                (Some(c), Some(b)) => c == b,
-                _ => format!("{c:?}") == format!("{b:?}"),
-            },
-            _ => false,
-        };
-        if !same {
+        let c = cur.get(key);
+        if c.is_none() || c != base.get(key) {
             lines.push(format!(
                 "workload mismatch on \"{key}\" — runs not comparable, gate skipped"
             ));
@@ -1000,14 +884,13 @@ pub struct ReportDiff {
     pub gate_failed: bool,
 }
 
-/// Compares a freshly generated report against a baseline (schema 2
-/// through [`BENCH_SCHEMA`]). Workloads are matched by name; a workload whose `rows` differ
+/// Compares a freshly generated report against a schema-[`BENCH_SCHEMA`]
+/// baseline. Workloads are matched by name; a workload whose `rows` differ
 /// (e.g. a `--quick` run against a full baseline) is reported as not
-/// comparable and never trips the gate. Per-point medians use
-/// `cold_median_ms`, falling back to schema 2's `median_ms`; per-span
-/// values use `span_medians_ms`, falling back to a flattened
-/// `span_breakdown`. The gate fails when [`GATE_SPAN`]'s median exceeds
-/// the baseline by more than `gate_threshold` (0.25 = 25%).
+/// comparable and never trips the gate. Per-point medians are
+/// `cold_median_ms`; per-span values are `span_medians_ms`. The gate
+/// fails when [`GATE_SPAN`]'s median exceeds the baseline by more than
+/// `gate_threshold` (0.25 = 25%).
 pub fn diff_reports(
     current: &str,
     baseline: &str,
@@ -1020,9 +903,9 @@ pub fn diff_reports(
         .and_then(Json::as_f64)
         .map(|n| n as u64)
         .ok_or_else(|| "baseline report has no \"schema\" field".to_owned())?;
-    if !(2..=BENCH_SCHEMA).contains(&base_schema) {
+    if base_schema != BENCH_SCHEMA {
         return Err(format!(
-            "baseline schema {base_schema} not understood (want 2..={BENCH_SCHEMA})"
+            "baseline schema {base_schema} not understood (want {BENCH_SCHEMA})"
         ));
     }
     let empty: [Json; 0] = [];
@@ -1098,28 +981,20 @@ pub fn diff_reports(
     Ok(ReportDiff { lines, gate_failed })
 }
 
-/// A point's comparison median: `cold_median_ms` (schema 3), falling
-/// back to `median_ms` (schema 2, where every run was cold).
+/// A point's comparison median, `cold_median_ms`.
 fn point_median(point: &Json) -> Option<f64> {
-    point
-        .get("cold_median_ms")
-        .or_else(|| point.get("median_ms"))
-        .and_then(Json::as_f64)
+    point.get("cold_median_ms").and_then(Json::as_f64)
 }
 
-/// A workload's per-span medians: `span_medians_ms` (schema 3), falling
-/// back to the flattened single-run `span_breakdown` (schema 2).
+/// A workload's per-span medians, `span_medians_ms`.
 fn workload_span_medians(workload: &Json) -> Vec<(String, f64)> {
-    if let Some(Json::Obj(fields)) = workload.get("span_medians_ms") {
-        return fields
+    match workload.get("span_medians_ms") {
+        Some(Json::Obj(fields)) => fields
             .iter()
             .filter_map(|(k, v)| v.as_f64().map(|ms| (k.clone(), ms)))
-            .collect();
+            .collect(),
+        _ => Vec::new(),
     }
-    workload
-        .get("span_breakdown")
-        .map(flatten_spans)
-        .unwrap_or_default()
 }
 
 fn verdict(cur_ms: f64, base_ms: f64) -> String {
@@ -1183,16 +1058,17 @@ mod tests {
     }
 
     #[test]
-    fn json_validator_accepts_and_rejects() {
-        assert!(validate_json(r#"{"a": [1, -2.5, 3e4], "b": {"c": "x\"y"}, "d": null}"#).is_ok());
-        assert!(validate_json("[true, false]").is_ok());
-        assert!(validate_json("  42  ").is_ok());
-        assert!(validate_json(r#"{"a": 1"#).is_err()); // truncated
-        assert!(validate_json(r#"{"a": 1} extra"#).is_err()); // trailing
-        assert!(validate_json(r#"{"a": 1.}"#).is_err()); // bad number
-        assert!(validate_json(r#"{a: 1}"#).is_err()); // unquoted key
-        assert!(validate_json(r#"{"a": }"#).is_err());
-        assert!(validate_json("").is_err());
+    fn json_parser_accepts_and_rejects() {
+        assert!(Json::parse(r#"{"a": [1, -2.5, 3e4], "b": {"c": "x\"y"}, "d": null}"#).is_ok());
+        assert!(Json::parse("[true, false]").is_ok());
+        assert!(Json::parse("  42  ").is_ok());
+        assert!(Json::parse(r#"{"a": 1"#).is_err()); // truncated
+        assert!(Json::parse(r#"{"a": 1} extra"#).is_err()); // trailing
+        assert!(Json::parse(r#"{"a": 1.}"#).is_err()); // bad number
+        assert!(Json::parse(r#"{a: 1}"#).is_err()); // unquoted key
+        assert!(Json::parse(r#"{"a": }"#).is_err());
+        assert!(Json::parse("").is_err());
+        assert!(Json::parse(r#"{"a": "\q"}"#).is_err()); // unknown escape
     }
 
     #[test]
@@ -1288,47 +1164,48 @@ mod tests {
         assert_eq!(flat[1], ("cluster_partition".to_owned(), 7.5));
     }
 
-    fn report(schema: u64, rows: u64, median: f64, cluster_ms: f64) -> String {
-        // A schema-2-shaped workload (median_ms + span_breakdown) is
-        // also a valid diff input for schema 3 via the fallbacks.
-        format!(
-            r#"{{"schema": {schema}, "workloads": [
+    /// A schema-4 report with one workload, one point and one span
+    /// median.
+    fn report(rows: u64, median: f64, cluster_ms: f64) -> String {
+        let text = format!(
+            r#"{{"schema": 4, "workloads": [
                  {{"name": "w", "rows": {rows},
-                   "points": [{{"threads": 1, "median_ms": {median}}}],
-                   "span_breakdown": [{{"name": "cluster_partition", "calls": 5,
-                     "duration_ms": {cluster_ms}, "counters": {{}}, "children": []}}]}}]}}"#
-        )
+                   "points": [{{"threads": 1, "median_ms": {median},
+                     "cold_median_ms": {median}}}],
+                   "span_medians_ms": {{"cluster_partition": {cluster_ms}}}}}]}}"#
+        );
+        assert_eq!(validate_report(&text), Ok(()), "fixture must be schema 4");
+        text
     }
 
     #[test]
     fn diff_reports_flags_gate_regressions_only_when_comparable() {
         // 10% slower cluster_partition: reported, below the 25% gate.
-        let diff = diff_reports(&report(3, 100, 11.0, 11.0), &report(2, 100, 10.0, 10.0), 0.25)
-            .unwrap();
+        let diff = diff_reports(&report(100, 11.0, 11.0), &report(100, 10.0, 10.0), 0.25).unwrap();
         assert!(!diff.gate_failed, "{:?}", diff.lines);
         assert!(diff.lines.iter().any(|l| l.contains("+10.0% regression")));
 
         // 50% slower: gate fails.
-        let diff = diff_reports(&report(3, 100, 15.0, 15.0), &report(2, 100, 10.0, 10.0), 0.25)
-            .unwrap();
+        let diff = diff_reports(&report(100, 15.0, 15.0), &report(100, 10.0, 10.0), 0.25).unwrap();
         assert!(diff.gate_failed, "{:?}", diff.lines);
         assert!(diff.lines.iter().any(|l| l.contains("GATE FAILED")));
 
         // Faster: speedup reported, no gate.
-        let diff = diff_reports(&report(3, 100, 5.0, 4.0), &report(2, 100, 10.0, 10.0), 0.25)
-            .unwrap();
+        let diff = diff_reports(&report(100, 5.0, 4.0), &report(100, 10.0, 10.0), 0.25).unwrap();
         assert!(!diff.gate_failed);
         assert!(diff.lines.iter().any(|l| l.contains("2.50x speedup")));
 
         // Row-count mismatch (e.g. --quick vs full baseline): skipped,
         // never trips the gate even with a huge regression.
-        let diff = diff_reports(&report(3, 5, 99.0, 99.0), &report(2, 100, 10.0, 10.0), 0.25)
-            .unwrap();
+        let diff = diff_reports(&report(5, 99.0, 99.0), &report(100, 10.0, 10.0), 0.25).unwrap();
         assert!(!diff.gate_failed);
         assert!(diff.lines.iter().any(|l| l.contains("not comparable")));
 
-        // Pre-versioning baseline is rejected outright.
-        assert!(diff_reports(&report(3, 100, 1.0, 1.0), r#"{"workloads": []}"#, 0.25).is_err());
+        // Pre-versioning and older-schema baselines are rejected outright.
+        assert!(diff_reports(&report(100, 1.0, 1.0), r#"{"workloads": []}"#, 0.25).is_err());
+        let schema_3 = report(100, 1.0, 1.0).replace("\"schema\": 4", "\"schema\": 3");
+        let err = diff_reports(&report(100, 1.0, 1.0), &schema_3, 0.25).err();
+        assert_eq!(err.as_deref(), Some("baseline schema 3 not understood (want 4)"));
     }
 
     #[test]
@@ -1368,6 +1245,33 @@ mod tests {
         assert!(err.contains("\"failures\" in a serve report point"), "{err}");
         let err = validate_store_report(&store.replace("\"runs\"", "\"iters\"")).unwrap_err();
         assert!(err.contains("\"iters\""), "{err}");
+    }
+
+    #[test]
+    fn committed_reports_validate_and_pass_their_own_gates() {
+        let read = |file: &str| {
+            let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(file);
+            std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
+        };
+        let (cad, explore) = (read("BENCH_cad.json"), read("BENCH_explore.json"));
+        assert_eq!(validate_report(&cad), Ok(()), "BENCH_cad.json");
+        assert_eq!(validate_serve_report(&read("BENCH_serve.json")), Ok(()), "BENCH_serve.json");
+        assert_eq!(validate_store_report(&read("BENCH_store.json")), Ok(()), "BENCH_store.json");
+        assert_eq!(validate_explore_report(&explore), Ok(()), "BENCH_explore.json");
+        // Diffed against itself, each baseline compares every point and
+        // fails no gate.
+        for (file, diff) in [
+            ("BENCH_cad.json", diff_reports(&cad, &cad, 0.25)),
+            ("BENCH_explore.json", diff_explore_reports(&explore, &explore, 0.25)),
+        ] {
+            let diff = diff.unwrap_or_else(|e| panic!("{file}: {e}"));
+            assert!(!diff.lines.is_empty(), "{file}: nothing compared");
+            for line in &diff.lines {
+                assert!(line.contains(" vs "), "{file}: {line}");
+            }
+            assert!(!diff.gate_failed, "{file}: {:?}", diff.lines);
+        }
     }
 
     fn explore_report(sessions: u64, ttfr_p50: f64, p99: f64) -> String {

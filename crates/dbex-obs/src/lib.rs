@@ -10,8 +10,8 @@
 //!   fixed-bucket histograms ([`global`], the [`counter!`] / [`gauge!`]
 //!   macros). Instruments are relaxed atomics; the hot path pays one
 //!   atomic add.
-//! * [`sink`] — pluggable [`TraceSink`]s: in-memory for tests, table
-//!   and JSON-lines for the REPL/CLI.
+//! * [`sink`] — the [`TraceSink`] trait that receives finished traces,
+//!   and the in-memory [`MemorySink`] the tests read.
 //!
 //! # Determinism contract
 //!
@@ -30,7 +30,7 @@ pub mod span;
 pub use metrics::{
     global, Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry,
 };
-pub use sink::{JsonLinesSink, MemorySink, TableSink, TraceSink};
+pub use sink::{MemorySink, TraceSink};
 pub use span::{fmt_ns, Span, SpanId, SpanNode, Trace, Tracer};
 
 /// Masks every wall-clock-dependent field in rendered observability

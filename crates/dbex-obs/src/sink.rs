@@ -1,12 +1,10 @@
 //! Pluggable trace sinks.
 //!
 //! A [`TraceSink`] receives every finished [`Trace`]. The in-memory
-//! sink backs tests and the obs smoke check; the table and JSON-lines
-//! sinks serve the REPL/CLI.
+//! [`MemorySink`] backs the tests.
 
 use crate::span::Trace;
 use std::collections::BTreeSet;
-use std::io::Write;
 use std::sync::Mutex;
 
 /// Receives finished traces. Implementations must be cheap — sinks run
@@ -15,7 +13,7 @@ pub trait TraceSink: Send + Sync {
     fn record(&self, trace: &Trace);
 }
 
-/// Buffers every trace in memory; tests and the smoke check inspect it.
+/// Buffers every trace in memory; tests inspect it.
 #[derive(Default)]
 pub struct MemorySink {
     traces: Mutex<Vec<Trace>>,
@@ -54,42 +52,6 @@ impl TraceSink for MemorySink {
     }
 }
 
-/// Writes each trace as its human-readable table.
-pub struct TableSink<W: Write + Send> {
-    out: Mutex<W>,
-}
-
-impl<W: Write + Send> TableSink<W> {
-    pub fn new(out: W) -> Self {
-        TableSink { out: Mutex::new(out) }
-    }
-}
-
-impl<W: Write + Send> TraceSink for TableSink<W> {
-    fn record(&self, trace: &Trace) {
-        let _ = lock(&self.out).write_all(trace.render().as_bytes());
-    }
-}
-
-/// Writes each trace as one line of JSON.
-pub struct JsonLinesSink<W: Write + Send> {
-    out: Mutex<W>,
-}
-
-impl<W: Write + Send> JsonLinesSink<W> {
-    pub fn new(out: W) -> Self {
-        JsonLinesSink { out: Mutex::new(out) }
-    }
-}
-
-impl<W: Write + Send> TraceSink for JsonLinesSink<W> {
-    fn record(&self, trace: &Trace) {
-        let mut out = lock(&self.out);
-        let _ = out.write_all(trace.to_json().as_bytes());
-        let _ = out.write_all(b"\n");
-    }
-}
-
 fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
@@ -119,20 +81,5 @@ mod tests {
         let names = sink.span_names();
         assert!(names.contains("cad_build"));
         assert!(names.contains("topk"));
-    }
-
-    #[test]
-    fn stream_sinks_write_renderings() {
-        let trace = tiny_trace();
-        let table = TableSink::new(Vec::new());
-        table.record(&trace);
-        let text = String::from_utf8(table.out.into_inner().unwrap_or_default()).unwrap_or_default();
-        assert!(text.contains("cad_build"));
-
-        let json = JsonLinesSink::new(Vec::new());
-        json.record(&trace);
-        let line = String::from_utf8(json.out.into_inner().unwrap_or_default()).unwrap_or_default();
-        assert!(line.ends_with("]\n"));
-        assert!(line.contains("\"name\": \"topk\""));
     }
 }

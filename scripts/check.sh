@@ -5,11 +5,12 @@
 # `#![warn(clippy::unwrap_used, clippy::expect_used)]` outside #[cfg(test)],
 # so any new unwrap/expect in library code fails this script.
 #
-# The observability smoke (also available alone via `--obs-smoke`) runs a
-# tiny traced CAD build and asserts the in-memory sink saw the expected
-# span taxonomy and that the global counters moved; it is part of the
-# default gate because it is cheap and catches silently-dropped
-# instrumentation.
+# `cargo test -q --workspace` runs every in-process check, the golden
+# transcripts of the REPL and the wire included
+# (tests/observability.rs, tests/serve_determinism.rs,
+# tests/suggest_golden.rs); regenerate those with
+# `UPDATE_SNAPSHOTS=1 cargo test`. Only checks that need a separate
+# process are binaries of their own: the store smoke and `kernel_ab`.
 #
 # `--bench-smoke` additionally runs the CAD bench harness in --quick mode
 # with DBEX_THREADS pinned, so the run is reproducible on any machine.
@@ -24,24 +25,10 @@
 # minutes and measures real wall-clock, so it is opt-in, not part of the
 # default gate.
 #
-# The serve smoke (also available alone via `--serve-smoke`) boots the
-# wire server in-process, replays an exploration script through three
-# concurrent clients, and fails unless every transcript is byte-identical
-# to the single-session oracle AND to the committed golden snapshot
-# (tests/snapshots/serve_smoke.txt); it is part of the default gate.
-#
 # `--serve-soak` runs the ignored-by-default 60-second hostile-workload
 # soak (mid-request disconnects, oversized/truncated frames, connection
 # hammers over the cap) in release mode; shorten with
 # DBEX_SERVE_SOAK_SECS. Opt-in because of its wall-clock cost.
-#
-# The suggest smoke (also available alone via `--suggest-smoke`) checks
-# the SUGGEST surface: the single-session oracle transcript must match
-# the committed golden (tests/snapshots/suggest_wire.txt), three
-# concurrent clients must reproduce it byte-for-byte, the wire frames
-# must carry exactly what the REPL renders, and one planted-correlation
-# seed must recover the planted attribute in the top 3; it is part of
-# the default gate.
 #
 # The store smoke (also available alone via `--store-smoke`) saves a
 # snapshot in a child process, reopens it cold, and fails unless the
@@ -105,9 +92,6 @@ trap cleanup EXIT
 
 BENCH_SMOKE=0
 BENCH_REGRESSION=0
-OBS_SMOKE_ONLY=0
-SERVE_SMOKE_ONLY=0
-SUGGEST_SMOKE_ONLY=0
 SERVE_SOAK=0
 STORE_SMOKE_ONLY=0
 CRASH_SMOKE=0
@@ -120,34 +104,13 @@ for arg in "$@"; do
     --bench-regression) BENCH_REGRESSION=1 ;;
     --bench-explore) BENCH_EXPLORE=1 ;;
     --bench-explore-regression) BENCH_EXPLORE_REGRESSION=1 ;;
-    --obs-smoke) OBS_SMOKE_ONLY=1 ;;
-    --serve-smoke) SERVE_SMOKE_ONLY=1 ;;
-    --suggest-smoke) SUGGEST_SMOKE_ONLY=1 ;;
     --serve-soak) SERVE_SOAK=1 ;;
     --store-smoke) STORE_SMOKE_ONLY=1 ;;
     --crash-smoke) CRASH_SMOKE=1 ;;
     --kernel-ab) KERNEL_AB=1 ;;
-    *) echo "usage: $0 [--bench-smoke] [--bench-regression] [--bench-explore] [--bench-explore-regression] [--obs-smoke] [--serve-smoke] [--suggest-smoke] [--serve-soak] [--store-smoke] [--crash-smoke] [--kernel-ab]" >&2; exit 2 ;;
+    *) echo "usage: $0 [--bench-smoke] [--bench-regression] [--bench-explore] [--bench-explore-regression] [--serve-soak] [--store-smoke] [--crash-smoke] [--kernel-ab]" >&2; exit 2 ;;
   esac
 done
-
-if [[ "$OBS_SMOKE_ONLY" -eq 1 ]]; then
-  echo "==> obs smoke (traced build against the in-memory sink)"
-  cargo run --release --bin obs_smoke
-  exit 0
-fi
-
-if [[ "$SERVE_SMOKE_ONLY" -eq 1 ]]; then
-  echo "==> serve smoke (3 concurrent clients vs oracle + golden transcript)"
-  cargo run --release --bin serve_smoke
-  exit 0
-fi
-
-if [[ "$SUGGEST_SMOKE_ONLY" -eq 1 ]]; then
-  echo "==> suggest smoke (oracle + golden + REPL/wire identity + planted recovery)"
-  cargo run --release --bin suggest_smoke
-  exit 0
-fi
 
 if [[ "$SERVE_SOAK" -eq 1 ]]; then
   echo "==> serve soak (hostile mixed workload, ${DBEX_SERVE_SOAK_SECS:-60}s)"
@@ -183,15 +146,6 @@ cargo test -q --workspace
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
-
-echo "==> obs smoke (traced build against the in-memory sink)"
-cargo run --release --bin obs_smoke
-
-echo "==> serve smoke (3 concurrent clients vs oracle + golden transcript)"
-cargo run --release --bin serve_smoke
-
-echo "==> suggest smoke (oracle + golden + REPL/wire identity + planted recovery)"
-cargo run --release --bin suggest_smoke
 
 echo "==> store smoke (cross-process warm restart + fault-injected save)"
 cargo run --release --bin store_smoke

@@ -17,11 +17,14 @@
 //! session's StatsCache starts empty, so hit/miss deltas are a function
 //! of the build alone.
 
+#[path = "common/snapshot.rs"]
+mod snapshot;
+
 use dbexplorer::data::{HotelsGenerator, MushroomGenerator, UsedCarsGenerator};
 use dbexplorer::obs::mask_timings;
 use dbexplorer::query::{QueryOutput, Session};
 use dbexplorer::table::Table;
-use std::path::PathBuf;
+use snapshot::assert_snapshot;
 
 /// The three datasets of `parallel_determinism.rs`, with their pivots.
 fn datasets() -> Vec<(&'static str, Table, &'static str)> {
@@ -47,36 +50,6 @@ fn masked_explain_analyze(name: &str, table: Table, pivot: &str, threads: usize)
         panic!("{name}: EXPLAIN ANALYZE returned a non-text output");
     };
     mask_timings(&text)
-}
-
-fn snapshot_path(file: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/snapshots")
-        .join(file)
-}
-
-/// Compares `actual` against the named snapshot; rewrites the snapshot
-/// instead when `UPDATE_SNAPSHOTS` is set.
-fn assert_snapshot(file: &str, actual: &str) {
-    let path = snapshot_path(file);
-    if std::env::var_os("UPDATE_SNAPSHOTS").is_some() {
-        std::fs::write(&path, actual)
-            .unwrap_or_else(|e| panic!("cannot write snapshot {}: {e}", path.display()));
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "cannot read snapshot {} ({e}); generate it with \
-             UPDATE_SNAPSHOTS=1 cargo test --test observability",
-            path.display()
-        )
-    });
-    assert_eq!(
-        actual, expected,
-        "masked output diverged from {}; if the change is intentional, \
-         regenerate with UPDATE_SNAPSHOTS=1 cargo test --test observability",
-        path.display()
-    );
 }
 
 #[test]
@@ -137,6 +110,17 @@ fn repl_metrics_dump_matches_snapshot() {
     let output = child.wait_with_output().expect("dbex exits");
     assert!(output.status.success(), "dbex exited with failure");
     let stdout = String::from_utf8(output.stdout).expect("utf-8 output");
+    // The mask hides timing-histogram contents, so check here that the
+    // one build observed exactly one `cad.build_ms` sample.
+    let build_ms = stdout
+        .lines()
+        .find_map(|l| l.trim_start().strip_prefix("histogram  cad.build_ms"))
+        .unwrap_or_else(|| panic!("no cad.build_ms histogram in:\n{stdout}"));
+    assert_eq!(
+        build_ms.split_whitespace().next(),
+        Some("count=1"),
+        "cad.build_ms must hold one observation per build: {build_ms}"
+    );
     let masked = mask_timings(&stdout);
     assert!(masked.contains("metrics registry"), "{masked}");
     assert!(masked.contains("counter"), "{masked}");

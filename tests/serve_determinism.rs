@@ -1,17 +1,27 @@
-//! 32 concurrent clients must be byte-indistinguishable from one.
+//! Concurrent clients must be byte-indistinguishable from one session.
 //!
 //! Every client replays the same exploration script against one server;
 //! every response line must equal the single-session oracle transcript
-//! ([`oracle_transcript`]) — cold cache and warm. The warm pass must
+//! ([`oracle_transcript`]) — cold cache and warm. The replays must
 //! additionally show shared-cache hits: client sessions draw codecs,
 //! contingency tables, and cluster partitions from one process-wide
 //! `StatsCache`, and a byte-identical answer that *recomputed* everything
 //! would be a performance bug, not a correctness pass.
+//!
+//! One oracle is also pinned byte for byte to the golden transcript
+//! `tests/snapshots/serve_smoke.txt`.
 
+#[path = "common/clients.rs"]
+mod clients;
+#[path = "common/snapshot.rs"]
+mod snapshot;
+
+use clients::concurrent_transcripts;
 use dbexplorer::data::UsedCarsGenerator;
 use dbexplorer::serve::{
     oracle_transcript, strip_stream_tags, Client, ServeConfig, Server, ServerHandle,
 };
+use snapshot::assert_snapshot;
 
 const CLIENTS: usize = 32;
 const ROWS: usize = 1_500;
@@ -29,34 +39,23 @@ fn cars() -> dbexplorer::table::Table {
     UsedCarsGenerator::new(SEED).generate(ROWS)
 }
 
-/// Runs `CLIENTS` concurrent replays of [`SCRIPT`]; panics (with the
+/// Runs `clients` concurrent replays of `script`; panics (with the
 /// offending request) on the first byte that differs from `oracle`.
-fn replay_pass(handle: &ServerHandle, oracle: &[String], pass: &str) {
-    let transcripts: Vec<Vec<String>> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..CLIENTS)
-            .map(|_| {
-                let addr = handle.addr();
-                scope.spawn(move || {
-                    let mut client = Client::connect(addr).expect("connect");
-                    SCRIPT
-                        .iter()
-                        .map(|req| client.request_line(req).expect("request"))
-                        .collect::<Vec<String>>()
-                })
-            })
-            .collect();
-        workers
-            .into_iter()
-            .map(|w| w.join().expect("client thread"))
-            .collect()
-    });
+fn replay_pass(
+    handle: &ServerHandle,
+    clients: usize,
+    script: &[&str],
+    oracle: &[String],
+    pass: &str,
+) {
+    let transcripts = concurrent_transcripts(handle.addr(), clients, script);
     for (i, transcript) in transcripts.iter().enumerate() {
         assert_eq!(transcript.len(), oracle.len());
         for (j, (got, want)) in transcript.iter().zip(oracle).enumerate() {
             assert_eq!(
                 got, want,
                 "{pass} pass: client {i} diverged from the oracle on {:?}",
-                SCRIPT[j]
+                script[j]
             );
         }
     }
@@ -76,14 +75,14 @@ fn thirty_two_clients_are_byte_identical_to_one_session() {
     let cache = server.cache();
     let handle = server.spawn().expect("spawn accept thread");
 
-    replay_pass(&handle, &oracle, "cold");
+    replay_pass(&handle, CLIENTS, SCRIPT, &oracle, "cold");
     let after_cold = cache.stats();
     assert!(
         after_cold.hits > 0,
         "32 clients building the same view must share stats work: {after_cold}"
     );
 
-    replay_pass(&handle, &oracle, "warm");
+    replay_pass(&handle, CLIENTS, SCRIPT, &oracle, "warm");
     let after_warm = cache.stats();
     assert!(after_warm.hits > after_cold.hits, "warm pass produced no cache hits");
     assert_eq!(
@@ -91,6 +90,42 @@ fn thirty_two_clients_are_byte_identical_to_one_session() {
         "warm pass repeated identical requests yet missed the shared cache"
     );
 
+    assert_eq!(handle.panics(), 0);
+    handle.shutdown();
+}
+
+/// The golden script: every response kind over 3,000 cars rows at seed
+/// 7. Its oracle is pinned in `tests/snapshots/serve_smoke.txt`, and
+/// three concurrent clients must reproduce it while sharing stats work.
+#[test]
+fn golden_transcript_matches_snapshot_and_three_clients() {
+    const GOLDEN_ROWS: usize = 3_000;
+    const GOLDEN_SEED: u64 = 7;
+    const GOLDEN_CLIENTS: usize = 3;
+    let script: &[&str] = &[
+        ".ping",
+        ".tables",
+        "SELECT Make, Model, Price FROM cars WHERE BodyType = SUV LIMIT 5",
+        "CREATE CADVIEW v AS SET pivot = Make FROM cars WHERE BodyType = SUV LIMIT COLUMNS 3 IUNITS 2",
+        "HIGHLIGHT SIMILAR IUNITS IN v WHERE SIMILARITY(Ford, 1) > 0.5",
+        "REORDER ROWS IN v ORDER BY SIMILARITY(Jeep) DESC",
+    ];
+    let cars = || UsedCarsGenerator::new(GOLDEN_SEED).generate(GOLDEN_ROWS);
+
+    let config = ServeConfig::default();
+    let oracle = oracle_transcript(vec![("cars".to_owned(), cars())], &config, script);
+    assert_snapshot("serve_smoke.txt", &format!("{}\n", oracle.join("\n")));
+
+    let server = Server::bind("127.0.0.1:0", config).expect("bind");
+    server.preload("cars", cars());
+    let cache = server.cache();
+    let handle = server.spawn().expect("spawn server threads");
+    replay_pass(&handle, GOLDEN_CLIENTS, script, &oracle, "golden");
+    let stats = cache.stats();
+    assert!(
+        stats.hits > 0,
+        "{GOLDEN_CLIENTS} clients building the same view must share stats work: {stats}"
+    );
     assert_eq!(handle.panics(), 0);
     handle.shutdown();
 }

@@ -1,12 +1,14 @@
 //! Golden snapshots for the SUGGEST surface.
 //!
-//! Three locks:
+//! Four locks:
 //!
 //! * the REPL's `.suggest` output (subprocess, whole stdout masked) —
 //!   `tests/snapshots/suggest_repl.txt`;
 //! * the wire-protocol SUGGEST frames (single client against a live
 //!   server, compared byte-for-byte against the single-session oracle
 //!   after masking) — `tests/snapshots/suggest_wire.txt`;
+//! * concurrency: three clients replaying the wire script at once each
+//!   reproduce that oracle and share the server's stats cache;
 //! * byte-identity between the two surfaces: a wire frame's `text` is
 //!   exactly `QueryOutput::render` of the same statement executed
 //!   in-process, so `.suggest` in the REPL and SUGGEST over the wire can
@@ -18,11 +20,17 @@
 //! UPDATE_SNAPSHOTS=1 cargo test --test suggest_golden
 //! ```
 
+#[path = "common/clients.rs"]
+mod clients;
+#[path = "common/snapshot.rs"]
+mod snapshot;
+
+use clients::concurrent_transcripts;
 use dbexplorer::data::UsedCarsGenerator;
 use dbexplorer::obs::mask_timings;
 use dbexplorer::query::Session;
 use dbexplorer::serve::{oracle_transcript, Client, ServeConfig, Server};
-use std::path::PathBuf;
+use snapshot::assert_snapshot;
 
 const ROWS: usize = 3_000;
 const SEED: u64 = 7;
@@ -38,36 +46,6 @@ const SCRIPT: &[&str] = &[
     "EXPLAIN ANALYZE SUGGEST NEXT FOR v",
     "SUGGEST NEXT FOR nosuch",
 ];
-
-fn snapshot_path(file: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/snapshots")
-        .join(file)
-}
-
-/// Compares `actual` against the named snapshot; rewrites the snapshot
-/// instead when `UPDATE_SNAPSHOTS` is set.
-fn assert_snapshot(file: &str, actual: &str) {
-    let path = snapshot_path(file);
-    if std::env::var_os("UPDATE_SNAPSHOTS").is_some() {
-        std::fs::write(&path, actual)
-            .unwrap_or_else(|e| panic!("cannot write snapshot {}: {e}", path.display()));
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "cannot read snapshot {} ({e}); generate it with \
-             UPDATE_SNAPSHOTS=1 cargo test --test suggest_golden",
-            path.display()
-        )
-    });
-    assert_eq!(
-        actual, expected,
-        "masked output diverged from {}; if the change is intentional, \
-         regenerate with UPDATE_SNAPSHOTS=1 cargo test --test suggest_golden",
-        path.display()
-    );
-}
 
 #[test]
 fn suggest_repl_output_matches_snapshot() {
@@ -133,8 +111,8 @@ fn suggest_wire_frames_match_oracle_and_snapshot() {
     let masked_wire = mask_timings(&format!("{}\n", transcript.join("\n")));
 
     // Wire and oracle must agree byte-for-byte once wall times are
-    // masked — the same determinism contract serve_smoke enforces for
-    // the CAD surface.
+    // masked — the same determinism contract serve_determinism.rs
+    // enforces for the CAD surface.
     assert_eq!(
         masked_wire, masked_oracle,
         "wire SUGGEST frames diverge from the single-session oracle"
@@ -145,6 +123,54 @@ fn suggest_wire_frames_match_oracle_and_snapshot() {
         "unknown view must be a typed error frame: {masked_wire}"
     );
     assert_snapshot("suggest_wire.txt", &masked_wire);
+}
+
+/// Masks the process-global `stats cache: N hits, ...` summary line in an
+/// EXPLAIN ANALYZE frame. Per-request cache traffic is deterministic, but
+/// the global totals grow with every concurrent client, so only the
+/// single-session oracle can pin them.
+fn mask_global_cache(line: &str) -> String {
+    let Some(at) = line.find("stats cache: ") else {
+        return line.to_owned();
+    };
+    let end = line[at..].find("\\n").map_or(line.len(), |e| at + e);
+    format!("{}stats cache: <TOTALS>{}", &line[..at], &line[end..])
+}
+
+#[test]
+fn concurrent_clients_reproduce_the_masked_oracle() {
+    const CLIENTS: usize = 3;
+    let config = ServeConfig::default();
+    let oracle = oracle_transcript(
+        vec![("cars".to_owned(), UsedCarsGenerator::new(SEED).generate(ROWS))],
+        &config,
+        SCRIPT,
+    );
+    let mask = |line: &String| mask_global_cache(&mask_timings(line));
+    let masked_oracle: Vec<String> = oracle.iter().map(mask).collect();
+
+    let server = Server::bind("127.0.0.1:0", config).expect("bind ephemeral port");
+    server.preload("cars", UsedCarsGenerator::new(SEED).generate(ROWS));
+    let cache = server.cache();
+    let handle = server.spawn().expect("spawn server");
+    let transcripts = concurrent_transcripts(handle.addr(), CLIENTS, SCRIPT);
+    handle.shutdown();
+
+    for (i, transcript) in transcripts.iter().enumerate() {
+        assert_eq!(transcript.len(), masked_oracle.len());
+        for (j, (got, want)) in transcript.iter().map(mask).zip(&masked_oracle).enumerate() {
+            assert_eq!(
+                &got, want,
+                "client {i} diverged from the masked oracle on {:?}",
+                SCRIPT[j]
+            );
+        }
+    }
+    let stats = cache.stats();
+    assert!(
+        stats.hits > 0,
+        "{CLIENTS} clients building the same view must share stats work: {stats}"
+    );
 }
 
 #[test]

@@ -13,7 +13,7 @@
 //!    never resurface at a deeper refinement.
 //! 4. **Planted-correlation recovery** — on the exploration benchmark's
 //!    synthetic dataset, the attribute planted to follow the pivot lands
-//!    in the top 3 for at least 90% of seeds.
+//!    in the top 3 for at least 90% of seeds, and always at seed 42.
 
 use dbexplorer::explore::SyntheticSpec;
 use dbexplorer::stats::{CodedColumns, StatsCache};
@@ -341,4 +341,23 @@ fn planted_pivot_dependent_recovered_in_top_3_across_seeds() {
         recovered * 10 >= SEEDS as u32 * 9,
         "planted correlation recovered in only {recovered}/{SEEDS} seeds (need >= 90%)"
     );
+}
+
+#[test]
+fn planted_pivot_dependent_recovered_in_top_3_at_seed_42() {
+    // One pinned seed, with the default configuration (limit cut
+    // included), that must recover `c0` — unlike the battery above,
+    // which tolerates a miss on some seeds.
+    let spec = SyntheticSpec::exploration_default(2_000, 42);
+    let table = spec.generate();
+    let pivot = spec.attrs.iter().position(|a| a.name == "p").expect("pivot attr");
+    let report = suggest_next(&table.full_view(), pivot, &SuggestConfig::default(), None, None)
+        .expect("rank");
+    let top3: Vec<&str> = report
+        .suggestions
+        .iter()
+        .take(3)
+        .map(|s| s.name.as_str())
+        .collect();
+    assert!(top3.contains(&"c0"), "planted c0 not in the top 3: {top3:?}");
 }

@@ -500,8 +500,11 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'r') => out.push(b'\r'),
                     Some(b't') => out.push(b'\t'),
                     Some(b'u') => {
+                        // Exactly four hex digits: `from_str_radix` alone
+                        // would also take a leading `+`.
                         let hex = b
                             .get(*pos..*pos + 4)
+                            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                             .and_then(|h| std::str::from_utf8(h).ok())
                             .and_then(|h| u32::from_str_radix(h, 16).ok())
                             .and_then(char::from_u32)
@@ -1069,6 +1072,8 @@ mod tests {
         assert!(Json::parse(r#"{"a": }"#).is_err());
         assert!(Json::parse("").is_err());
         assert!(Json::parse(r#"{"a": "\q"}"#).is_err()); // unknown escape
+        assert!(Json::parse(r#"{"a": "\u+12a"}"#).is_err()); // signed \u digits
+        assert_eq!(Json::parse(r#""\u012a""#), Ok(Json::Str("\u{12a}".into())));
     }
 
     #[test]

@@ -263,8 +263,9 @@ pub fn build_cad_view(result: &View<'_>, request: &CadRequest) -> Result<CadView
 
 /// [`build_cad_view`] with an optional statistics cache.
 ///
-/// The cache memoizes attribute codecs (histograms + bin labels) and
-/// chi-square contingency tables across builds, keyed on the view's
+/// The cache memoizes attribute codecs (histograms + bin labels), the
+/// scores of chi-square contingency tables and cluster solutions across
+/// builds, keyed on the view's
 /// fingerprint — repeated `CREATE CADVIEW` statements and TPFacet
 /// refinements over the same result set stop recomputing them. Pass
 /// `None` for the uncached behavior of [`build_cad_view`]; cached and

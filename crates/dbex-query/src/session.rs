@@ -291,9 +291,10 @@ pub struct Session {
     /// Worker threads for CAD View builds: `1` = sequential (default),
     /// `0` = auto (`DBEX_THREADS` / hardware parallelism).
     threads: Option<usize>,
-    /// Memoized codecs + contingency tables shared by every CAD build in
-    /// this session (keyed on view fingerprints, so table or predicate
-    /// changes invalidate implicitly).
+    /// Memoized codecs, contingency scores and cluster solutions shared
+    /// by every CAD build and `SUGGEST` in this session, and by every
+    /// session of a server (keyed on view fingerprints, so table or
+    /// predicate changes invalidate implicitly).
     stats_cache: Arc<StatsCache>,
     /// When set, every CAD build is traced and the rendered span tree is
     /// attached to [`QueryOutput::Cad`].
@@ -423,8 +424,8 @@ impl Session {
         self.threads
     }
 
-    /// The session's shared statistics cache (codecs + contingency
-    /// tables), for diagnostics.
+    /// The session's shared statistics cache (codecs, contingency scores
+    /// and cluster solutions), for diagnostics.
     pub fn stats_cache(&self) -> &StatsCache {
         &self.stats_cache
     }

@@ -173,27 +173,34 @@ impl Client {
     /// are final (the entire pre-streaming protocol), so this is safe to
     /// use against any server. Returns the raw lines, last one final.
     pub fn request_stream_lines(&mut self, request: &str) -> Result<Vec<String>, ClientError> {
-        write_frame(&mut self.writer, request)?;
-        let mut lines = Vec::new();
-        loop {
-            let line = self.read_line()?;
-            let done = WireResponse::parse(&line)
-                .map_err(ClientError::Wire)?
-                .is_final();
-            lines.push(line);
-            if done {
-                return Ok(lines);
-            }
-        }
+        self.stream_frames(request, |line, _| line)
     }
 
     /// [`Client::request_stream_lines`], parsed. The last response is the
     /// final frame; any before it are previews.
     pub fn request_stream(&mut self, request: &str) -> Result<Vec<WireResponse>, ClientError> {
-        self.request_stream_lines(request)?
-            .iter()
-            .map(|line| WireResponse::parse(line).map_err(ClientError::Wire))
-            .collect()
+        self.stream_frames(request, |_, response| response)
+    }
+
+    /// Sends `request` and reads frames up to the final one, decoding
+    /// each once and keeping what `keep` makes of the raw line and its
+    /// parse.
+    fn stream_frames<T>(
+        &mut self,
+        request: &str,
+        keep: impl Fn(String, WireResponse) -> T,
+    ) -> Result<Vec<T>, ClientError> {
+        write_frame(&mut self.writer, request)?;
+        let mut frames = Vec::new();
+        loop {
+            let line = self.read_line()?;
+            let response = WireResponse::parse(&line).map_err(ClientError::Wire)?;
+            let done = response.is_final();
+            frames.push(keep(line, response));
+            if done {
+                return Ok(frames);
+            }
+        }
     }
 
     /// Reads and parses **one** response frame. Paired with

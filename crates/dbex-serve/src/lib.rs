@@ -3,9 +3,9 @@
 //! A zero-dependency (std-only) TCP wire server for DBExplorer: many
 //! concurrent clients, each with a private [`Session`](dbex_query::Session),
 //! all drawing from one shared catalog of `Arc`-immutable tables and one
-//! process-wide [`StatsCache`](dbex_core::StatsCache) — so the codecs and
-//! contingency tables one client's CAD build computes warm every other
-//! client's refinements.
+//! process-wide [`StatsCache`](dbex_core::StatsCache) — so the codecs,
+//! contingency scores and cluster solutions one client's CAD build
+//! computes warm every other client's refinements.
 //!
 //! ## Wire protocol
 //!

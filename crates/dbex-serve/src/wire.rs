@@ -128,14 +128,10 @@ impl WireResponse {
     /// JSON object with an `ok` bool) but tolerant of extra fields, so the
     /// format can grow without breaking old clients.
     pub fn parse(line: &str) -> Result<WireResponse, WireParseError> {
-        let fields = parse_flat_object(line)?;
+        let mut fields = parse_flat_object(line)?;
         let ok = match fields.get("ok") {
             Some(JsonScalar::Bool(b)) => *b,
             _ => return Err(WireParseError::new("missing or non-bool \"ok\" field")),
-        };
-        let get_str = |name: &str| match fields.get(name) {
-            Some(JsonScalar::Str(s)) => Some(s.clone()),
-            _ => None,
         };
         let seq = match fields.get("seq") {
             Some(JsonScalar::Num(n)) if *n >= 0.0 => Some(*n as u64),
@@ -145,13 +141,18 @@ impl WireResponse {
             Some(JsonScalar::Bool(b)) => Some(*b),
             _ => None,
         };
+        // Strings move out of the map: the payload is not copied again.
+        let mut take_str = |name: &str| match fields.remove(name) {
+            Some(JsonScalar::Str(s)) => Some(s),
+            _ => None,
+        };
         Ok(WireResponse {
             ok,
-            kind: get_str("kind"),
-            code: get_str("code"),
+            kind: take_str("kind"),
+            code: take_str("code"),
             seq,
             fin,
-            text: get_str("text").or_else(|| get_str("error")).unwrap_or_default(),
+            text: take_str("text").or_else(|| take_str("error")).unwrap_or_default(),
         })
     }
 }
@@ -379,8 +380,12 @@ impl Scanner<'_> {
                                 .ok_or_else(|| WireParseError::new("truncated \\u escape"))?;
                             let hex = std::str::from_utf8(hex)
                                 .map_err(|_| WireParseError::new("non-UTF-8 \\u escape"))?;
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone would also take a leading `+`.
                             let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| WireParseError::new("bad \\u escape"))?;
+                                .ok()
+                                .filter(|_| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+                                .ok_or_else(|| WireParseError::new("bad \\u escape"))?;
                             // Surrogates never appear in our output (we
                             // only \u-escape control characters), so a
                             // lone surrogate is malformed input.
@@ -394,16 +399,19 @@ impl Scanner<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the line is a &str, so
-                    // boundaries are valid).
+                    // Copy the whole run up to the next delimiter. Both
+                    // delimiters are ASCII and the line is a &str, so the
+                    // run ends on a char boundary and each byte is
+                    // checked once.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .ok_or_else(|| WireParseError::new("unterminated string"))?;
+                    let s = std::str::from_utf8(&rest[..run])
                         .map_err(|_| WireParseError::new("non-UTF-8 string body"))?;
-                    let c = s.chars().next().ok_or_else(|| {
-                        WireParseError::new("unterminated string")
-                    })?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(s);
+                    self.pos += run;
                 }
             }
         }
@@ -459,9 +467,30 @@ mod tests {
             "{\"ok\":true,\"text\":\"\\u12\"}",
             "{\"ok\":true,\"text\":[1,2]}",
             "{\"ok\":true,\"text\":\"\\ud800\"}",
+            "{\"ok\":true,\"text\":\"\\u+12a\"}",
         ] {
             assert!(WireResponse::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    /// Decoding is linear in the line length: a 1 MiB payload of every
+    /// byte class the escaper handles round-trips well inside the bound
+    /// even in a debug build, where a scan that re-reads the rest of the
+    /// line per character would take minutes.
+    #[test]
+    fn a_megabyte_payload_decodes_in_linear_time() {
+        let unit = "Zürich 東京 \"q\" \\b\\ tab\t nl\n bell\u{7} 🚗 plain ascii text;";
+        let text = unit.repeat((1 << 20) / unit.len() + 1);
+        assert!(text.len() >= 1 << 20);
+        let resp = WireResponse::ok("text", &text);
+        let started = std::time::Instant::now();
+        let parsed = WireResponse::parse(&resp.to_line()).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(parsed, resp);
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "1 MiB round trip took {elapsed:?}"
+        );
     }
 
     #[test]

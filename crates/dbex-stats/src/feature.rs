@@ -9,14 +9,12 @@
 //! attributes failing the significance threshold are dropped, and the
 //! remainder are ranked by decreasing statistic.
 
-use crate::cache::{ContingencyKey, StatsCache};
+use crate::cache::{ContingencyKey, StatsCache, TableScores};
 use crate::chi2::ContingencyTable;
 use crate::discretize::CodedColumns;
-use crate::entropy::{information_gain, symmetrical_uncertainty};
 use crate::histogram::BinningStrategy;
 use dbex_table::dict::NULL_CODE;
 use dbex_table::View;
-use std::sync::Arc;
 
 /// Relevance measure used to rank candidate Compare Attributes.
 ///
@@ -138,7 +136,7 @@ pub struct ScoringCtx<'a> {
     /// Worker threads for per-attribute scoring; `0`/`1` score on the
     /// caller's thread (see `dbex_par::par_map`).
     pub threads: usize,
-    /// Memoization cache for contingency tables, if any.
+    /// Memoization cache for contingency scores, if any.
     pub cache: Option<&'a StatsCache>,
     /// Hash identifying the class-label assignment (e.g. pivot column +
     /// selected pivot codes). Only used as part of the cache key; callers
@@ -177,8 +175,8 @@ pub fn select_compare_attributes_by(
 
 /// [`select_compare_attributes_by`] with an explicit [`ScoringCtx`]:
 /// candidate attributes are scored across `ctx.threads` workers, coded
-/// through `ctx.coded` when present, and their contingency tables are
-/// memoized in `ctx.cache` when present.
+/// through `ctx.coded` when present, and the scores of their contingency
+/// tables are memoized in `ctx.cache` when present.
 ///
 /// The scored list is identical to the sequential, uncached path for any
 /// thread count: each attribute's score is computed independently and
@@ -242,7 +240,7 @@ pub fn select_compare_attributes_ctx(
             table.fill_pairs(classes(), &column.codes, NULL_CODE);
             Some(table)
         };
-        let table: Arc<ContingencyTable> = match (ctx.cache, view_fp) {
+        let scores = match (ctx.cache, view_fp) {
             (Some(cache), Some(fp)) => cache.contingency_with(
                 ContingencyKey {
                     view_fp: fp,
@@ -253,13 +251,13 @@ pub fn select_compare_attributes_ctx(
                 },
                 build,
             )?,
-            _ => Arc::new(build()?),
+            _ => TableScores::of(&build()?),
         };
-        let result = table.chi_square()?;
+        let result = scores.chi_square?;
         let score = match config.scorer {
             FeatureScorer::ChiSquare => result.statistic,
-            FeatureScorer::InfoGain => information_gain(&table),
-            FeatureScorer::SymmetricalUncertainty => symmetrical_uncertainty(&table),
+            FeatureScorer::InfoGain => scores.information_gain,
+            FeatureScorer::SymmetricalUncertainty => scores.symmetrical_uncertainty,
         };
         Some(FeatureScore {
             attr_index: attr,

@@ -45,7 +45,9 @@ pub mod simd;
 pub mod simil;
 pub mod special;
 
-pub use cache::{CacheStats, ClusterKey, ClusterSolution, CodecKey, ContingencyKey, StatsCache};
+pub use cache::{
+    CacheStats, ClusterKey, ClusterSolution, CodecKey, ContingencyKey, StatsCache, TableScores,
+};
 pub use chi2::{ChiSquareResult, ContingencyTable};
 pub use error::StatsError;
 pub use discretize::{AttributeCodec, CodedColumn, CodedColumns, CodedMatrix};

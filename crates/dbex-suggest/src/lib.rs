@@ -13,13 +13,13 @@
 //! * [`suggest_next`] ranks candidate attributes by **symmetrical
 //!   uncertainty** against the current pivot — `2·I(P;A) / (H(P)+H(A))` —
 //!   computed from the same contingency tables the CAD feature selector
-//!   uses (and cached in the same [`StatsCache`], keyed on the view
-//!   fingerprint, so repeated keystrokes over an unchanged view are cache
-//!   hits). SU rather than raw information gain removes the bias toward
-//!   high-cardinality attributes, and it is exactly 0 for any attribute
-//!   that is constant over the current view — an attribute eliminated by
-//!   refinement can never be suggested (the monotonicity property in
-//!   `tests/suggest_ranking.rs`).
+//!   uses (their scores are cached in the same [`StatsCache`], keyed on
+//!   the view fingerprint, so repeated keystrokes over an unchanged view
+//!   are cache hits). SU rather than raw information gain removes the
+//!   bias toward high-cardinality attributes, and it is exactly 0 for any
+//!   attribute that is constant over the current view — an attribute
+//!   eliminated by refinement can never be suggested (the monotonicity
+//!   property in `tests/suggest_ranking.rs`).
 //! * [`complete_attribute`] / [`complete_value`] rank completions for a
 //!   partial `WHERE` clause by data-informed *frequency ×
 //!   discriminativeness* (grounded in Le Guilly & Petit, "SQL Query
@@ -33,12 +33,11 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use dbex_stats::{
-    entropy, information_gain, symmetrical_uncertainty, BinningStrategy, CodedColumns,
-    ContingencyKey, ContingencyTable, StatsCache,
+    entropy, BinningStrategy, CodedColumns, ContingencyKey, ContingencyTable, StatsCache,
+    TableScores,
 };
 use dbex_table::dict::NULL_CODE;
 use dbex_table::View;
@@ -247,7 +246,7 @@ pub fn suggest_next(
             t.fill_pairs(pivot_codes, codes, NULL_CODE);
             t
         };
-        let table = match (cache, view_fp) {
+        let scores = match (cache, view_fp) {
             (Some(cache), Some(fp)) => {
                 lookups.fetch_add(1, Ordering::Relaxed);
                 let key = ContingencyKey {
@@ -262,13 +261,13 @@ pub fn suggest_next(
                     Some(contingency(pivot_card, codec.cardinality()))
                 })?
             }
-            _ => Arc::new(contingency(pivot_card, codec.cardinality())),
+            _ => TableScores::of(&contingency(pivot_card, codec.cardinality())),
         };
         Some(NextSuggestion {
             attr,
             name: schema.field(attr).name.clone(),
-            score: symmetrical_uncertainty(&table),
-            gain: information_gain(&table),
+            score: scores.symmetrical_uncertainty,
+            gain: scores.information_gain,
             entropy: h_attr,
             cardinality: live,
         })

@@ -11,6 +11,13 @@
 //! inline. Results land in a reusable boolean mask or selection vector
 //! (`Vec<u32>`), never in per-row `Value`s.
 //!
+//! The hot loops do not branch on the data. A numeric bound resolves once,
+//! before the loop, into an inclusive range of `i64` keys (an Int cell's
+//! value, or a Float cell's `total_cmp` order key), so every row costs a
+//! NULL test and two key compares joined with non-short-circuit `&`.
+//! Compaction packs 64 mask bytes into one word and emits the row behind
+//! each set bit.
+//!
 //! Semantics are bit-for-bit those of [`Predicate::eval`] (SQL-ish NULL
 //! handling: any comparison involving NULL is false; `total_cmp` value
 //! ordering). Leaf shapes the kernels do not specialize — e.g. ordered
@@ -74,14 +81,18 @@ pub fn select_into(
     out: &mut Vec<u32>,
 ) -> Result<()> {
     let mut mask = vec![false; rows.len()];
-    eval_mask(table, rows, predicate, &mut mask)?;
+    eval_into(table, rows, predicate, &mut mask)?;
     out.clear();
-    out.extend(
-        rows.iter()
-            .zip(&mask)
-            .filter(|(_, &keep)| keep)
-            .map(|(&row, _)| row),
-    );
+    for (rows, mask) in rows.chunks(64).zip(mask.chunks(64)) {
+        let mut word = mask
+            .iter()
+            .enumerate()
+            .fold(0u64, |word, (i, &keep)| word | (u64::from(keep) << i));
+        while word != 0 {
+            out.push(rows[word.trailing_zeros() as usize]);
+            word &= word - 1;
+        }
+    }
     Ok(())
 }
 
@@ -173,22 +184,140 @@ fn ord_matches(op: CmpOp, ord: Ordering) -> bool {
     }
 }
 
-/// `cell.total_cmp(bound)` for a non-null `i64` cell and a numeric bound.
-/// `None` when the bound is not numeric (caller falls back to `Value`s).
-fn cmp_int_cell(cell: i64, bound: &Value) -> Option<Ordering> {
-    match bound {
-        Value::Int(b) => Some(cell.cmp(b)),
-        Value::Float(b) => Some((cell as f64).total_cmp(b)),
-        _ => None,
+/// `f64::total_cmp` as an `i64` order: `float_key(a).cmp(&float_key(b))`
+/// equals `a.total_cmp(&b)` (the same bit flip `total_cmp` makes).
+fn float_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// The first `i64` at which the monotone `reached` turns true, or
+/// `i64::MAX + 1` when it never does.
+fn first_key(reached: impl Fn(i64) -> bool) -> i128 {
+    let (mut lo, mut hi) = (i128::from(i64::MIN), i128::from(i64::MAX) + 1);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if reached(mid as i64) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
+}
+
+/// A numeric column's data and null mask. Each cell reads as an `i64`
+/// key ordered like `Value::total_cmp`: an Int cell is its value, a Float
+/// cell its [`float_key`].
+#[derive(Clone, Copy)]
+enum Keys<'c> {
+    Int(&'c [i64], &'c [bool]),
+    Float(&'c [f64], &'c [bool]),
+}
+
+/// Where one bound cuts the keys: keys below `ge` compare `Less` with it,
+/// keys from `gt` on compare `Greater`, and those between compare `Equal`.
+#[derive(Clone, Copy)]
+struct Cut {
+    ge: i128,
+    gt: i128,
+}
+
+/// The keys a comparison keeps: `lo..=hi` (empty when `lo > hi`), or
+/// everything outside it for `!=`.
+#[derive(Clone, Copy)]
+struct KeyRange {
+    lo: i64,
+    hi: i64,
+    outside: bool,
+}
+
+impl<'c> Keys<'c> {
+    fn of(column: &'c Column) -> Option<Keys<'c>> {
+        match column {
+            Column::Int { data, nulls } => Some(Keys::Int(data, nulls)),
+            Column::Float { data, nulls } => Some(Keys::Float(data, nulls)),
+            Column::Categorical { .. } => None,
+        }
+    }
+
+    /// Resolves a bound against this column's keys as
+    /// [`Value::total_cmp`] orders a cell against it (an Int cell against
+    /// a Float bound as `f64`); `None` when the bound is not numeric.
+    fn cut(self, bound: &Value) -> Option<Cut> {
+        match (self, bound) {
+            (Keys::Int(..), &Value::Int(b)) => Some(Cut::at(b)),
+            // `k as f64` is monotone in `k`, so each side of the bound is
+            // one run of keys; search for where each run starts.
+            (Keys::Int(..), &Value::Float(b)) => Some(Cut {
+                ge: first_key(|k| (k as f64).total_cmp(&b) != Ordering::Less),
+                gt: first_key(|k| (k as f64).total_cmp(&b) == Ordering::Greater),
+            }),
+            (Keys::Float(..), &Value::Int(b)) => Some(Cut::at(float_key(b as f64))),
+            (Keys::Float(..), &Value::Float(b)) => Some(Cut::at(float_key(b))),
+            _ => None,
+        }
+    }
+
+    /// Writes, for every row, whether its cell is non-NULL with a key
+    /// `keep` accepts.
+    fn fill(self, rows: &[u32], mask: &mut [bool], keep: impl Fn(i64) -> bool) {
+        match self {
+            Keys::Int(data, nulls) => {
+                for (m, &row) in mask.iter_mut().zip(rows) {
+                    let row = row as usize;
+                    *m = !nulls[row] & keep(data[row]);
+                }
+            }
+            Keys::Float(data, nulls) => {
+                for (m, &row) in mask.iter_mut().zip(rows) {
+                    let row = row as usize;
+                    *m = !nulls[row] & keep(float_key(data[row]));
+                }
+            }
+        }
     }
 }
 
-/// `cell.total_cmp(bound)` for a non-null `f64` cell and a numeric bound.
-fn cmp_float_cell(cell: f64, bound: &Value) -> Option<Ordering> {
-    match bound {
-        Value::Int(b) => Some(cell.total_cmp(&(*b as f64))),
-        Value::Float(b) => Some(cell.total_cmp(b)),
-        _ => None,
+impl Cut {
+    /// The cut of a bound whose own key is `key`.
+    fn at(key: i64) -> Cut {
+        Cut {
+            ge: key.into(),
+            gt: i128::from(key) + 1,
+        }
+    }
+
+    /// The keys `cell op bound` keeps.
+    fn range(self, op: CmpOp) -> KeyRange {
+        let (min, max) = (i128::from(i64::MIN), i128::from(i64::MAX));
+        match op {
+            CmpOp::Eq => KeyRange::new(self.ge, self.gt - 1, false),
+            CmpOp::Ne => KeyRange::new(self.ge, self.gt - 1, true),
+            CmpOp::Lt => KeyRange::new(min, self.ge - 1, false),
+            CmpOp::Le => KeyRange::new(min, self.gt - 1, false),
+            CmpOp::Gt => KeyRange::new(self.gt, max, false),
+            CmpOp::Ge => KeyRange::new(self.ge, max, false),
+        }
+    }
+}
+
+impl KeyRange {
+    /// `lo..=hi` over `i128` ends; any empty range becomes `1..=0`.
+    fn new(lo: i128, hi: i128, outside: bool) -> KeyRange {
+        match (i64::try_from(lo), i64::try_from(hi)) {
+            (Ok(lo), Ok(hi)) if lo <= hi => KeyRange { lo, hi, outside },
+            _ => KeyRange {
+                lo: 1,
+                hi: 0,
+                outside,
+            },
+        }
+    }
+
+    #[inline]
+    fn keeps(self, key: i64) -> bool {
+        ((key >= self.lo) & (key <= self.hi)) != self.outside
     }
 }
 
@@ -205,6 +334,13 @@ fn compare_mask(
         mask.fill(false);
         return Ok(());
     }
+    if let Some(keys) = Keys::of(column) {
+        if let Some(cut) = keys.cut(value) {
+            let range = cut.range(op);
+            keys.fill(rows, mask, |key| range.keeps(key));
+            return Ok(());
+        }
+    }
     match (column, value) {
         // Categorical =/!= string: one dictionary lookup, then raw code
         // compares. A literal absent from the dictionary matches nothing
@@ -217,7 +353,7 @@ fn compare_mask(
                     let want_eq = op == CmpOp::Eq;
                     for (m, &row) in mask.iter_mut().zip(rows) {
                         let code = codes[row as usize];
-                        *m = code != NULL_CODE && (code == target) == want_eq;
+                        *m = (code != NULL_CODE) & ((code == target) == want_eq);
                     }
                 }
                 None => {
@@ -229,22 +365,6 @@ fn compare_mask(
                         }
                     }
                 }
-            }
-            Ok(())
-        }
-        (Column::Int { data, nulls }, bound) if cmp_int_cell(0, bound).is_some() => {
-            for (m, &row) in mask.iter_mut().zip(rows) {
-                let row = row as usize;
-                *m = !nulls[row]
-                    && cmp_int_cell(data[row], bound).is_some_and(|ord| ord_matches(op, ord));
-            }
-            Ok(())
-        }
-        (Column::Float { data, nulls }, bound) if cmp_float_cell(0.0, bound).is_some() => {
-            for (m, &row) in mask.iter_mut().zip(rows) {
-                let row = row as usize;
-                *m = !nulls[row]
-                    && cmp_float_cell(data[row], bound).is_some_and(|ord| ord_matches(op, ord));
             }
             Ok(())
         }
@@ -269,39 +389,20 @@ fn between_mask(
     mask: &mut [bool],
 ) -> Result<()> {
     let column = resolve(table, attribute)?;
-    match column {
-        Column::Int { data, nulls }
-            if cmp_int_cell(0, low).is_some() && cmp_int_cell(0, high).is_some() =>
-        {
-            for (m, &row) in mask.iter_mut().zip(rows) {
-                let row = row as usize;
-                *m = !nulls[row]
-                    && cmp_int_cell(data[row], low).is_some_and(|o| o != Ordering::Less)
-                    && cmp_int_cell(data[row], high).is_some_and(|o| o != Ordering::Greater);
-            }
-            Ok(())
-        }
-        Column::Float { data, nulls }
-            if cmp_float_cell(0.0, low).is_some() && cmp_float_cell(0.0, high).is_some() =>
-        {
-            for (m, &row) in mask.iter_mut().zip(rows) {
-                let row = row as usize;
-                *m = !nulls[row]
-                    && cmp_float_cell(data[row], low).is_some_and(|o| o != Ordering::Less)
-                    && cmp_float_cell(data[row], high).is_some_and(|o| o != Ordering::Greater);
-            }
-            Ok(())
-        }
-        _ => {
-            for (m, &row) in mask.iter_mut().zip(rows) {
-                let cell = column.get(row as usize);
-                *m = !cell.is_null()
-                    && cell.total_cmp(low) != Ordering::Less
-                    && cell.total_cmp(high) != Ordering::Greater;
-            }
-            Ok(())
+    if let Some(keys) = Keys::of(column) {
+        if let (Some(low), Some(high)) = (keys.cut(low), keys.cut(high)) {
+            let range = KeyRange::new(low.ge, high.gt - 1, false);
+            keys.fill(rows, mask, |key| range.keeps(key));
+            return Ok(());
         }
     }
+    for (m, &row) in mask.iter_mut().zip(rows) {
+        let cell = column.get(row as usize);
+        *m = !cell.is_null()
+            && cell.total_cmp(low) != Ordering::Less
+            && cell.total_cmp(high) != Ordering::Greater;
+    }
+    Ok(())
 }
 
 fn in_mask(
@@ -312,46 +413,35 @@ fn in_mask(
     mask: &mut [bool],
 ) -> Result<()> {
     let column = resolve(table, attribute)?;
-    match column {
-        // Categorical IN: resolve each string literal to its code once,
-        // mark the wanted codes in a dictionary-sized bitmap, then test raw
-        // codes. Non-string literals can never equal a string cell.
-        Column::Categorical { codes, dict } => {
-            let mut wanted = vec![false; dict.len()];
-            for v in values {
-                if let Value::Str(s) = v {
-                    if let Some(code) = dict.code(s) {
-                        wanted[code as usize] = true;
-                    }
+    // Numeric IN: each numeric literal is one `=` key range; other
+    // literals can never equal a number.
+    if let Some(keys) = Keys::of(column) {
+        let ranges: Vec<KeyRange> = values
+            .iter()
+            .filter_map(|v| keys.cut(v))
+            .map(|cut| cut.range(CmpOp::Eq))
+            .collect();
+        keys.fill(rows, mask, |key| ranges.iter().any(|r| r.keeps(key)));
+        return Ok(());
+    }
+    // Categorical IN: resolve each string literal to its code once, mark
+    // the wanted codes in a dictionary-sized bitmap, then test raw codes.
+    // Non-string literals can never equal a string cell.
+    if let Column::Categorical { codes, dict } = column {
+        let mut wanted = vec![false; dict.len()];
+        for v in values {
+            if let Value::Str(s) = v {
+                if let Some(code) = dict.code(s) {
+                    wanted[code as usize] = true;
                 }
             }
-            for (m, &row) in mask.iter_mut().zip(rows) {
-                let code = codes[row as usize];
-                *m = code != NULL_CODE && wanted[code as usize];
-            }
-            Ok(())
         }
-        Column::Int { data, nulls } => {
-            for (m, &row) in mask.iter_mut().zip(rows) {
-                let row = row as usize;
-                *m = !nulls[row]
-                    && values.iter().any(|v| {
-                        cmp_int_cell(data[row], v) == Some(Ordering::Equal)
-                    });
-            }
-            Ok(())
-        }
-        Column::Float { data, nulls } => {
-            for (m, &row) in mask.iter_mut().zip(rows) {
-                let row = row as usize;
-                *m = !nulls[row]
-                    && values.iter().any(|v| {
-                        cmp_float_cell(data[row], v) == Some(Ordering::Equal)
-                    });
-            }
-            Ok(())
+        for (m, &row) in mask.iter_mut().zip(rows) {
+            let code = codes[row as usize];
+            *m = code != NULL_CODE && wanted[code as usize];
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -437,6 +527,41 @@ mod tests {
         ];
         for p in &cases {
             assert_matches_eval(&t, p);
+        }
+    }
+
+    /// The key ranges resolved before the loop keep `total_cmp` at the
+    /// edges: Float bounds on Int cells past 2^53, NaN of either sign,
+    /// signed zeros and infinities.
+    #[test]
+    fn resolved_bounds_keep_total_cmp_at_the_edges() {
+        let mut b = TableBuilder::new(vec![
+            Field::new("I", DataType::Int),
+            Field::new("F", DataType::Float),
+        ])
+        .unwrap();
+        let ints = [i64::MIN, -1, 0, 1, (1 << 53) + 1, i64::MAX, 7];
+        let inf = f64::INFINITY;
+        let floats = [f64::NAN, -f64::NAN, -0.0, 0.0, inf, -inf, 1.5];
+        for (i, f) in ints.into_iter().zip(floats) {
+            b.push_row(vec![i.into(), f.into()]).unwrap();
+        }
+        b.push_row(vec![Value::Null, Value::Null]).unwrap();
+        let t = b.finish();
+        let mut bounds: Vec<Value> = floats.map(Value::Float).into();
+        bounds.push(Value::Float(9_007_199_254_740_993.0));
+        bounds.extend(ints.map(Value::Int));
+        for attr in ["I", "F"] {
+            for bound in &bounds {
+                for op in (0..6).map(decode_op) {
+                    assert_matches_eval(&t, &Predicate::cmp(attr, op, bound.clone()));
+                }
+                for high in &bounds {
+                    let (low, high) = (bound.clone(), high.clone());
+                    assert_matches_eval(&t, &Predicate::between(attr, low.clone(), high.clone()));
+                    assert_matches_eval(&t, &Predicate::in_list(attr, vec![low, high]));
+                }
+            }
         }
     }
 

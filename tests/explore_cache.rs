@@ -7,7 +7,7 @@
 //! cache can never serve a payload built for a different fingerprint.
 
 use dbexplorer::explore::Zipf;
-use dbexplorer::stats::cache::{CodecKey, ContingencyKey, StatsCache, MAX_ENTRIES};
+use dbexplorer::stats::cache::{CodecKey, ContingencyKey, StatsCache, TableScores, MAX_ENTRIES};
 use dbexplorer::stats::chi2::ContingencyTable;
 use dbexplorer::stats::discretize::AttributeCodec;
 use dbexplorer::stats::histogram::BinningStrategy;
@@ -30,9 +30,17 @@ fn codec_key(fp: u64) -> CodecKey {
     }
 }
 
-/// A contingency table whose dimensions encode the key it was built for.
+/// A contingency table whose counts encode the key it was built for: the
+/// 2×2 table `[[fp + 1, 1], [1, 2]]`, whose chi-square statistic grows
+/// strictly with `fp`, so no two fingerprints share scores.
 fn table_for(fp: u64) -> ContingencyTable {
-    ContingencyTable::new((fp % 5) as usize + 1, (fp % 3) as usize + 1)
+    let mut table = ContingencyTable::new(2, 2);
+    let (rows, cols): (Vec<u32>, Vec<u32>) = [(0, 0, fp + 1), (0, 1, 1), (1, 0, 1), (1, 1, 2)]
+        .into_iter()
+        .flat_map(|(row, col, n)| (0..n).map(move |_| (row, col)))
+        .unzip();
+    table.fill_pairs(&rows, &cols, u32::MAX);
+    table
 }
 
 /// Zipf-skewed codec traffic over a key space much larger than the
@@ -123,12 +131,12 @@ fn concurrent_zipf_traffic_stays_consistent() {
                             bins: 8,
                             strategy: BinningStrategy::EquiWidth,
                         };
-                        let table = cache
+                        let scores = cache
                             .contingency_with(key, || Some(table_for(fp)))
                             .expect("build closure always returns a table");
                         assert_eq!(
-                            (table.rows(), table.cols()),
-                            ((fp % 5) as usize + 1, (fp % 3) as usize + 1),
+                            scores,
+                            TableScores::of(&table_for(fp)),
                             "stale contingency payload"
                         );
                     }

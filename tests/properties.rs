@@ -35,6 +35,139 @@ fn arb_table() -> impl Strategy<Value = dbexplorer::table::Table> {
     })
 }
 
+/// A table of nullable Int, Float and categorical columns, 0–300 rows (so
+/// selections cross 64-row word boundaries), plus a random row subset.
+/// The Float column holds NaN, ±0.0 and ±∞; the Int column its extremes.
+/// `arb_table` stays NULL-free: suggestion tests rely on that.
+fn arb_nullable_table() -> impl Strategy<Value = (dbexplorer::table::Table, Vec<u32>)> {
+    let row = (
+        0u8..6,
+        (0u8..10, -20i64..20),
+        (0u8..12, -20.0f64..20.0),
+        0u8..2,
+    );
+    prop::collection::vec(row, 0..301).prop_map(|rows| {
+        let mut b = TableBuilder::new(vec![
+            Field::new("Cat", DataType::Categorical),
+            Field::new("Int", DataType::Int),
+            Field::new("Flt", DataType::Float),
+        ])
+        .unwrap();
+        let mut subset = Vec::new();
+        for (i, (cat, (int_kind, int), (flt_kind, flt), keep)) in rows.into_iter().enumerate() {
+            let cat = match cat {
+                0..=3 => Value::Str(format!("c{cat}")),
+                _ => Value::Null,
+            };
+            let int = match int_kind {
+                0 | 1 => Value::Null,
+                2 => Value::Int(i64::MIN),
+                3 => Value::Int(i64::MAX),
+                _ => Value::Int(int),
+            };
+            b.push_row(vec![cat, int, special_float(flt_kind, flt)])
+                .unwrap();
+            if keep == 1 {
+                subset.push(i as u32);
+            }
+        }
+        (b.finish(), subset)
+    })
+}
+
+/// NULL, a NaN of either sign, a signed zero, an infinity, or `x` rounded
+/// to a quarter (so equality against literals can hold).
+fn special_float(kind: u8, x: f64) -> Value {
+    match kind {
+        0 => Value::Null,
+        1 => Value::Float(f64::NAN),
+        2 => Value::Float(-f64::NAN),
+        3 => Value::Float(0.0),
+        4 => Value::Float(-0.0),
+        5 => Value::Float(f64::INFINITY),
+        6 => Value::Float(f64::NEG_INFINITY),
+        _ => Value::Float((x * 4.0).round() / 4.0),
+    }
+}
+
+/// Decodes a predicate tree from `seeds` (leaves once they run out or
+/// the tree is three deep): `Compare` under all six operators, `Between`,
+/// `In` and `IsNull` over every column, joined by `And`, `Or` and `Not`.
+/// Literals are mostly of the column's own kind (strings for `Cat`; Int
+/// and Float, specials included, for the numeric columns), with NULL,
+/// `i64` extremes and cross-kind literals mixed in.
+fn decode_predicate(seeds: &mut impl Iterator<Item = u64>, depth: usize) -> Predicate {
+    use dbexplorer::table::predicate::CmpOp;
+    let Some(seed) = seeds.next() else {
+        return Predicate::Const(true);
+    };
+    let attr = ["Cat", "Int", "Flt"][(seed / 16 % 3) as usize];
+    let literal = |s: u64| match s % 8 {
+        0 => Value::Null,
+        1 => Value::Int([i64::MIN, i64::MAX][(s / 8 % 2) as usize]),
+        2 => Value::Str(format!("c{}", s / 8 % 5)),
+        _ if attr == "Cat" => Value::Str(format!("c{}", s / 8 % 5)),
+        3 | 4 => Value::Int((s / 8 % 41) as i64 - 20),
+        _ => special_float((s / 8 % 12) as u8, (s / 128 % 81) as f64 / 2.0 - 20.0),
+    };
+    let (a, b) = (seed.rotate_left(21), seed.rotate_left(42));
+    match seed % 10 {
+        0..=3 => {
+            let op = [
+                CmpOp::Eq,
+                CmpOp::Ne,
+                CmpOp::Lt,
+                CmpOp::Le,
+                CmpOp::Gt,
+                CmpOp::Ge,
+            ];
+            Predicate::cmp(attr, op[(a % 6) as usize], literal(b))
+        }
+        4 => Predicate::between(attr, literal(a), literal(b)),
+        5 => Predicate::in_list(attr, vec![literal(a), literal(b), literal(a ^ b)]),
+        6 => Predicate::IsNull {
+            attribute: attr.into(),
+        },
+        _ if depth >= 3 => Predicate::cmp(attr, CmpOp::Ge, literal(a)),
+        7 => Predicate::not(decode_predicate(seeds, depth + 1)),
+        _ => {
+            let children = (0..a % 3 + 1)
+                .map(|_| decode_predicate(seeds, depth + 1))
+                .collect();
+            if b.is_multiple_of(2) {
+                Predicate::and(children)
+            } else {
+                Predicate::or(children)
+            }
+        }
+    }
+}
+
+proptest! {
+    // Many cases: one leaf in a few hundred compares an Int cell with an
+    // integral Float literal, the edge of a resolved key range.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The branch-free batch kernels behind `Table::filter` and
+    /// `View::refine` select exactly the rows `Predicate::eval` accepts.
+    #[test]
+    fn batch_filters_match_row_eval_with_nulls_and_special_floats(
+        drawn in arb_nullable_table(),
+        seeds in prop::collection::vec(0u64..u64::MAX, 1..12),
+    ) {
+        let (table, subset) = drawn;
+        let p = decode_predicate(&mut seeds.into_iter(), 0);
+        let expected = |rows: &mut dyn Iterator<Item = u32>| -> Vec<u32> {
+            rows.filter(|&row| p.eval(&table, row as usize).unwrap()).collect()
+        };
+        let all = expected(&mut (0..table.num_rows() as u32));
+        prop_assert_eq!(table.filter(&p).unwrap().row_ids(), &all[..], "{}", p);
+        let view = dbexplorer::table::View::from_rows(&table, subset.clone());
+        let refined = expected(&mut subset.into_iter());
+        prop_assert_eq!(view.refine(&p).unwrap().row_ids(), &refined[..], "{}", p);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

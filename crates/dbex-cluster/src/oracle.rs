@@ -533,12 +533,10 @@ mod tests {
     #[test]
     fn encode_skips_nulls() {
         use dbex_stats::discretize::AttributeCodec;
-        let column = |labels: &[&str], codes: Vec<u32>| CodedColumn {
-            attr_index: 0,
-            codec: AttributeCodec::Categorical {
-                labels: labels.iter().map(|s| s.to_string()).collect(),
-            },
-            codes,
+        let column = |labels: &[&str], codes: Vec<u32>| {
+            let labels = labels.iter().map(|s| s.to_string()).collect();
+            let codec = std::sync::Arc::new(AttributeCodec::Categorical { labels });
+            CodedColumn::new(0, codec, codes)
         };
         let c0 = column(&["a", "b", "c"], vec![1, NULL_CODE, NULL_CODE]);
         let c1 = column(&["x", "y"], vec![0, 1, NULL_CODE]);

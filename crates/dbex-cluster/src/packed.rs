@@ -220,13 +220,9 @@ mod tests {
     use dbex_stats::discretize::AttributeCodec;
 
     fn coded(attr_index: usize, labels: &[&str], codes: Vec<u32>) -> CodedColumn {
-        CodedColumn {
-            attr_index,
-            codec: AttributeCodec::Categorical {
-                labels: labels.iter().map(|s| s.to_string()).collect(),
-            },
-            codes,
-        }
+        let labels = labels.iter().map(|s| s.to_string()).collect();
+        let codec = std::sync::Arc::new(AttributeCodec::Categorical { labels });
+        CodedColumn::new(attr_index, codec, codes)
     }
 
     fn wide(card: usize, codes: Vec<u32>) -> CodedColumn {

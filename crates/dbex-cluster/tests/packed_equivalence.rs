@@ -25,15 +25,13 @@ fn columns_from(cards: &[usize], rows: &[Vec<Option<u32>>]) -> Vec<CodedColumn> 
     cards
         .iter()
         .enumerate()
-        .map(|(a, &card)| CodedColumn {
-            attr_index: a,
-            codec: AttributeCodec::Categorical {
-                labels: (0..card).map(|i| format!("v{i}")).collect(),
-            },
-            codes: rows
-                .iter()
-                .map(|r| r[a].map_or(NULL_CODE, |c| c))
-                .collect(),
+        .map(|(a, &card)| {
+            let labels = (0..card).map(|i| format!("v{i}")).collect();
+            CodedColumn::new(
+                a,
+                std::sync::Arc::new(AttributeCodec::Categorical { labels }),
+                rows.iter().map(|r| r[a].map_or(NULL_CODE, |c| c)).collect(),
+            )
         })
         .collect()
 }

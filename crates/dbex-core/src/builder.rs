@@ -688,20 +688,25 @@ fn start_build(
             })?;
     let pivot_codec = &pivot.codec;
 
-    // Partition the result set by pivot code (positions, not row ids).
+    // Partition the result set by pivot code (positions, not row ids), in
+    // first-appearance order. Codes are below the codec's cardinality, so
+    // a dense slot table indexes them, and the column's code counts size
+    // each partition exactly.
     let mut partitions: Vec<(u32, Vec<usize>)> = Vec::new();
     {
-        let mut index_of_code: std::collections::HashMap<u32, usize> =
-            std::collections::HashMap::new();
+        let counts = pivot.counts();
+        let mut slot_of_code = vec![usize::MAX; counts.len()];
         for (pos, &code) in pivot.codes.iter().enumerate() {
-            if code == NULL_CODE {
+            // NULL_CODE is past every cardinality.
+            let Some(slot) = slot_of_code.get_mut(code as usize) else {
                 continue;
+            };
+            if *slot == usize::MAX {
+                *slot = partitions.len();
+                let members = Vec::with_capacity(counts[code as usize] as usize);
+                partitions.push((code, members));
             }
-            let slot = *index_of_code.entry(code).or_insert_with(|| {
-                partitions.push((code, Vec::new()));
-                partitions.len() - 1
-            });
-            partitions[slot].1.push(pos);
+            partitions[*slot].1.push(pos);
         }
     }
 
@@ -726,7 +731,7 @@ fn start_build(
             out
         }
         None => {
-            let mut parts = partitions.clone();
+            let mut parts = partitions;
             match schema.field(pivot_col).data_type {
                 // Categorical pivots: biggest partitions first.
                 DataType::Categorical => {
@@ -866,6 +871,7 @@ fn start_build(
     if coded.is_empty() {
         return Err(CadError::NoCompareAttributes);
     }
+    let coded_attrs: Vec<usize> = coded.iter().map(|c| c.attr_index).collect();
     enc_span.add("rows_scanned", memo.rows_coded() - rows_coded_before);
     enc_span.add("attrs_encoded", coded.len() as u64);
     let enc_cache_after = cache_stats(cache);
@@ -910,9 +916,14 @@ fn start_build(
     let clustered = dbex_par::par_map(
         threads,
         &selected_partitions,
-        |_, (_, label, members)| {
+        |_, (code, label, members)| {
             let span = gen_span.child("cluster_partition");
             gauge.charge_rows(members.len());
+            let fingerprint = || {
+                memo.partition_fingerprint(pivot_col, *code, &coded_attrs, || {
+                    partition_fingerprint(result, members, &coded)
+                })
+            };
             let (candidates, degraded, reused) = generate_candidates(
                 members,
                 &coded,
@@ -923,7 +934,7 @@ fn start_build(
                 &gauge,
                 label,
                 cache,
-                result,
+                fingerprint,
                 pause,
             );
             span.add("rows_clustered", members.len() as u64);
@@ -1204,7 +1215,9 @@ fn partition_fingerprint(
 /// build: on any degraded rung, or while a cluster fault is armed on this
 /// thread (a cold build would descend the ladder). With `pause`, a missed
 /// full-rung partition comes back paused after its first Lloyd pass
-/// instead (see [`CadBuild`]). Returns `(candidates, degradations, reused)`.
+/// instead (see [`CadBuild`]). `fingerprint` yields the partition's
+/// [`partition_fingerprint`], asked for only when the cache is probed.
+/// Returns `(candidates, degradations, reused)`.
 #[allow(clippy::too_many_arguments)]
 fn generate_candidates(
     members: &[usize],
@@ -1216,7 +1229,7 @@ fn generate_candidates(
     gauge: &BudgetGauge,
     pivot_label: &str,
     cache: Option<&dbex_stats::StatsCache>,
-    result: &View<'_>,
+    fingerprint: impl FnOnce() -> u64,
     pause: bool,
 ) -> (Candidates, Vec<Degradation>, bool) {
     let mut degradation = Vec::new();
@@ -1267,7 +1280,7 @@ fn generate_candidates(
     if rung == ClusterRung::Full && faults_clear {
         if let Some(cache) = cache {
             let key = ClusterKey {
-                partition_fp: partition_fingerprint(result, members, coded),
+                partition_fp: fingerprint(),
                 l,
                 iters: kmeans_iters,
                 seed: config.seed,

@@ -9,9 +9,9 @@ use dbex_core::{
     StatsCache, Tracer,
 };
 use dbex_obs::TraceSink;
-use dbex_stats::CodedColumns;
+use dbex_stats::FilteredResult;
 use dbex_suggest::{CompletionMode, SuggestConfig, SuggestError};
-use dbex_table::{group_by, sort_view, Predicate, SortKey, Table, Value, View};
+use dbex_table::{group_by, sort_view, Predicate, SortKey, Table, Value};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -243,34 +243,11 @@ impl SharedCatalog {
     }
 }
 
-/// The session's last filtered result: the table `Arc` and predicate that
-/// produced it, its row ids, and its attributes coded as far as any
-/// statement has asked for them.
-///
-/// A table registered under a name is immutable, and the memo holds its
-/// `Arc`, so the allocation cannot be freed and reused while the memo
-/// lives: the same pointer means the same rows. A `.load` that swaps the
-/// name installs a new `Arc` and misses. Predicates compare with
-/// [`Predicate::identical`], which tells `0.0` from `-0.0`.
-struct ResultMemo {
-    table: Arc<Table>,
-    predicate: Predicate,
-    rows: Vec<u32>,
-    coded: CodedColumns,
-}
-
-impl ResultMemo {
-    /// The result as a view, borrowing the memo's row ids.
-    fn view(&self) -> View<'_> {
-        View::borrowed(&self.table, &self.rows)
-    }
-}
-
 /// A streamed `CREATE CADVIEW`'s build, paused after its preview frame,
-/// with the statement it answers and the result memo it was built over.
+/// with the statement it answers and the result it was built over.
 struct PausedCad {
     stmt: CadViewStmt,
-    memo: Arc<ResultMemo>,
+    result: Arc<FilteredResult>,
     build: CadBuild,
 }
 
@@ -304,14 +281,14 @@ pub struct Session {
     /// Set when a table is (re-)registered after the last `.save`, so the
     /// REPL can warn about unsaved catalog changes.
     catalog_dirty: bool,
-    /// The last filtered result, shared by the statements that follow it
-    /// over the same table and predicate — a CAD preview and its exact
-    /// build, `SUGGEST` on the view just built, a pivot change. One entry
-    /// of about `4 B × rows × (1 + attributes coded)`.
-    result_memo: Option<Arc<ResultMemo>>,
+    /// The latest filtered result, pinned for the statements that follow
+    /// it over the same table and predicate — a CAD preview and its exact
+    /// build, `SUGGEST` on the view just built, a pivot change — whether
+    /// or not the stats cache's result cache keeps it.
+    pinned: Option<Arc<FilteredResult>>,
     /// The build [`Session::preview_create_cadview`] paused. The next
     /// statement takes it: the same `CREATE CADVIEW`, filtering to the
-    /// same memo, finishes it; any other statement drops it, as do a
+    /// same result, finishes it; any other statement drops it, as do a
     /// caught panic and every setter that could change its answer or its
     /// trace (budget, threads, catalog, cache, tracing).
     paused_cad: Option<PausedCad>,
@@ -505,40 +482,31 @@ impl Session {
                 if let Some(name) = at_risk {
                     self.cad_views.remove(&name);
                 }
-                self.result_memo = None;
+                self.pinned = None;
                 Err(QueryError::Panicked(CaughtPanic::from_payload(&*payload)))
             }
         }
     }
 
     /// `table_name` filtered by `predicate`. Every statement that filters a
-    /// table by a WHERE clause comes through here: the last result is
-    /// memoized, and asking again for the same table `Arc` with an
-    /// identical predicate returns it — rows and coded attributes — without
-    /// filtering again.
-    fn filtered(&mut self, table_name: &str, predicate: &Predicate) -> Result<Arc<ResultMemo>> {
+    /// table by a WHERE clause comes through here: the session's pinned
+    /// result when it is that table `Arc` and an identical predicate, else
+    /// the stats cache's result cache, which filters on a miss. Either way
+    /// the result — rows and coded attributes — becomes the pin.
+    fn filtered(&mut self, table_name: &str, predicate: &Predicate) -> Result<Arc<FilteredResult>> {
         let table = self.table(table_name)?;
-        if let Some(memo) = &self.result_memo {
-            if Arc::ptr_eq(&memo.table, &table) && memo.predicate.identical(predicate) {
-                dbex_obs::counter!("query.result_memo.hits").incr(1);
-                return Ok(Arc::clone(memo));
-            }
+        if let Some(pinned) = self.pinned.as_ref().filter(|p| p.is_of(&table, predicate)) {
+            dbex_obs::counter!("query.result_memo.hits").incr(1);
+            return Ok(Arc::clone(pinned));
         }
-        dbex_obs::counter!("query.result_memo.misses").incr(1);
-        self.result_memo = None;
+        self.pinned = None;
         // The CAD default binning, which SUGGEST shares.
         let CadConfig { bins, strategy, .. } = CadConfig::default();
-        let view = table.filter(predicate)?;
-        let coded = CodedColumns::new(&view, bins, strategy);
-        let rows = view.into_row_ids();
-        let memo = Arc::new(ResultMemo {
-            table,
-            predicate: predicate.clone(),
-            rows,
-            coded,
-        });
-        self.result_memo = Some(Arc::clone(&memo));
-        Ok(memo)
+        let result = self.stats_cache.result_with(&table, predicate, || {
+            FilteredResult::filter(Arc::clone(&table), predicate, bins, strategy)
+        })?;
+        self.pinned = Some(Arc::clone(&result));
+        Ok(result)
     }
 
     fn dispatch(&mut self, stmt: Statement, paused: Option<PausedCad>) -> Result<QueryOutput> {
@@ -581,9 +549,9 @@ impl Session {
     }
 
     fn run_select(&mut self, s: SelectStmt) -> Result<QueryOutput> {
-        let memo = self.filtered(&s.table, &s.predicate)?;
-        let table = &memo.table;
-        let view = memo.view();
+        let result = self.filtered(&s.table, &s.predicate)?;
+        let table = result.table();
+        let view = result.view();
 
         // Aggregate query: GROUP BY + aggregates produce a derived table,
         // then ORDER BY / LIMIT apply to it.
@@ -713,13 +681,19 @@ impl Session {
     /// forwarding the span tree to the installed sink.
     fn build_cad(
         &self,
-        memo: &ResultMemo,
+        result: &FilteredResult,
         request: &CadRequest,
         force_trace: bool,
     ) -> Result<CadView> {
         let cache = Some(self.stats_cache.as_ref());
         let tracer = self.build_tracer(force_trace);
-        let cad = build_cad_view_traced(&memo.view(), request, cache, Some(&memo.coded), &tracer)?;
+        let cad = build_cad_view_traced(
+            &result.view(),
+            request,
+            cache,
+            Some(result.coded()),
+            &tracer,
+        )?;
         self.record_trace(&cad);
         Ok(cad)
     }
@@ -732,13 +706,13 @@ impl Session {
     }
 
     fn run_explain_cadview(&mut self, c: CadViewStmt, analyze: bool) -> Result<QueryOutput> {
-        let memo = self.filtered(&c.table, &c.predicate)?;
+        let result = self.filtered(&c.table, &c.predicate)?;
         let request = self.cad_request(&c)?;
-        let cad = self.build_cad(&memo, &request, analyze)?;
+        let cad = self.build_cad(&result, &request, analyze)?;
         let mut out = format!(
             "CADVIEW {} over {} rows of {}\n  pivot: {} ({} values shown)\n",
             c.name,
-            memo.rows.len(),
+            result.rows().len(),
             c.table,
             c.pivot,
             cad.rows.len()
@@ -824,21 +798,21 @@ impl Session {
 
     /// Builds and stores a CAD View. A build that
     /// [`Session::preview_create_cadview`] paused for this very statement
-    /// over the same result memo is finished instead of built again.
+    /// over the same result is finished instead of built again.
     fn run_create_cadview(
         &mut self,
         c: CadViewStmt,
         paused: Option<PausedCad>,
     ) -> Result<QueryOutput> {
-        let memo = self.filtered(&c.table, &c.predicate)?;
+        let result = self.filtered(&c.table, &c.predicate)?;
         let cad = match paused {
-            Some(paused) if paused.stmt == c && Arc::ptr_eq(&paused.memo, &memo) => {
+            Some(paused) if paused.stmt == c && Arc::ptr_eq(&paused.result, &result) => {
                 let cache = Some(self.stats_cache.as_ref());
-                let cad = paused.build.finish(&memo.view(), cache)?;
+                let cad = paused.build.finish(&result.view(), cache)?;
                 self.record_trace(&cad);
                 cad
             }
-            _ => self.build_cad(&memo, &self.cad_request(&c)?, false)?,
+            _ => self.build_cad(&result, &self.cad_request(&c)?, false)?,
         };
         let rendered = cad.render();
         let degradation = cad.degradation.iter().map(|d| d.to_string()).collect();
@@ -886,9 +860,9 @@ impl Session {
     /// next-step attributes against the view's pivot by information gain
     /// (symmetrical uncertainty). Contingency tables land in the session's
     /// stats cache keyed on the refined view's fingerprint, so repeating
-    /// the statement over an unchanged view is all cache hits; right after
-    /// the view's build, the result memo also spares the filter and the
-    /// coding.
+    /// the statement over an unchanged view is all cache hits; the pinned
+    /// or cached result also spares the filter, the coding and the code
+    /// counts.
     fn run_suggest_next(&mut self, view_name: &str, analyze: bool) -> Result<QueryOutput> {
         let pivot = self.cad_view(view_name)?.pivot_attr;
         let (table_name, predicate) =
@@ -897,13 +871,13 @@ impl Session {
                     name: view_name.to_owned(),
                 }
             })?;
-        let memo = self.filtered(&table_name, &predicate)?;
+        let result = self.filtered(&table_name, &predicate)?;
         let report = dbex_suggest::suggest_next(
-            &memo.view(),
+            &result.view(),
             pivot,
             &self.suggest_config(),
             Some(&self.stats_cache),
-            Some(&memo.coded),
+            Some(result.coded()),
         )
         .map_err(Self::suggest_error)?;
         let items: Vec<(String, f64, String)> = report
@@ -961,7 +935,9 @@ impl Session {
     /// cursor position. Completion is best-effort on the *context*: an
     /// unparseable preceding clause falls back to the unrefined table
     /// rather than erroring (the user is mid-keystroke), but an unknown
-    /// table or attribute is a typed error.
+    /// table or attribute is a typed error. The unrefined table is the
+    /// result of `Predicate::Const(true)`, so a keystroke with no context
+    /// reads a pinned or cached result like one with a context.
     fn run_suggest_complete(&mut self, prefix: &str, analyze: bool) -> Result<QueryOutput> {
         let analysis = dbex_suggest::analyze_prefix(prefix);
         let table_name = match analysis.table {
@@ -980,18 +956,18 @@ impl Session {
                 }
             }
         };
-        let table = self.table(&table_name)?;
         let context_pred = analysis
             .context
             .as_deref()
             .and_then(|ctx| parse_predicate(ctx).ok());
-        let memo = context_pred
+        let refined = context_pred
             .as_ref()
             .and_then(|pred| self.filtered(&table_name, pred).ok());
-        let (result, coded) = match &memo {
-            Some(memo) => (memo.view(), Some(&memo.coded)),
-            None => (table.full_view(), None),
+        let filtered = match refined {
+            Some(filtered) => filtered,
+            None => self.filtered(&table_name, &Predicate::Const(true))?,
         };
+        let (result, coded) = (filtered.view(), Some(filtered.coded()));
         let started = std::time::Instant::now();
         let cfg = self.suggest_config();
         let cache = Some(self.stats_cache.as_ref());
@@ -1067,17 +1043,18 @@ impl Session {
         let Ok(Statement::CreateCadView(c)) = parse(sql) else {
             return None;
         };
-        let memo = self.filtered(&c.table, &c.predicate).ok()?;
-        if memo.rows.len() < Self::PREVIEW_MIN_ROWS {
+        let result = self.filtered(&c.table, &c.predicate).ok()?;
+        if result.rows().len() < Self::PREVIEW_MIN_ROWS {
             return None;
         }
         let request = self.cad_request(&c).ok()?;
         let started = catch_unwind(AssertUnwindSafe(|| {
-            let view = memo.view();
+            let view = result.view();
             let cache = Some(self.stats_cache.as_ref());
             let tracer = self.build_tracer(false);
             let build =
-                CadBuild::start(&view, &request, cache, Some(&memo.coded), &tracer, true).ok()?;
+                CadBuild::start(&view, &request, cache, Some(result.coded()), &tracer, true)
+                    .ok()?;
             let cad = build.preview(&view).ok()?;
             let output = QueryOutput::Cad {
                 name: c.name.clone(),
@@ -1088,13 +1065,13 @@ impl Session {
             Some((output, build))
         }));
         let Ok(started) = started else {
-            self.result_memo = None;
+            self.pinned = None;
             return None;
         };
         let (output, build) = started?;
         self.paused_cad = Some(PausedCad {
             stmt: c,
-            memo,
+            result,
             build,
         });
         Some(output)

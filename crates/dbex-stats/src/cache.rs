@@ -8,7 +8,9 @@
 //! codecs (which embed the histogram for numeric attributes), the scores of
 //! chi-square contingency tables ([`TableScores`]) and per-partition
 //! cluster solutions — keyed on the *view fingerprint* plus the
-//! statistic's parameters.
+//! statistic's parameters. It also holds the filtered results every
+//! session shares ([`crate::results`]), which are bounded in bytes and
+//! kept out of [`CacheStats`].
 //!
 //! # What an entry costs
 //!
@@ -49,6 +51,7 @@ use crate::discretize::AttributeCodec;
 use crate::entropy::{information_gain, symmetrical_uncertainty};
 use crate::error::StatsError;
 use crate::histogram::BinningStrategy;
+use crate::results::ResultCache;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -262,8 +265,9 @@ impl std::fmt::Display for CacheStats {
 /// Locks a shard, recovering the data from a poisoned mutex: every value
 /// in the maps is immutable once inserted (entries are `Arc`ed and only
 /// added or removed whole), so a panic mid-operation cannot leave a
-/// half-written value behind.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+/// half-written value behind. The result cache and the coded-column memo
+/// lock the same way, for the same reason.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
@@ -361,6 +365,8 @@ pub struct StatsCache {
     codecs: ShardedLru<CodecKey, AttributeCodec>,
     scores: ShardedLru<ContingencyKey, TableScores>,
     clusters: ShardedLru<ClusterKey, ClusterSolution>,
+    /// Filtered results shared by every session (see [`crate::results`]).
+    pub(crate) results: Mutex<ResultCache>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -394,6 +400,7 @@ impl StatsCache {
             codecs: ShardedLru::new(entries),
             scores: ShardedLru::new(entries),
             clusters: ShardedLru::new(entries),
+            results: Mutex::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -490,11 +497,12 @@ impl StatsCache {
         self.clusters.len()
     }
 
-    /// Drops every entry (counters are kept).
+    /// Drops every entry, cached results included (counters are kept).
     pub fn clear(&self) {
         self.codecs.clear();
         self.scores.clear();
         self.clusters.clear();
+        self.clear_results();
     }
 
     /// Snapshot of hit/miss/eviction counters and live entry counts.

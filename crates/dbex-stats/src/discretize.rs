@@ -8,14 +8,15 @@
 //! [`CodedColumns`] memoizes those codings per result set so each attribute
 //! is coded at most once however many stages read it.
 
-use crate::cache::{CodecKey, StatsCache};
+use crate::cache::{lock, CodecKey, StatsCache};
 use crate::error::StatsError;
 use crate::fault;
 use crate::histogram::{BinningStrategy, Histogram};
 use dbex_table::dict::NULL_CODE;
 use dbex_table::{Column, DataType, View};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// How an attribute's raw values map to discrete codes `0..cardinality`.
 #[derive(Debug, Clone)]
@@ -157,13 +158,25 @@ impl AttributeCodec {
 pub struct CodedColumn {
     /// The attribute's position in the table schema.
     pub attr_index: usize,
-    /// The codec used.
-    pub codec: AttributeCodec,
+    /// The codec used, shared with the [`StatsCache`] entry it came from.
+    pub codec: Arc<AttributeCodec>,
     /// Codes parallel to the view's `row_ids()`; `NULL_CODE` marks NULL.
     pub codes: Vec<u32>,
+    /// [`Self::counts`], computed on first request.
+    counts: OnceLock<Box<[f64]>>,
 }
 
 impl CodedColumn {
+    /// Attribute `attr_index` coded by `codec` as `codes`.
+    pub fn new(attr_index: usize, codec: Arc<AttributeCodec>, codes: Vec<u32>) -> CodedColumn {
+        CodedColumn {
+            attr_index,
+            codec,
+            codes,
+            counts: OnceLock::new(),
+        }
+    }
+
     /// Codes attribute `attr` over every row of `view`: builds the codec —
     /// through `cache` under the view's fingerprint when one is given —
     /// and encodes the rows in one batch. Every coding in the workspace
@@ -184,15 +197,27 @@ impl CodedColumn {
                     bins,
                     strategy,
                 };
-                (*cache.codec_with(key, build)?).clone()
+                cache.codec_with(key, build)?
             }
-            None => build()?,
+            None => Arc::new(build()?),
         };
         let codes = codec.encode_rows(view.table().column(attr), view.row_ids());
-        Ok(CodedColumn {
-            attr_index: attr,
-            codec,
-            codes,
+        Ok(CodedColumn::new(attr, codec, codes))
+    }
+
+    /// How many rows carry each code (indexed by code, NULLs and codes
+    /// past the codec's cardinality skipped), counted on the first call:
+    /// the suggestion rankers read it once per statement, and a column
+    /// kept in a result cache serves every later statement from it.
+    pub fn counts(&self) -> &[f64] {
+        self.counts.get_or_init(|| {
+            let mut counts = vec![0.0f64; self.codec.cardinality()];
+            for &code in &self.codes {
+                if let Some(slot) = counts.get_mut(code as usize) {
+                    *slot += 1.0;
+                }
+            }
+            counts.into_boxed_slice()
         })
     }
 
@@ -210,6 +235,10 @@ impl CodedColumn {
     }
 }
 
+/// Partition fingerprints by `(pivot attribute, pivot code)`, one per
+/// Compare-Attribute list asked for.
+type PartitionFingerprints = HashMap<(usize, u32), Vec<(Box<[usize]>, u64)>>;
+
 /// The coded attributes of one result set, each coded at most once.
 ///
 /// A CAD build reads the same columns in three stages — the pivot encode,
@@ -225,6 +254,10 @@ impl CodedColumn {
 /// memo and the cache both ways, so the fault fires exactly as it would in
 /// a cold session (the rule cluster reuse follows for cluster faults).
 ///
+/// The memo also keeps what a CAD build derives from its columns in
+/// O(rows) on every build: the view fingerprint and the cluster-reuse
+/// fingerprint of each pivot partition a build has asked for.
+///
 /// The memo belongs to the view it was created for, and every call passes
 /// that view back in. Slots are `OnceLock`s, so `par_map` workers may code
 /// different attributes at once; two racing on one attribute both code it
@@ -237,6 +270,7 @@ pub struct CodedColumns {
     strategy: BinningStrategy,
     fingerprint: OnceLock<u64>,
     slots: Vec<OnceLock<Arc<CodedColumn>>>,
+    partitions: Mutex<PartitionFingerprints>,
     /// Shared with the memos [`Self::for_sample`] makes.
     rows_coded: Arc<AtomicU64>,
 }
@@ -254,6 +288,7 @@ impl CodedColumns {
             slots: (0..view.table().num_columns())
                 .map(|_| OnceLock::new())
                 .collect(),
+            partitions: Mutex::default(),
             rows_coded: Arc::default(),
         }
     }
@@ -326,6 +361,39 @@ impl CodedColumns {
             return Ok(coded);
         }
         Ok(Arc::clone(slot.get_or_init(|| coded)))
+    }
+
+    /// The cluster-reuse fingerprint of the partition of this memo's view
+    /// where attribute `pivot` has code `code`, over the coded Compare
+    /// Attributes `attrs`: `compute()` on the first request for that key,
+    /// the kept value after it. The columns it hashes are this memo's, so
+    /// the key fixes the value. Skipped while a stats fault is armed on
+    /// the calling thread, as coding is.
+    pub fn partition_fingerprint(
+        &self,
+        pivot: usize,
+        code: u32,
+        attrs: &[usize],
+        compute: impl FnOnce() -> u64,
+    ) -> u64 {
+        if fault::armed() {
+            return compute();
+        }
+        let kept = |map: &PartitionFingerprints| {
+            map.get(&(pivot, code))?
+                .iter()
+                .find(|(a, _)| **a == *attrs)
+                .map(|(_, fp)| *fp)
+        };
+        if let Some(fp) = kept(&lock(&self.partitions)) {
+            return fp;
+        }
+        let fp = compute();
+        let mut map = lock(&self.partitions);
+        if kept(&map).is_none() {
+            map.entry((pivot, code)).or_default().push((attrs.into(), fp));
+        }
+        fp
     }
 
     /// Rows coded so far — result rows times attributes coded, the memo
@@ -481,6 +549,29 @@ mod tests {
         assert!(std::ptr::eq(same, &memo));
         let other = CodedColumns::reuse_or_new(Some(&memo), &mut own, &v, 6, BinningStrategy::EquiWidth);
         assert!(!std::ptr::eq(other, &memo));
+    }
+
+    #[test]
+    fn counts_and_partition_fingerprints_are_computed_once() {
+        let t = table();
+        let v = t.full_view();
+        let memo = CodedColumns::new(&v, 2, BinningStrategy::EquiWidth);
+        let make = memo.column(&v, 0, None).unwrap();
+        // Ford, Jeep, Ford, Jeep, NULL.
+        assert_eq!(make.counts(), &[2.0, 2.0]);
+        assert!(std::ptr::eq(make.counts(), make.counts()));
+        let fingerprint = |code, attrs: &[usize], value| {
+            memo.partition_fingerprint(0, code, attrs, || value)
+        };
+        assert_eq!(fingerprint(1, &[1], 7), 7);
+        assert_eq!(fingerprint(1, &[1], 8), 7, "kept for the same key");
+        assert_eq!(fingerprint(1, &[1, 0], 9), 9);
+        assert_eq!(fingerprint(0, &[1], 10), 10);
+        {
+            let _fault = crate::fault::scoped("codec::build");
+            assert_eq!(fingerprint(1, &[1], 11), 11, "an armed fault skips the memo");
+        }
+        assert_eq!(fingerprint(1, &[1], 12), 7);
     }
 
     #[test]

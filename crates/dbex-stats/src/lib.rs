@@ -41,6 +41,7 @@ pub mod histogram;
 pub mod interact;
 pub mod metrics;
 pub mod mixed;
+pub mod results;
 pub mod simd;
 pub mod simil;
 pub mod special;
@@ -60,5 +61,6 @@ pub use interact::{InteractionMatrix, PairInteraction};
 pub use histogram::{BinningStrategy, Histogram};
 pub use metrics::{f1_score, ConfusionCounts};
 pub use mixed::{likelihood_ratio_test, LmmFit, LrtResult};
+pub use results::{FilteredResult, ResultCacheStats};
 pub use simd::SimdDispatch;
 pub use simil::{cosine_similarity, cosine_similarity_sparse};

@@ -174,19 +174,6 @@ pub fn suggest_class_ctx(pivot: usize) -> u64 {
     h
 }
 
-/// Non-null frequency vector (indexed by code) of `codes`.
-fn code_frequencies(codes: &[u32], cardinality: usize) -> Vec<f64> {
-    let mut freq = vec![0.0f64; cardinality];
-    for &c in codes {
-        if c != NULL_CODE {
-            if let Some(slot) = freq.get_mut(c as usize) {
-                *slot += 1.0;
-            }
-        }
-    }
-    freq
-}
-
 /// Ranks candidate next-step attributes against `pivot` over `view`.
 ///
 /// Score = symmetrical uncertainty of the `pivot × attr` contingency table
@@ -234,9 +221,9 @@ pub fn suggest_next(
     let scored: Vec<Option<NextSuggestion>> = dbex_par::par_map(threads, &candidates, |_, &attr| {
         let column = memo.column(view, attr, cache).ok()?;
         let (codec, codes) = (&column.codec, &column.codes);
-        let freq = code_frequencies(codes, codec.cardinality());
+        let freq = column.counts();
         let live = freq.iter().filter(|&&f| f > 0.0).count();
-        let h_attr = entropy(&freq);
+        let h_attr = entropy(freq);
         if h_attr <= 0.0 {
             // Constant or all-null over the current view: eliminated.
             return None;
@@ -330,14 +317,14 @@ pub fn complete_attribute(
         let Ok(column) = memo.column(view, attr, cache) else {
             continue;
         };
-        let freq = code_frequencies(&column.codes, column.codec.cardinality());
+        let freq = column.counts();
         let non_null: f64 = freq.iter().sum();
         let live = freq.iter().filter(|&&f| f > 0.0).count();
         if live < 2 || view.is_empty() {
             continue;
         }
         let coverage = non_null / view.len() as f64;
-        let discrimination = entropy(&freq) / (live as f64).ln();
+        let discrimination = entropy(freq) / (live as f64).ln();
         let score = coverage * discrimination;
         if score <= 0.0 {
             continue;
@@ -391,7 +378,7 @@ pub fn complete_value(
         return Ok(Vec::new());
     };
     let codec = &column.codec;
-    let freq = code_frequencies(&column.codes, codec.cardinality());
+    let freq = column.counts();
     let non_null: f64 = freq.iter().sum();
     if non_null <= 0.0 {
         return Ok(Vec::new());

@@ -198,6 +198,69 @@ impl Predicate {
         }
     }
 
+    /// Feeds `self` to `state` so that [`Predicate::identical`] predicates
+    /// hash alike — the key a cache of filtered results probes before it
+    /// compares with `identical`.
+    pub fn hash_identical<H: std::hash::Hasher>(&self, state: &mut H) {
+        use std::hash::Hash;
+        fn all<H: std::hash::Hasher>(preds: &[Predicate], state: &mut H) {
+            state.write_usize(preds.len());
+            for p in preds {
+                p.hash_identical(state);
+            }
+        }
+        match self {
+            Predicate::Compare {
+                attribute,
+                op,
+                value,
+            } => {
+                state.write_u8(0);
+                attribute.hash(state);
+                state.write_u8(*op as u8);
+                value.hash_identical(state);
+            }
+            Predicate::Between {
+                attribute,
+                low,
+                high,
+            } => {
+                state.write_u8(1);
+                attribute.hash(state);
+                low.hash_identical(state);
+                high.hash_identical(state);
+            }
+            Predicate::In { attribute, values } => {
+                state.write_u8(2);
+                attribute.hash(state);
+                state.write_usize(values.len());
+                for v in values {
+                    v.hash_identical(state);
+                }
+            }
+            Predicate::IsNull { attribute } => {
+                state.write_u8(3);
+                attribute.hash(state);
+            }
+            Predicate::And(preds) => {
+                state.write_u8(4);
+                all(preds, state);
+            }
+            Predicate::Or(preds) => {
+                state.write_u8(5);
+                all(preds, state);
+            }
+            Predicate::Not(inner) => {
+                state.write_u8(6);
+                inner.hash_identical(state);
+            }
+            Predicate::Const(b) => {
+                state.write_u8(7);
+                state.write_u8(u8::from(*b));
+            }
+        }
+    }
+
     /// Checks that all referenced attributes exist in `schema`.
     pub fn validate(&self, schema: &Schema) -> Result<()> {
         match self {
@@ -577,5 +640,40 @@ mod tests {
             Predicate::not(pos)
         ])));
         assert!(!Predicate::eq("X", 1).identical(&Predicate::eq("X", 1.0)));
+    }
+
+    #[test]
+    fn identical_predicates_hash_alike() {
+        let hash = |p: &Predicate| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            p.hash_identical(&mut h);
+            std::hash::Hasher::finish(&h)
+        };
+        let preds = [
+            Predicate::cmp("X", CmpOp::Lt, -0.0),
+            Predicate::cmp("X", CmpOp::Lt, 0.0),
+            Predicate::cmp("X", CmpOp::Le, 0.0),
+            Predicate::eq("X", 1),
+            Predicate::eq("X", 1.0),
+            Predicate::eq("X", f64::NAN),
+            Predicate::eq("Y", "a"),
+            Predicate::between("X", 1, 2),
+            Predicate::in_list("X", vec![Value::Null, 1.into()]),
+            Predicate::IsNull {
+                attribute: "X".into(),
+            },
+            Predicate::and(vec![Predicate::eq("X", 1), Predicate::eq("Y", "a")]),
+            Predicate::or(vec![Predicate::eq("X", 1), Predicate::eq("Y", "a")]),
+            Predicate::not(Predicate::eq("X", 1)),
+            Predicate::Const(true),
+            Predicate::Const(false),
+        ];
+        for (i, a) in preds.iter().enumerate() {
+            assert_eq!(hash(a), hash(&a.clone()), "{a}");
+            for b in &preds[i + 1..] {
+                assert!(!a.identical(b), "{a} vs {b}");
+                assert_ne!(hash(a), hash(b), "{a} vs {b}");
+            }
+        }
     }
 }

@@ -115,6 +115,27 @@ impl Value {
             _ => self == other,
         }
     }
+
+    /// Feeds `self` to `state` so that [`Value::identical`] values hash
+    /// alike: floats by bit pattern, and each variant under its own tag.
+    pub fn hash_identical<H: std::hash::Hasher>(&self, state: &mut H) {
+        use std::hash::Hash;
+        match self {
+            Value::Null => state.write_u8(0),
+            Value::Int(v) => {
+                state.write_u8(1);
+                v.hash(state);
+            }
+            Value::Float(v) => {
+                state.write_u8(2);
+                v.to_bits().hash(state);
+            }
+            Value::Str(s) => {
+                state.write_u8(3);
+                s.hash(state);
+            }
+        }
+    }
 }
 
 impl fmt::Display for Value {

@@ -6,9 +6,10 @@
 //! Also pinned here: the budget ladder still fires under parallelism, and
 //! the thread-local fault-injection hooks keep their documented semantics
 //! (they fire on the arming thread only — honored at `threads = 1`,
-//! invisible to pool workers at `threads > 1`). Last, a session's result
-//! memo is an optimization of the same kind: a statement served from it
-//! answers exactly as a session without it would; and so is the build a
+//! invisible to pool workers at `threads > 1`). Last, the filtered results
+//! a session pins and the stats cache shares are an optimization of the
+//! same kind: a statement served from one answers exactly as a session
+//! without them would; and so is the build a
 //! streamed preview pauses: finishing it answers exactly as an unstreamed
 //! build would, and nothing but the previewed statement ever finishes it.
 
@@ -474,12 +475,13 @@ fn seeded_columns(cards: &[usize], n: usize, seed: u64) -> Vec<CodedColumn> {
     let mut columns: Vec<CodedColumn> = cards
         .iter()
         .enumerate()
-        .map(|(a, &card)| CodedColumn {
-            attr_index: a,
-            codec: AttributeCodec::Categorical {
-                labels: (0..card).map(|i| format!("v{i}")).collect(),
-            },
-            codes: Vec::with_capacity(n),
+        .map(|(a, &card)| {
+            let labels = (0..card).map(|i| format!("v{i}")).collect();
+            CodedColumn::new(
+                a,
+                Arc::new(AttributeCodec::Categorical { labels }),
+                Vec::with_capacity(n),
+            )
         })
         .collect();
     for _ in 0..n {
@@ -621,8 +623,10 @@ fn caller_thread_stages_still_see_faults_under_parallelism() {
 }
 
 // ---------------------------------------------------------------------------
-// The session result memo never serves a stale or poisoned result.
+// A pinned or cached result never serves a stale or poisoned answer.
 // ---------------------------------------------------------------------------
+
+use dbexplorer::core::StatsCache;
 
 /// A statement's answer as the shell prints it (errors included), minus
 /// the EXPLAIN lines that report wall time, thread count or stats-cache
@@ -674,44 +678,71 @@ fn table_swap_between_preview_and_exact_build_answers_like_a_cold_session() {
     );
 }
 
-/// `rows_scanned` of the build's `pivot_encode` span: the rows it coded
-/// for the pivot, 0 when the pivot came from the result memo.
-fn pivot_rows_coded(session: &mut Session, from_where: &str) -> u64 {
+/// `rows_scanned` of each stage span of the build `EXPLAIN ANALYZE` runs
+/// over `from_where`, in span order (`pivot_encode`, `compare_attrs`,
+/// `encode_matrix`): the rows each stage coded, 0 for a stage whose columns
+/// came coded with the result.
+fn rows_coded_by_stage(session: &mut Session, from_where: &str) -> Vec<u64> {
     let sql = format!("EXPLAIN ANALYZE CADVIEW v AS SET pivot = Make FROM {from_where} IUNITS 2");
     let Ok(QueryOutput::Text(text)) = session.execute(&sql) else {
         panic!("{sql} must explain");
     };
-    let span = text
+    let stages: Vec<u64> = text
         .lines()
-        .find(|l| l.trim_start().starts_with("pivot_encode"))
-        .unwrap_or_else(|| panic!("no pivot_encode span in:\n{text}"));
-    span.split_whitespace()
-        .find_map(|kv| kv.strip_prefix("rows_scanned="))
-        .and_then(|n| n.parse().ok())
-        .unwrap_or_else(|| panic!("no rows_scanned in {span}"))
+        .filter_map(|l| l.split_whitespace().find_map(|kv| kv.strip_prefix("rows_scanned=")))
+        .map(|n| n.parse().expect("rows_scanned is a count"))
+        .collect();
+    assert_eq!(stages.len(), 3, "three coding stages in:\n{text}");
+    stages
+}
+
+/// The rows the build's `pivot_encode` span coded for the pivot.
+fn pivot_rows_coded(session: &mut Session, from_where: &str) -> u64 {
+    rows_coded_by_stage(session, from_where)[0]
 }
 
 #[test]
 fn result_memo_serves_only_the_same_table_and_predicate() {
     let cars = UsedCarsGenerator::new(5).generate(3_000);
+    let cache = Arc::new(StatsCache::new());
     let mut session = Session::new();
+    session.set_stats_cache(Arc::clone(&cache));
     session.register_table("cars", cars.clone());
     // Same rows under another name: a different table `Arc`.
     session.register_table("twin", cars);
-    let suv = "cars WHERE BodyType = SUV";
+    let (suv, sedan) = ("cars WHERE BodyType = SUV", "cars WHERE BodyType = Sedan");
     let coded = pivot_rows_coded(&mut session, suv);
     assert!(coded > 0);
     assert_eq!(
         pivot_rows_coded(&mut session, suv),
         0,
-        "repeat: served from the memo"
+        "repeat: served from the session's pin"
     );
-    assert!(pivot_rows_coded(&mut session, "cars WHERE BodyType = Sedan") > 0);
+    assert!(pivot_rows_coded(&mut session, sedan) > 0);
+    let stats = cache.result_stats();
+    assert_eq!(
+        (stats.misses, stats.admissions, stats.entries, stats.bytes),
+        (2, 0, 0, 0),
+        "a one-shot result is not retained: {stats:?}"
+    );
     assert_eq!(
         pivot_rows_coded(&mut session, suv),
         coded,
-        "one entry: SUV was evicted"
+        "SUV was not retained, so it filters and codes again"
     );
+    assert_eq!(
+        cache.result_stats().admissions,
+        1,
+        "its second miss admits it"
+    );
+    assert!(pivot_rows_coded(&mut session, sedan) > 0);
+    assert_eq!(
+        pivot_rows_coded(&mut session, suv),
+        0,
+        "back to SUV: the cached result"
+    );
+    let stats = cache.result_stats();
+    assert_eq!((stats.hits, stats.admissions, stats.entries), (1, 2, 2));
     assert_eq!(
         pivot_rows_coded(&mut session, "twin WHERE BodyType = SUV"),
         coded
@@ -719,6 +750,20 @@ fn result_memo_serves_only_the_same_table_and_predicate() {
     assert_eq!(
         pivot_rows_coded(&mut session, "twin WHERE BodyType = SUV"),
         0
+    );
+
+    // A second session on the same cache repeats the first one's
+    // predicate: it neither filters nor codes.
+    let mut second = Session::new();
+    second.set_stats_cache(Arc::clone(&cache));
+    second.register_shared("cars", session.table("cars").expect("cars"));
+    let before = cache.result_stats();
+    assert_eq!(rows_coded_by_stage(&mut second, suv), [0, 0, 0]);
+    let after = cache.result_stats();
+    assert_eq!(
+        (after.hits - before.hits, after.misses - before.misses),
+        (1, 0),
+        "served from the shared cache without filtering"
     );
 }
 
@@ -737,14 +782,32 @@ fn statement_after_a_panic_or_an_armed_fault_answers_like_a_cold_session() {
     let cars = Arc::new(UsedCarsGenerator::new(9).generate(3_000));
     let sql = "CREATE CADVIEW v AS SET pivot = BodyType FROM cars WHERE Price < 40K IUNITS 3";
     let cold = cold_answer(&cars, sql);
-    let mut session = Session::new();
-    session.register_shared("cars", Arc::clone(&cars));
+    // Two sessions on one cache, as a server's connections are.
+    let cache = Arc::new(StatsCache::new());
+    let session_on_cache = || {
+        let mut session = Session::new();
+        session.register_shared("cars", Arc::clone(&cars));
+        session.set_stats_cache(Arc::clone(&cache));
+        session
+    };
+    let mut session = session_on_cache();
+    let mut second = session_on_cache();
     session.execute(sql).expect("warm the memo");
 
     session.set_trace_sink(Some(Arc::new(PanickingSink)));
     assert!(matches!(session.execute(sql), Err(QueryError::Panicked(_))));
     session.set_trace_sink(None);
     assert_eq!(answer(session.execute(sql)), cold, "after a panic");
+    assert_eq!(
+        answer(second.execute(sql)),
+        cold,
+        "the second session after the first one's panic"
+    );
+    assert_eq!(
+        cache.result_stats().hits,
+        1,
+        "the second session read the result the panicking one filtered"
+    );
 
     let numeric_pivot = sql.replace("pivot = BodyType", "pivot = Price");
     for (site, faulted) in [
@@ -752,17 +815,23 @@ fn statement_after_a_panic_or_an_armed_fault_answers_like_a_cold_session() {
         ("histogram::build", numeric_pivot.as_str()),
         ("histogram::build", sql),
     ] {
-        {
-            let _fault = dbexplorer::stats::fault::scoped(site);
-            let out = session.execute(faulted);
-            if faulted != sql || site == "codec::build" {
-                assert!(
-                    out.is_err(),
-                    "{site} must fail `{faulted}` despite the memo"
-                );
+        for (name, s) in [("first", &mut session), ("second", &mut second)] {
+            {
+                let _fault = dbexplorer::stats::fault::scoped(site);
+                let out = s.execute(faulted);
+                if faulted != sql || site == "codec::build" {
+                    assert!(
+                        out.is_err(),
+                        "{site} must fail `{faulted}` in the {name} session despite the cache"
+                    );
+                }
             }
+            assert_eq!(
+                answer(s.execute(sql)),
+                cold,
+                "the {name} session after a {site} fault"
+            );
         }
-        assert_eq!(answer(session.execute(sql)), cold, "after a {site} fault");
     }
 }
 
@@ -825,9 +894,10 @@ fn seeded_statement_mix_answers_identically_with_and_without_the_memo() {
     let synth = Arc::new(SyntheticSpec::exploration_default(5_000, 21).generate());
     let other = Arc::new(UsedCarsGenerator::new(22).generate(50));
     let mix = statement_mix(0x5EED_CAFE, 60);
-    // `evict` runs a SELECT on another table before every statement and
-    // before every exact build: the memo holds one result, so that run
-    // never reuses one and serves as the memo-less oracle.
+    // `evict` runs a SELECT on another table, which replaces the pinned
+    // result, and drops the shared results before every statement and
+    // before every exact build: that run never reuses a result and serves
+    // as the memo-less oracle.
     let run = |threads: usize, evict: bool| -> Vec<String> {
         let mut session = Session::new();
         session.register_shared("cars", Arc::clone(&cars));
@@ -839,6 +909,7 @@ fn seeded_statement_mix_answers_identically_with_and_without_the_memo() {
                 session
                     .execute("SELECT * FROM other LIMIT 1")
                     .expect("evict");
+                session.stats_cache().clear_results();
             }
         };
         let mut transcript = Vec::new();

@@ -3,13 +3,11 @@
 use dbex_stats::StatsError;
 use std::fmt;
 
-/// An error from k-means / mini-batch clustering.
+/// An error from k-means clustering.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClusterError {
     /// `k == 0` clusters requested.
     ZeroClusters,
-    /// A mini-batch of zero points requested.
-    ZeroBatchSize,
     /// A sparse point activates a dimension outside the feature space.
     DimensionOutOfRange {
         /// Index of the offending point.
@@ -46,7 +44,6 @@ impl fmt::Display for ClusterError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ClusterError::ZeroClusters => write!(f, "k must be at least 1"),
-            ClusterError::ZeroBatchSize => write!(f, "mini-batch size must be at least 1"),
             ClusterError::DimensionOutOfRange { point, dim, space } => write!(
                 f,
                 "point {point} activates dimension {dim} outside the {space}-dimensional space"

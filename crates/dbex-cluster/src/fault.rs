@@ -2,14 +2,14 @@
 //!
 //! Mirrors `dbex_stats::fault`: tests arm a named site on their thread and
 //! the matching code path returns [`ClusterError::FaultInjected`] until the
-//! guard drops. Known sites: `"cluster::kmeans"`, `"cluster::minibatch"`.
+//! guard drops. The one known site is `"cluster::kmeans"`.
 //!
 //! # Interaction with parallel CAD builds
 //!
 //! As in `dbex_stats::fault`, hooks fire **only on the arming thread**.
 //! The CAD builder's default `CadConfig::threads == 1` clusters every
 //! partition on the caller's thread, so an armed `"cluster::kmeans"` is
-//! honored and the degradation ladder descends. With `threads > 1` the
+//! honored and the partition falls back to a single IUnit. With `threads > 1` the
 //! per-partition clustering runs on `dbex_par::par_map` pool workers whose
 //! fresh thread-locals are never armed — those partitions cluster at full
 //! fidelity. `tests/parallel_determinism.rs` pins down both behaviors.
@@ -68,7 +68,7 @@ mod tests {
         {
             let _g = scoped("cluster::kmeans");
             assert!(check("cluster::kmeans").is_err());
-            assert!(check("cluster::minibatch").is_ok());
+            assert!(check("cluster::other").is_ok());
         }
         assert!(check("cluster::kmeans").is_ok());
     }

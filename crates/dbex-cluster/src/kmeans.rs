@@ -143,9 +143,8 @@ pub(crate) fn seed_random(n: usize, k: usize, rng: &mut StdRng) -> Vec<usize> {
 // vectorize four lanes wide. `PackedMatrix::from_columns` refuses inputs
 // with `rows·attrs > u32::MAX`, so a u32 dot accumulator cannot overflow.
 //
-// The f64 LUT helpers below the integer ones remain in use by the
-// mini-batch kernel (whose learning-rate centroids are genuinely dense
-// floats) and by out-of-sample assignment against final `f64` centroids.
+// The f64 LUT helpers below the integer ones serve out-of-sample
+// assignment against final `f64` centroids.
 
 use crate::packed::{CodeWord, PackedMatrix, PackedView};
 
@@ -289,9 +288,9 @@ impl PackedLloyd {
 
     /// Runs one Lloyd pass: the assignment step and, unless it moved no
     /// row, the update step. Returns `false`, having done nothing, once
-    /// the run has converged or used its `max_iters` passes.
+    /// the run [`is_done`](Self::is_done).
     pub fn pass(&mut self) -> bool {
-        if self.converged || self.iterations >= self.max_iters {
+        if self.is_done() {
             return false;
         }
         let first = self.iterations == 0;
@@ -384,6 +383,17 @@ impl PackedLloyd {
             }
         }
         true
+    }
+
+    /// Passes run so far.
+    pub fn passes(&self) -> usize {
+        self.iterations
+    }
+
+    /// True once the run has converged or used its `max_iters` passes, so
+    /// that another pass would change nothing.
+    pub fn is_done(&self) -> bool {
+        self.converged || self.iterations >= self.max_iters
     }
 
     /// The latest pass's cluster per row, or `None` before the first pass.
@@ -489,7 +499,7 @@ fn assign_all_packed_impl<T: CodeWord>(
 
 /// Transposed centroid table: `lut[d·k + c] = centroids[c][d]`, so one
 /// active dimension contributes a contiguous k-wide strip of partial dots.
-pub(crate) fn build_lut(centroids: &[Vec<f64>], dim: usize) -> Vec<f64> {
+fn build_lut(centroids: &[Vec<f64>], dim: usize) -> Vec<f64> {
     let k = centroids.len();
     let mut lut = vec![0.0; dim * k];
     for (c, cent) in centroids.iter().enumerate() {
@@ -505,12 +515,7 @@ pub(crate) fn build_lut(centroids: &[Vec<f64>], dim: usize) -> Vec<f64> {
 /// exactly the order `dist2` walks a sorted sparse point — so each
 /// `dot[c]` is bit-equal to the reference dot product.
 #[inline]
-pub(crate) fn accumulate_dots<T: CodeWord>(
-    row: &[T],
-    m: &PackedMatrix,
-    lut: &[f64],
-    dot: &mut [f64],
-) {
+fn accumulate_dots<T: CodeWord>(row: &[T], m: &PackedMatrix, lut: &[f64], dot: &mut [f64]) {
     let k = dot.len();
     for v in dot.iter_mut() {
         *v = 0.0;
@@ -527,7 +532,7 @@ pub(crate) fn accumulate_dots<T: CodeWord>(
 
 /// `nearest` over precomputed dots (clamped distance, first-min ties).
 #[inline]
-pub(crate) fn nearest_from_dots(norms: &[f64], dot: &[f64], len: f64) -> (usize, f64) {
+fn nearest_from_dots(norms: &[f64], dot: &[f64], len: f64) -> (usize, f64) {
     let mut best = 0;
     let mut best_d = f64::INFINITY;
     for (c, (&n2, &dt)) in norms.iter().zip(dot).enumerate() {
@@ -562,23 +567,12 @@ pub(crate) fn build_int_lut(hists: &[Vec<u32>], dim: usize) -> Vec<u32> {
 // [`hist_dist2`] in the oracle (clamped, first-min ties) —
 // with per-lane-exact SIMD variants behind the runtime dispatch.
 
-/// The one-hot (dense) centroid of a packed row.
-pub(crate) fn packed_onehot<T: CodeWord>(row: &[T], m: &PackedMatrix, dim: usize) -> Vec<f64> {
-    let mut c = vec![0.0; dim];
-    for (a, &code) in row.iter().enumerate() {
-        if code != T::NULL {
-            c[m.offset(a) + code.index()] = 1.0;
-        }
-    }
-    c
-}
-
 /// The packed mirror of the oracle's `sparse_dist2`: `|x| + |y| − 2|x∩y|`
 /// with the intersection counted as matching non-NULL `(attribute, code)`
 /// cells.
 /// Pure integer arithmetic, so the cast is exact either way.
 #[inline]
-pub(crate) fn packed_sparse_dist2<T: CodeWord>(a: &[T], b: &[T], la: usize, lb: usize) -> f64 {
+fn packed_sparse_dist2<T: CodeWord>(a: &[T], b: &[T], la: usize, lb: usize) -> f64 {
     let mut common = 0usize;
     for (&x, &y) in a.iter().zip(b) {
         if x != T::NULL && x == y {

@@ -14,7 +14,8 @@
 //! * [`mod@kmeans`] — Lloyd's algorithm with k-means++ seeding, empty-cluster
 //!   reseeding, and out-of-sample assignment (the paper's sampling
 //!   optimization clusters a sample and assigns the remainder), over
-//!   packed rows; [`minibatch`] is its mini-batch variant.
+//!   packed rows. A [`PackedLloyd`] run can stop after any pass, which is
+//!   how a CAD build keeps its deadline inside a clustering run.
 //! * [`oracle`] — the sparse one-hot reference the packed kernels are
 //!   tested against bit for bit. No production code calls it.
 
@@ -24,7 +25,6 @@
 pub mod error;
 pub mod fault;
 pub mod kmeans;
-pub mod minibatch;
 pub mod oracle;
 pub mod packed;
 pub mod quality;
@@ -32,6 +32,5 @@ pub(crate) mod simd;
 
 pub use error::ClusterError;
 pub use kmeans::{assign_all_packed, kmeans_packed, KMeansConfig, KMeansResult, PackedLloyd};
-pub use minibatch::{mini_batch_kmeans_packed, MiniBatchConfig};
 pub use packed::PackedMatrix;
 pub use quality::silhouette;

@@ -28,9 +28,8 @@
 //! offsets ascend, iterating packed cells in attribute order visits the
 //! active dimensions in the same order the sparse kernels of
 //! [`crate::oracle`] do — which is what lets the packed kernels
-//! ([`crate::kmeans::kmeans_packed`],
-//! [`crate::minibatch::mini_batch_kmeans_packed`]) reproduce the oracle's
-//! results *bit for bit*, not just approximately.
+//! ([`crate::kmeans::kmeans_packed`], [`crate::kmeans::assign_all_packed`])
+//! reproduce the oracle's results *bit for bit*, not just approximately.
 
 use crate::error::ClusterError;
 use dbex_stats::discretize::CodedColumn;

@@ -1,7 +1,7 @@
 //! The packed-code kernels against their one-hot reference oracle.
 //!
 //! The contract is *bit-identity*, not approximation: for any input, the
-//! packed k-means / mini-batch / out-of-sample-assignment paths must
+//! packed k-means and out-of-sample-assignment paths must
 //! return exactly the assignments, centroids (to the float bit), sizes,
 //! inertia bits, and iteration counts of the sparse reference
 //! implementations in `dbex_cluster::oracle`. Random fixtures cover
@@ -11,8 +11,7 @@
 //! nobody paused.
 
 use dbex_cluster::kmeans::{assign_all_packed, kmeans_packed, KMeansConfig, PackedLloyd};
-use dbex_cluster::minibatch::{mini_batch_kmeans_packed, MiniBatchConfig};
-use dbex_cluster::oracle::{assign_all, kmeans, mini_batch_kmeans, OneHotSpace};
+use dbex_cluster::oracle::{assign_all, kmeans, OneHotSpace};
 use dbex_cluster::packed::PackedMatrix;
 use dbex_cluster::KMeansResult;
 use dbex_stats::discretize::{AttributeCodec, CodedColumn};
@@ -82,8 +81,8 @@ fn assert_bit_identical(packed: &KMeansResult, reference: &KMeansResult, ctx: &s
     }
 }
 
-/// Runs both paths over the same data and checks bit-identity of k-means,
-/// mini-batch, and out-of-sample assignment.
+/// Runs both paths over the same data and checks bit-identity of k-means
+/// and out-of-sample assignment.
 fn check_equivalence(cards: &[usize], rows: &[Vec<Option<u32>>], k: usize, seed: u64) {
     let columns = columns_from(cards, rows);
     let refs: Vec<&CodedColumn> = columns.iter().collect();
@@ -120,16 +119,6 @@ fn check_equivalence(cards: &[usize], rows: &[Vec<Option<u32>>], k: usize, seed:
             "assign_all pp={plus_plus}"
         );
     }
-
-    let mb = MiniBatchConfig {
-        k,
-        batch_size: 16,
-        batches: 12,
-        seed,
-    };
-    let reference = mini_batch_kmeans(&points, space.dim(), &mb).unwrap();
-    let packed = mini_batch_kmeans_packed(&matrix, &mb).unwrap();
-    assert_bit_identical(&packed, &reference, "mini_batch");
 }
 
 #[test]

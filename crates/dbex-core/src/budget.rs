@@ -2,13 +2,24 @@
 //!
 //! The paper's interactivity target (Section 6: CAD Views over 40K-row
 //! result sets in well under a second) is reframed here as an explicit
-//! [`ExecBudget`]: a row limit, a wall-clock deadline, and a k-means
-//! iteration cap carried through `build_cad_view`, clustering, and the
-//! diversified top-k stage. When a budget is exhausted the pipeline does
-//! not fail — it *degrades*: full k-means falls back to mini-batch, then
-//! to a sampled build, and every shortcut taken is recorded as a
+//! [`ExecBudget`] with two limits: a wall-clock deadline and a k-means
+//! iteration cap. When a budget is exhausted the pipeline does not fail —
+//! it *degrades*, and every shortcut taken is recorded as a
 //! [`Degradation`] on the finished `CadView` so `EXPLAIN CADVIEW` and the
 //! REPL can surface exactly what was traded away.
+//!
+//! The builder reads the deadline at stage and partition boundaries and
+//! between Lloyd passes:
+//!
+//! * before Compare-Attribute selection (past it: score a sample);
+//! * when a partition starts (past it: cluster at most a small sample and
+//!   assign the rest);
+//! * before every Lloyd pass after the first (past it: keep the last pass's
+//!   clusters);
+//! * before each top-k solve (past it: rank greedily).
+//!
+//! A clustering error is not a budget matter: the partition becomes one
+//! catch-all IUnit.
 //!
 //! Deadlines are measured against an injectable [`ClockSource`] so tests
 //! can exhaust the budget deterministically without sleeping.
@@ -16,15 +27,10 @@
 //! # Thread safety
 //!
 //! A [`BudgetGauge`] is shared by reference across `dbex_par::par_map`
-//! workers when `CadConfig::threads > 1`. Every check reads immutable
-//! state or atomics: `time_exhausted` reads the clock, `rows_exhausted`
-//! compares its argument against a fixed limit, and the cumulative
-//! row-accounting counter ([`BudgetGauge::charge_rows`] /
-//! [`BudgetGauge::rows_spent`]) is an `AtomicU64`. Degradation *decisions*
-//! deliberately depend only on per-partition quantities (a partition's own
-//! size, the monotone clock) — never on the cumulative counter — so the
-//! ladder fires identically regardless of the order in which workers
-//! happen to run.
+//! workers when `CadConfig::threads > 1`. It holds no mutable state: a
+//! check reads the clock, the cancel flag or a fixed limit. With a manual
+//! clock, every worker sees the same deadline state, so the degradations
+//! fire identically whatever order the workers run in.
 //!
 //! The gauge owns a clone of its budget (the clock and cancel flag are
 //! shared `Arc`s), so a build that pauses between calls — a streamed
@@ -52,20 +58,18 @@ pub enum ClockSource {
 /// triggers degradation.
 #[derive(Debug, Clone, Default)]
 pub struct ExecBudget {
-    /// Partitions larger than this are clustered with mini-batch k-means
-    /// instead of full Lloyd iterations.
-    pub max_rows: Option<usize>,
-    /// Wall-clock deadline for the whole build. Once past it, remaining
-    /// work switches to sampled builds and greedy top-k.
+    /// Wall-clock deadline for the whole build. Once past it, running
+    /// Lloyd passes stop and the remaining work switches to sampled
+    /// clustering and greedy top-k.
     pub time_limit: Option<Duration>,
     /// Hard cap on k-means iterations, clamping `CadConfig::kmeans_iters`.
     pub max_kmeans_iters: Option<usize>,
     /// Clock the deadline is measured against.
     pub clock: ClockSource,
     /// Cooperative cancellation: once the flag flips `true` the gauge
-    /// reports the deadline as exhausted at every check, collapsing the
-    /// remaining work onto the cheapest degradation rungs so the build
-    /// finishes (degraded, never failed) as fast as possible. `dbex-serve`
+    /// reports the deadline as exhausted at every check, so running Lloyd
+    /// passes stop and the remaining work takes the cheapest shortcuts: the
+    /// build finishes (degraded, never failed) as fast as possible. `dbex-serve`
     /// arms one flag per connection and fires it when the client
     /// disconnects mid-request.
     pub cancel: Option<Arc<AtomicBool>>,
@@ -75,12 +79,6 @@ impl ExecBudget {
     /// No limits: the pipeline never degrades.
     pub fn unlimited() -> ExecBudget {
         ExecBudget::default()
-    }
-
-    /// Sets the per-partition row limit.
-    pub fn with_max_rows(mut self, rows: usize) -> Self {
-        self.max_rows = Some(rows);
-        self
     }
 
     /// Sets the wall-clock deadline.
@@ -112,7 +110,7 @@ impl ExecBudget {
     /// True when no limit is set. An armed (but unfired) cancellation flag
     /// does not make a budget limited — it constrains nothing until fired.
     pub fn is_unlimited(&self) -> bool {
-        self.max_rows.is_none() && self.time_limit.is_none() && self.max_kmeans_iters.is_none()
+        self.time_limit.is_none() && self.max_kmeans_iters.is_none()
     }
 
     /// Starts measuring: captures "now" on the configured clock.
@@ -125,7 +123,6 @@ impl ExecBudget {
             budget: self.clone(),
             started: Instant::now(),
             manual_start,
-            rows_spent: AtomicU64::new(0),
         }
     }
 }
@@ -138,7 +135,6 @@ pub struct BudgetGauge {
     budget: ExecBudget,
     started: Instant,
     manual_start: u64,
-    rows_spent: AtomicU64,
 }
 
 impl BudgetGauge {
@@ -171,25 +167,6 @@ impl BudgetGauge {
                 .is_some_and(|limit| self.elapsed() >= limit)
     }
 
-    /// True when `rows` exceeds the row limit.
-    pub fn rows_exhausted(&self, rows: usize) -> bool {
-        self.budget.max_rows.is_some_and(|max| rows > max)
-    }
-
-    /// Records `rows` rows of work against the gauge. Atomic, so pool
-    /// workers can charge concurrently; the final total is deterministic
-    /// (a sum) even though the interleaving is not.
-    pub fn charge_rows(&self, rows: usize) {
-        self.rows_spent.fetch_add(rows as u64, Ordering::Relaxed);
-    }
-
-    /// Total rows charged so far via [`Self::charge_rows`]. Diagnostic
-    /// accounting only — degradation decisions never read this (see the
-    /// module docs on thread safety).
-    pub fn rows_spent(&self) -> u64 {
-        self.rows_spent.load(Ordering::Relaxed)
-    }
-
     /// Clamps a requested k-means iteration count to the budget cap.
     pub fn clamp_iters(&self, requested: usize) -> usize {
         match self.budget.max_kmeans_iters {
@@ -209,8 +186,6 @@ impl BudgetGauge {
 pub enum DegradationKind {
     /// Feature selection ran on a sample instead of the full result set.
     SampledFeatureSelection,
-    /// A partition was clustered with mini-batch k-means.
-    MiniBatchClustering,
     /// A partition was clustered on a small sample, remainder assigned to
     /// the learned centroids.
     SampledClustering,
@@ -227,7 +202,6 @@ impl DegradationKind {
     pub fn label(&self) -> &'static str {
         match self {
             DegradationKind::SampledFeatureSelection => "sampled-feature-selection",
-            DegradationKind::MiniBatchClustering => "mini-batch-clustering",
             DegradationKind::SampledClustering => "sampled-clustering",
             DegradationKind::SingleUnitFallback => "single-unit-fallback",
             DegradationKind::GreedyTopK => "greedy-top-k",
@@ -237,17 +211,18 @@ impl DegradationKind {
 
     /// Fidelity loss on a 1-4 scale (the observability layer reports the
     /// maximum over a build as its `degradation_level`; 0 = full
-    /// fidelity). Higher means further down the ladder:
+    /// fidelity). Higher means more was given up:
     ///
     /// 1. sampling/clamping that the paper's own optimizations also use,
-    /// 2. mini-batch clustering,
     /// 3. emergency sampling / greedy top-k under an exhausted deadline,
     /// 4. the single-unit fallback (no clustering at all).
+    ///
+    /// Level 2 (mini-batch clustering, now removed) stays unused, so a
+    /// level means the same in old and new traces.
     pub fn severity(&self) -> u64 {
         match self {
             DegradationKind::SampledFeatureSelection
             | DegradationKind::ClampedKMeansIters => 1,
-            DegradationKind::MiniBatchClustering => 2,
             DegradationKind::SampledClustering | DegradationKind::GreedyTopK => 3,
             DegradationKind::SingleUnitFallback => 4,
         }
@@ -284,7 +259,6 @@ mod tests {
         assert!(budget.is_unlimited());
         let gauge = budget.start();
         assert!(!gauge.time_exhausted());
-        assert!(!gauge.rows_exhausted(usize::MAX));
         assert_eq!(gauge.clamp_iters(77), 77);
     }
 
@@ -315,48 +289,29 @@ mod tests {
         flag.store(true, Ordering::Relaxed);
         assert!(gauge.cancelled());
         assert!(gauge.time_exhausted(), "cancel fires every deadline check");
-        // Row and iteration limits are unaffected by cancellation.
-        assert!(!gauge.rows_exhausted(usize::MAX));
+        // The iteration limit is unaffected by cancellation.
         assert_eq!(gauge.clamp_iters(9), 9);
     }
 
     #[test]
-    fn row_and_iteration_limits() {
-        let budget = ExecBudget::unlimited().with_max_rows(100).with_kmeans_iters(5);
+    fn iteration_limit() {
+        let budget = ExecBudget::unlimited().with_kmeans_iters(5);
+        assert!(!budget.is_unlimited());
         let gauge = budget.start();
-        assert!(!gauge.rows_exhausted(100));
-        assert!(gauge.rows_exhausted(101));
         assert_eq!(gauge.clamp_iters(20), 5);
         assert_eq!(gauge.clamp_iters(3), 3);
     }
 
     #[test]
-    fn rows_charged_concurrently_sum_exactly() {
-        let budget = ExecBudget::unlimited();
-        let gauge = budget.start();
-        assert_eq!(gauge.rows_spent(), 0);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..1_000 {
-                        gauge.charge_rows(3);
-                    }
-                });
-            }
-        });
-        assert_eq!(gauge.rows_spent(), 12_000);
-    }
-
-    #[test]
     fn degradation_renders_with_pivot() {
         let d = Degradation {
-            kind: DegradationKind::MiniBatchClustering,
+            kind: DegradationKind::SampledClustering,
             pivot_value: Some("Ford".into()),
-            reason: "partition has 5000 rows over the 1000-row budget".into(),
+            reason: "time budget exhausted after 0ns; clustering a 256-row sample".into(),
         };
         let s = d.to_string();
-        assert!(s.contains("mini-batch-clustering"));
+        assert!(s.contains("sampled-clustering"));
         assert!(s.contains("Ford"));
-        assert!(s.contains("5000 rows"));
+        assert!(s.contains("256-row sample"));
     }
 }

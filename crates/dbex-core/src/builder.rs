@@ -20,10 +20,7 @@ use crate::cad::{CadRow, CadView};
 use crate::error::CadError;
 use crate::iunit::{IUnit, LabelConfig};
 use crate::simil::iunit_similarity;
-use dbex_cluster::{
-    assign_all_packed, mini_batch_kmeans_packed, KMeansConfig, KMeansResult, MiniBatchConfig,
-    PackedLloyd, PackedMatrix,
-};
+use dbex_cluster::{assign_all_packed, kmeans_packed, KMeansConfig, PackedLloyd, PackedMatrix};
 use dbex_obs::{Span, SpanId, Tracer};
 use dbex_stats::cache::{ClusterKey, ClusterSolution};
 use dbex_stats::discretize::{CodedColumn, CodedColumns};
@@ -335,18 +332,19 @@ const PAUSE_AFTER_PASSES: usize = 1;
 ///
 /// * [`CadBuild::start`] encodes the pivot, selects the Compare
 ///   Attributes and probes the cluster cache, exactly as an unstreamed
-///   build does. Asked to pause, it seeds each missed full-rung partition
-///   and runs one Lloyd pass ([`PackedLloyd`]); every other partition —
-///   cached, mini-batch, sampled, or clustered on a `cluster_sample` —
-///   finishes inside `start`.
+///   build does. Asked to pause, it seeds each missed partition that is
+///   clustered whole and runs one Lloyd pass ([`PackedLloyd`]); every
+///   other partition — cached, or clustered on a sample — finishes inside
+///   `start`.
 /// * [`CadBuild::preview`] labels and ranks the build as it stands:
 ///   finished partitions as they are, paused ones from their first-pass
 ///   assignment. With nothing paused it is already the exact view.
-/// * [`CadBuild::finish`] resumes the paused runs, caches their
-///   solutions, then labels and ranks. A resumed Lloyd run is
-///   bit-identical to an unpaused one, so the view equals an unstreamed
-///   build's. A paused partition that `finish` reaches after the deadline
-///   or a cancel keeps its first-pass clustering, recorded as a
+/// * [`CadBuild::finish`] resumes the paused runs through the pass loop
+///   an unstreamed build runs, caches their solutions, then labels and
+///   ranks. A resumed Lloyd run is bit-identical to an unpaused one, so
+///   the view equals an unstreamed build's. As in an unstreamed build, a
+///   run still going when the deadline passes or the build is cancelled
+///   stops and keeps its last pass's clusters, recorded as a
 ///   [`DegradationKind::ClampedKMeansIters`] degradation.
 ///
 /// The budget gauge starts in `start`, so the deadline covers both
@@ -388,7 +386,7 @@ struct Partition {
 /// A partition's candidate IUnits, or the Lloyd run that will yield them.
 enum Candidates {
     Done(Vec<IUnit>),
-    Paused(Box<PausedRun>),
+    Paused(Box<LloydRun>),
 }
 
 impl Candidates {
@@ -401,8 +399,8 @@ impl Candidates {
     }
 }
 
-/// A full-rung Lloyd run stopped after [`PAUSE_AFTER_PASSES`].
-struct PausedRun {
+/// A Lloyd run over a whole partition, with where its solution goes.
+struct LloydRun {
     run: PackedLloyd,
     /// The candidate count `l` the run clusters into.
     l: usize,
@@ -412,7 +410,7 @@ struct PausedRun {
 
 impl CadBuild {
     /// Runs the build up to its clustering; with `pause`, stops each
-    /// missed full-rung partition after its first Lloyd pass (see
+    /// missed partition clustered whole after its first Lloyd pass (see
     /// the type docs). Errors as [`build_cad_view`] does before ranking.
     pub fn start(
         result: &View<'_>,
@@ -515,16 +513,16 @@ impl CadBuild {
                 let candidates = std::mem::replace(&mut p.candidates, Candidates::Done(Vec::new()));
                 let Candidates::Paused(paused) = candidates else {
                     p.candidates = candidates;
-                    return (p, Vec::new());
+                    return (p, None);
                 };
                 let span = gen_span.child("cluster_partition");
-                let (units, degraded) =
-                    resume(*paused, &p.members, &coded, config, gauge, cache, &p.label);
+                let (clusters, stopped) = drive(*paused, &|| overrun(gauge), cache, &p.label);
+                let units = units_of(&clusters, &p.members, &coded, &config.label);
                 span.add("resumed", 1);
                 span.add("candidates", units.len() as u64);
-                span.add("degradations", degraded.len() as u64);
+                span.add("degradations", stopped.is_some() as u64);
                 p.candidates = Candidates::Done(units);
-                (p, degraded)
+                (p, stopped)
             }) {
                 self.degradation.extend(degraded);
                 self.partitions.push(p);
@@ -918,7 +916,6 @@ fn start_build(
         &selected_partitions,
         |_, (code, label, members)| {
             let span = gen_span.child("cluster_partition");
-            gauge.charge_rows(members.len());
             let fingerprint = || {
                 memo.partition_fingerprint(pivot_col, *code, &coded_attrs, || {
                     partition_fingerprint(result, members, &coded)
@@ -1091,43 +1088,57 @@ fn units_of(
         .collect()
 }
 
-/// Finishes a paused partition: runs its Lloyd passes to the end and
-/// caches the solution — or, once the deadline has passed or the build
-/// was cancelled, keeps the clusters of the passes already run.
-fn resume(
-    paused: PausedRun,
-    members: &[usize],
-    coded: &[&CodedColumn],
-    config: &CadConfig,
-    gauge: &BudgetGauge,
+/// The build's elapsed time once its deadline has passed or it was
+/// cancelled.
+fn overrun(gauge: &BudgetGauge) -> Option<Duration> {
+    gauge.time_exhausted().then(|| gauge.elapsed())
+}
+
+/// The pass loop of every Lloyd run over a whole partition: an unstreamed
+/// build's, and a paused build's when [`CadBuild::finish`] resumes it.
+///
+/// The first pass always runs. Before every later pass the loop asks
+/// `exhausted`, which gives the build's elapsed time once its deadline has
+/// passed or it was cancelled. The run then stops and keeps its last
+/// pass's clusters, recorded as one
+/// [`DegradationKind::ClampedKMeansIters`] and kept out of the cluster
+/// cache. A run that converges or uses its iteration cap caches its
+/// solution under its reuse key. Returns the non-empty clusters as
+/// member-list indices, and the record of a stop.
+fn drive(
+    lloyd: LloydRun,
+    exhausted: &dyn Fn() -> Option<Duration>,
     cache: Option<&StatsCache>,
     pivot_label: &str,
-) -> (Vec<IUnit>, Vec<Degradation>) {
-    let PausedRun { run, l, reuse_key } = paused;
-    let mut degradation = Vec::new();
-    let clusters = if gauge.time_exhausted() {
-        degradation.push(Degradation {
-            kind: DegradationKind::ClampedKMeansIters,
-            pivot_value: Some(pivot_label.to_owned()),
-            reason: format!(
-                "time budget exhausted after {:?}; k-means stopped after \
-                 {PAUSE_AFTER_PASSES} preview pass(es)",
-                gauge.elapsed()
-            ),
-        });
-        bucket(run.assignments().unwrap_or_default(), l)
-    } else {
-        let km = run.finish();
-        let clusters = bucket(&km.assignments, km.centroids.len());
-        if let (Some(key), Some(cache)) = (reuse_key, cache) {
-            cache.cluster_insert(key, ClusterSolution::new(&clusters));
+) -> (Vec<Vec<u32>>, Option<Degradation>) {
+    let LloydRun {
+        mut run,
+        l,
+        reuse_key,
+    } = lloyd;
+    while !run.is_done() {
+        if run.passes() > 0 {
+            if let Some(elapsed) = exhausted() {
+                let stop = Degradation {
+                    kind: DegradationKind::ClampedKMeansIters,
+                    pivot_value: Some(pivot_label.to_owned()),
+                    reason: format!(
+                        "time budget exhausted after {elapsed:?}; k-means stopped after {} \
+                         pass(es)",
+                        run.passes()
+                    ),
+                };
+                return (bucket(run.assignments().unwrap_or_default(), l), Some(stop));
+            }
         }
-        clusters
-    };
-    (
-        units_of(&clusters, members, coded, &config.label),
-        degradation,
-    )
+        run.pass();
+    }
+    let km = run.finish();
+    let clusters = bucket(&km.assignments, km.centroids.len());
+    if let (Some(key), Some(cache)) = (reuse_key, cache) {
+        cache.cluster_insert(key, ClusterSolution::new(&clusters));
+    }
+    (clusters, None)
 }
 
 /// The global build-latency histogram (fixed bounds: interactive-latency
@@ -1140,38 +1151,9 @@ fn build_ms_histogram() -> std::sync::Arc<dbex_obs::Histogram> {
     }))
 }
 
-/// Sample cap used by the last clustering rung under an exhausted budget.
+/// Most rows a partition that starts past the deadline clusters; the rest
+/// are assigned to the learned centroids.
 const DEGRADED_SAMPLE_CAP: usize = 256;
-
-/// Rungs of the degradation ladder, in order of decreasing fidelity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ClusterRung {
-    /// Full Lloyd iterations (possibly over `cluster_sample` rows).
-    Full,
-    /// Mini-batch k-means: constant work per point.
-    MiniBatch,
-    /// Full k-means over a tiny stride sample, remainder assigned.
-    Sampled,
-}
-
-impl ClusterRung {
-    fn next(self) -> Option<ClusterRung> {
-        match self {
-            ClusterRung::Full => Some(ClusterRung::MiniBatch),
-            ClusterRung::MiniBatch => Some(ClusterRung::Sampled),
-            ClusterRung::Sampled => None,
-        }
-    }
-
-    fn kind(self) -> DegradationKind {
-        match self {
-            // `Full` never appears in a degradation record; mapped for
-            // completeness only.
-            ClusterRung::Full | ClusterRung::MiniBatch => DegradationKind::MiniBatchClustering,
-            ClusterRung::Sampled => DegradationKind::SampledClustering,
-        }
-    }
-}
 
 /// Hash of the partition's *content* for the cluster-reuse cache key:
 /// the member row ids (via [`View::fingerprint_positions`]) crossed with
@@ -1201,23 +1183,25 @@ fn partition_fingerprint(
 
 /// Clusters one pivot partition into `l` candidate IUnits.
 ///
-/// Budget exhaustion and clustering failures never propagate: the ladder
-/// walks full k-means → mini-batch → sampled build → a single catch-all
-/// IUnit, recording a [`Degradation`] for every rung it descends. The
-/// degradations are *returned* rather than pushed into shared state so the
-/// caller can run partitions on pool workers and still merge the log in
-/// deterministic partition order.
+/// Budget exhaustion and clustering failures never propagate. A partition
+/// that starts past the deadline clusters at most [`DEGRADED_SAMPLE_CAP`]
+/// rows and assigns the rest; a run over the whole partition stops between
+/// passes once the deadline passes ([`drive`]); a clustering error leaves
+/// one catch-all IUnit. Each shortcut is recorded as a [`Degradation`].
+/// The degradations are *returned* rather than pushed into shared state so
+/// the caller can run partitions on pool workers and still merge the log
+/// in deterministic partition order.
 ///
 /// With a [`StatsCache`], full-fidelity solutions are memoized per
 /// partition fingerprint, so a facet refinement that leaves this pivot
 /// value's rows untouched skips re-clustering entirely (the returned
 /// `reused` flag). Reuse is bypassed whenever it could diverge from a cold
-/// build: on any degraded rung, or while a cluster fault is armed on this
-/// thread (a cold build would descend the ladder). With `pause`, a missed
-/// full-rung partition comes back paused after its first Lloyd pass
-/// instead (see [`CadBuild`]). `fingerprint` yields the partition's
-/// [`partition_fingerprint`], asked for only when the cache is probed.
-/// Returns `(candidates, degradations, reused)`.
+/// build: for a partition that starts past the deadline, or while a
+/// cluster fault is armed on this thread (a cold build would fall back).
+/// With `pause`, a missed partition clustered whole comes back paused
+/// after its first Lloyd pass instead (see [`CadBuild`]). `fingerprint`
+/// yields the partition's [`partition_fingerprint`], asked for only when
+/// the cache is probed. Returns `(candidates, degradations, reused)`.
 #[allow(clippy::too_many_arguments)]
 fn generate_candidates(
     members: &[usize],
@@ -1244,40 +1228,38 @@ fn generate_candidates(
         ((config.candidate_factor * k as f64).ceil() as usize).max(k)
     };
 
-    // Pick the starting rung from the budget state.
-    let mut rung = if gauge.time_exhausted() {
+    // The training-sample cap: Optimization 1's `cluster_sample`, tightened
+    // for a partition that starts past the deadline. Only a partition
+    // larger than the cap holds rows out.
+    let late = gauge.time_exhausted();
+    let cap = if late {
+        Some(
+            config
+                .cluster_sample
+                .unwrap_or(DEGRADED_SAMPLE_CAP)
+                .min(DEGRADED_SAMPLE_CAP),
+        )
+    } else {
+        config.cluster_sample
+    };
+    let sample = cap.filter(|&cap| members.len() > cap);
+    if let (true, Some(cap)) = (late, sample) {
         degradation.push(Degradation {
             kind: DegradationKind::SampledClustering,
             pivot_value: Some(pivot_label.to_owned()),
             reason: format!(
-                "time budget exhausted after {:?}; clustering a {}-row sample",
-                gauge.elapsed(),
-                DEGRADED_SAMPLE_CAP.min(members.len())
+                "time budget exhausted after {:?}; clustering a {cap}-row sample",
+                gauge.elapsed()
             ),
         });
-        ClusterRung::Sampled
-    } else if gauge.rows_exhausted(members.len()) {
-        degradation.push(Degradation {
-            kind: DegradationKind::MiniBatchClustering,
-            pivot_value: Some(pivot_label.to_owned()),
-            reason: format!(
-                "partition has {} rows over the {}-row budget",
-                members.len(),
-                gauge.budget().max_rows.unwrap_or(0)
-            ),
-        });
-        ClusterRung::MiniBatch
-    } else {
-        ClusterRung::Full
-    };
+    }
 
-    // Exact cluster reuse: only at full fidelity (degraded rungs are shaped
-    // by transient budget state), and only with no armed cluster fault (a
-    // cold build would degrade, so a cache hit would diverge from it).
-    let faults_clear = dbex_cluster::fault::check("cluster::kmeans").is_ok()
-        && dbex_cluster::fault::check("cluster::minibatch").is_ok();
+    // Exact cluster reuse: only for a partition that starts before the
+    // deadline (a late one is shaped by transient budget state), and only
+    // with no armed cluster fault (a cold build would fall back, so a
+    // cache hit would diverge from it).
     let mut reuse_key = None;
-    if rung == ClusterRung::Full && faults_clear {
+    if !late && dbex_cluster::fault::check("cluster::kmeans").is_ok() {
         if let Some(cache) = cache {
             let key = ClusterKey {
                 partition_fp: fingerprint(),
@@ -1300,151 +1282,96 @@ fn generate_candidates(
         }
     }
 
-    loop {
-        match cluster_partition(
-            members,
-            coded,
-            l,
-            config,
-            kmeans_iters,
-            inner_threads,
-            rung,
-            pause && rung == ClusterRung::Full,
-        ) {
-            Ok(Clustering::Paused(run)) => {
-                let paused = PausedRun { run, l, reuse_key };
-                return (Candidates::Paused(Box::new(paused)), degradation, false);
+    let kmeans = KMeansConfig {
+        k: l,
+        max_iters: kmeans_iters,
+        seed: config.seed,
+        plus_plus: config.plus_plus,
+        threads: inner_threads,
+    };
+    let clusters = match cluster_partition(members, coded, sample, &kmeans) {
+        Ok(Clustering::Sampled(clusters)) => {
+            if let (Some(key), Some(cache)) = (reuse_key, cache) {
+                cache.cluster_insert(key, ClusterSolution::new(&clusters));
             }
-            Ok(Clustering::Done(clusters)) => {
-                if rung == ClusterRung::Full {
-                    if let (Some(key), Some(cache)) = (reuse_key, cache) {
-                        cache.cluster_insert(key, ClusterSolution::new(&clusters));
-                    }
-                }
-                let units = units_of(&clusters, members, coded, &config.label);
-                return (Candidates::Done(units), degradation, false);
-            }
-            Err(e) => match rung.next() {
-                Some(next) => {
-                    degradation.push(Degradation {
-                        kind: next.kind(),
-                        pivot_value: Some(pivot_label.to_owned()),
-                        reason: format!("{rung:?} clustering failed ({e}); degrading"),
-                    });
-                    rung = next;
-                }
-                None => {
-                    // Every clustering rung failed: one catch-all IUnit
-                    // still gives the pivot row a well-formed summary.
-                    degradation.push(Degradation {
-                        kind: DegradationKind::SingleUnitFallback,
-                        pivot_value: Some(pivot_label.to_owned()),
-                        reason: format!("all clustering fallbacks failed ({e})"),
-                    });
-                    let unit = IUnit::from_members(members.to_vec(), coded, &config.label);
-                    return (Candidates::Done(vec![unit]), degradation, false);
-                }
-            },
+            clusters
         }
-    }
+        Ok(Clustering::Whole(run)) => {
+            let mut lloyd = LloydRun { run, l, reuse_key };
+            if pause && !late {
+                for _ in 0..PAUSE_AFTER_PASSES {
+                    lloyd.run.pass();
+                }
+                return (Candidates::Paused(Box::new(lloyd)), degradation, false);
+            }
+            // A late partition is clustered whole only when it is no larger
+            // than the cap: like any sample, it runs to the end.
+            let exhausted = || if late { None } else { overrun(gauge) };
+            let (clusters, stopped) = drive(lloyd, &exhausted, cache, pivot_label);
+            degradation.extend(stopped);
+            clusters
+        }
+        Err(e) => {
+            // One catch-all IUnit still gives the pivot row a well-formed
+            // summary.
+            degradation.push(Degradation {
+                kind: DegradationKind::SingleUnitFallback,
+                pivot_value: Some(pivot_label.to_owned()),
+                reason: format!("clustering failed ({e})"),
+            });
+            let unit = IUnit::from_members(members.to_vec(), coded, &config.label);
+            return (Candidates::Done(vec![unit]), degradation, false);
+        }
+    };
+    let units = units_of(&clusters, members, coded, &config.label);
+    (Candidates::Done(units), degradation, false)
 }
 
-/// What one clustering attempt produced.
+/// A partition's clustering, started.
 enum Clustering {
-    /// The non-empty clusters as **indices into `members`** (the
-    /// representation the reuse cache stores, position-independent).
-    Done(Vec<Vec<u32>>),
-    /// A Lloyd run stopped after [`PAUSE_AFTER_PASSES`] passes.
-    Paused(PackedLloyd),
+    /// Clustered on a sample, the rest assigned: the non-empty clusters as
+    /// **indices into `members`** (the representation the reuse cache
+    /// stores, position-independent).
+    Sampled(Vec<Vec<u32>>),
+    /// A Lloyd run over every member, seeded, no pass run yet.
+    Whole(PackedLloyd),
 }
 
-/// One attempt at clustering a partition on a specific ladder rung.
-///
-/// Clusters on a [`PackedMatrix`] of dictionary codes — no per-tuple
-/// one-hot vectors are materialized — bit-identical to the sparse one-hot
-/// oracle in `dbex_cluster::oracle`. With `pause`, a Lloyd run over the
-/// whole partition (no `cluster_sample` holdout) stops after its first
-/// pass and comes back [`Clustering::Paused`].
-#[allow(clippy::too_many_arguments)]
+/// Starts clustering a partition on a [`PackedMatrix`] of dictionary codes —
+/// no per-tuple one-hot vectors are materialized — bit-identical to the
+/// sparse one-hot oracle in `dbex_cluster::oracle`. With a `sample` cap,
+/// clusters a deterministic stride sample of that many members to the end
+/// and assigns the rest to the nearest centroid (Optimization 1).
 fn cluster_partition(
     members: &[usize],
     coded: &[&CodedColumn],
-    l: usize,
-    config: &CadConfig,
-    kmeans_iters: usize,
-    inner_threads: usize,
-    rung: ClusterRung,
-    pause: bool,
+    sample: Option<usize>,
+    kmeans: &KMeansConfig,
 ) -> Result<Clustering, dbex_cluster::ClusterError> {
-    // Cluster a sample and assign the rest (Optimization 1). The sampled
-    // rung forces a tiny cap regardless of configuration.
-    let cap = match rung {
-        ClusterRung::Sampled => Some(
-            config
-                .cluster_sample
-                .unwrap_or(DEGRADED_SAMPLE_CAP)
-                .min(DEGRADED_SAMPLE_CAP),
-        ),
-        _ => config.cluster_sample,
+    let Some(cap) = sample else {
+        let matrix = PackedMatrix::from_columns(coded, members)?;
+        return Ok(Clustering::Whole(PackedLloyd::start(&matrix, kmeans)?));
     };
     // Train/holdout split as member-list indices; positions are looked up
     // only where the encoders need them.
-    let (train_idx, holdout_idx): (Vec<usize>, Vec<usize>) = match cap {
-        Some(cap) if members.len() > cap => {
-            // Deterministic stride sample over the member positions.
-            let step = members.len() as f64 / cap as f64;
-            let mut train = Vec::with_capacity(cap);
-            let mut is_train = vec![false; members.len()];
-            let mut pos = 0.0;
-            while train.len() < cap {
-                let idx = pos as usize;
-                if idx >= members.len() {
-                    break;
-                }
-                if !is_train[idx] {
-                    is_train[idx] = true;
-                    train.push(idx);
-                }
-                pos += step;
-            }
-            let holdout = (0..members.len()).filter(|&i| !is_train[i]).collect();
-            (train, holdout)
+    let step = members.len() as f64 / cap as f64;
+    let mut train_idx = Vec::with_capacity(cap);
+    let mut is_train = vec![false; members.len()];
+    let mut pos = 0.0;
+    while train_idx.len() < cap {
+        let idx = pos as usize;
+        if idx >= members.len() {
+            break;
         }
-        _ => ((0..members.len()).collect(), Vec::new()),
-    };
+        if !is_train[idx] {
+            is_train[idx] = true;
+            train_idx.push(idx);
+        }
+        pos += step;
+    }
+    let holdout_idx: Vec<usize> = (0..members.len()).filter(|&i| !is_train[i]).collect();
     let train_members: Vec<usize> = train_idx.iter().map(|&i| members[i]).collect();
-
-    let matrix = PackedMatrix::from_columns(coded, &train_members)?;
-    let km: KMeansResult = match rung {
-        ClusterRung::MiniBatch => mini_batch_kmeans_packed(
-            &matrix,
-            &MiniBatchConfig {
-                k: l,
-                batch_size: 256,
-                batches: kmeans_iters.max(1) * 3,
-                seed: config.seed,
-            },
-        )?,
-        _ => {
-            let mut run = PackedLloyd::start(
-                &matrix,
-                &KMeansConfig {
-                    k: l,
-                    max_iters: kmeans_iters,
-                    seed: config.seed,
-                    plus_plus: config.plus_plus,
-                    threads: inner_threads,
-                },
-            )?;
-            if pause && holdout_idx.is_empty() {
-                for _ in 0..PAUSE_AFTER_PASSES {
-                    run.pass();
-                }
-                return Ok(Clustering::Paused(run));
-            }
-            run.finish()
-        }
-    };
+    let km = kmeans_packed(&PackedMatrix::from_columns(coded, &train_members)?, kmeans)?;
 
     // Bucket every member (train + holdout) into its cluster.
     let mut clusters: Vec<Vec<u32>> = vec![Vec::new(); km.centroids.len()];
@@ -1453,20 +1380,15 @@ fn cluster_partition(
             slot.push(mi as u32);
         }
     }
-    if !holdout_idx.is_empty() {
-        let holdout_members: Vec<usize> = holdout_idx.iter().map(|&i| members[i]).collect();
-        let assignments =
-            assign_all_packed(&km, &PackedMatrix::from_columns(coded, &holdout_members)?);
-        for (assignment, &mi) in assignments.iter().zip(&holdout_idx) {
-            if let Some(slot) = clusters.get_mut(*assignment) {
-                slot.push(mi as u32);
-            }
+    let holdout_members: Vec<usize> = holdout_idx.iter().map(|&i| members[i]).collect();
+    let assignments = assign_all_packed(&km, &PackedMatrix::from_columns(coded, &holdout_members)?);
+    for (assignment, &mi) in assignments.iter().zip(&holdout_idx) {
+        if let Some(slot) = clusters.get_mut(*assignment) {
+            slot.push(mi as u32);
         }
     }
-
-    Ok(Clustering::Done(
-        clusters.into_iter().filter(|c| !c.is_empty()).collect(),
-    ))
+    clusters.retain(|c| !c.is_empty());
+    Ok(Clustering::Sampled(clusters))
 }
 
 /// A [`Preference`] resolved against the result schema, so applying it to
@@ -1547,6 +1469,11 @@ mod tests {
 
     /// A small car-like table with clear Make → (Engine, Price) structure.
     fn table() -> dbex_table::Table {
+        table_of(60)
+    }
+
+    /// [`table`] with `rows` Ford and `rows` Jeep rows.
+    fn table_of(rows: usize) -> dbex_table::Table {
         let mut b = TableBuilder::new(vec![
             Field::new("Make", DataType::Categorical),
             Field::new("Engine", DataType::Categorical),
@@ -1555,7 +1482,7 @@ mod tests {
         ])
         .unwrap();
         // Ford: V6 around 25K and V4 around 15K; Jeep: V8 around 35K.
-        for i in 0..60 {
+        for i in 0..rows {
             let color = ["Red", "Blue", "Black"][i % 3];
             if i % 2 == 0 {
                 b.push_row(vec!["Ford".into(), "V6".into(), (25_000 + (i as i64 % 7) * 100).into(), color.into()]).unwrap();
@@ -1889,7 +1816,8 @@ mod tests {
         use std::sync::atomic::AtomicU64;
         use std::sync::Arc;
 
-        let t = table();
+        // Partitions above the late sample cap, so clustering holds rows out.
+        let t = table_of(300);
         let view = t.full_view();
         let clock = Arc::new(AtomicU64::new(500));
         let request = CadRequest::new("Make")
@@ -1922,10 +1850,8 @@ mod tests {
     }
 
     #[test]
-    fn rows_are_charged_against_the_gauge() {
-        // charge_rows totals the partition sizes regardless of threading;
-        // exercised indirectly here by just ensuring a build completes with
-        // an auto thread count (0 resolves via DBEX_THREADS / hardware).
+    fn auto_thread_count_builds() {
+        // 0 resolves via DBEX_THREADS / hardware.
         let t = table();
         let view = t.full_view();
         let cad = build_cad_view(
@@ -1937,6 +1863,142 @@ mod tests {
         )
         .unwrap();
         assert!(cad.threads_used >= 1);
+    }
+
+    /// A zero deadline on the manual clock: every partition starts late.
+    fn late_request(config: CadConfig) -> CadRequest {
+        use std::sync::atomic::AtomicU64;
+        CadRequest::new("Make")
+            .with_iunits(2)
+            .with_config(config)
+            .with_budget(
+                ExecBudget::unlimited()
+                    .with_time_limit(Duration::ZERO)
+                    .with_manual_clock(Arc::new(AtomicU64::new(500))),
+            )
+    }
+
+    #[test]
+    fn sampled_clustering_is_recorded_only_when_rows_are_held_out() {
+        let sampled = |cad: &CadView| -> Vec<String> {
+            cad.degradation
+                .iter()
+                .filter(|d| d.kind == DegradationKind::SampledClustering)
+                .map(|d| d.reason.clone())
+                .collect()
+        };
+        // 150-row partitions are under the 256-row cap: clustered whole.
+        let t = table_of(150);
+        let view = t.full_view();
+        let cad = build_cad_view(&view, &late_request(CadConfig::default())).unwrap();
+        assert!(cad.is_degraded(), "a zero deadline still ranks greedily");
+        assert!(sampled(&cad).is_empty(), "{:?}", cad.degradation);
+        assert_eq!(cad.rows.len(), 2);
+        assert!(cad.rows.iter().all(|r| !r.iunits.is_empty()));
+        // A smaller `cluster_sample` is the cap: 100 of 150 rows.
+        let config = CadConfig {
+            cluster_sample: Some(100),
+            ..CadConfig::default()
+        };
+        let reasons = sampled(&build_cad_view(&view, &late_request(config)).unwrap());
+        assert_eq!(reasons.len(), 2, "{reasons:?}");
+        for reason in reasons {
+            assert!(reason.ends_with("clustering a 100-row sample"), "{reason}");
+        }
+    }
+
+    #[test]
+    fn the_deadline_stops_a_lloyd_run_between_passes() {
+        use std::cell::Cell;
+
+        let t = dbex_data::UsedCarsGenerator::new(5).generate(3_000);
+        let view = t.full_view();
+        let memo = CodedColumns::new(&view, 6, BinningStrategy::EquiDepth);
+        let schema = t.schema();
+        let columns: Vec<Arc<CodedColumn>> = ["Model", "Engine", "Price", "Drivetrain", "Year"]
+            .iter()
+            .map(|name| {
+                memo.column(&view, schema.index_of(name).unwrap(), None)
+                    .unwrap()
+            })
+            .collect();
+        let coded: Vec<&CodedColumn> = columns.iter().map(|c| &**c).collect();
+        let members: Vec<usize> = (0..view.len()).collect();
+        let matrix = PackedMatrix::from_columns(&coded, &members).unwrap();
+        let config = KMeansConfig {
+            k: 5,
+            max_iters: 20,
+            seed: 0xCAD,
+            plus_plus: true,
+            threads: 1,
+        };
+        let converged = kmeans_packed(&matrix, &config).unwrap();
+        assert!(converged.iterations > 4, "{} passes", converged.iterations);
+        let key = ClusterKey {
+            partition_fp: 1,
+            l: 5,
+            iters: 20,
+            seed: 0xCAD,
+            plus_plus: true,
+            sample: usize::MAX,
+        };
+        let by_hand = |passes: usize| {
+            let mut run = PackedLloyd::start(&matrix, &config).unwrap();
+            for _ in 0..passes {
+                run.pass();
+            }
+            bucket(run.assignments().unwrap(), 5)
+        };
+        // The deadline passes during pass `n` (0: before the first one).
+        for expires in [Some(0), Some(1), Some(2), Some(3), None] {
+            let cache = StatsCache::new();
+            let asked = Cell::new(0usize);
+            let exhausted = || {
+                asked.set(asked.get() + 1);
+                expires
+                    .is_some_and(|n| asked.get() >= n)
+                    .then_some(Duration::from_millis(7))
+            };
+            let run = LloydRun {
+                run: PackedLloyd::start(&matrix, &config).unwrap(),
+                l: 5,
+                reuse_key: Some(key),
+            };
+            let (clusters, stopped) = drive(run, &exhausted, Some(&cache), "p");
+            let Some(n) = expires else {
+                assert!(stopped.is_none());
+                assert_eq!(clusters, bucket(&converged.assignments, 5));
+                assert_eq!(asked.get(), converged.iterations - 1);
+                assert_eq!(cache.cluster_lookup(&key).unwrap().to_vecs(), clusters);
+                continue;
+            };
+            let passes = n.max(1);
+            assert_eq!(
+                asked.get(),
+                passes,
+                "asked before every pass after the first"
+            );
+            assert_eq!(clusters, by_hand(passes), "expiry in pass {n}");
+            assert_ne!(
+                clusters,
+                by_hand(passes + 1),
+                "pass {} would move rows",
+                passes + 1
+            );
+            let stop = stopped.expect("a stop is recorded");
+            assert_eq!(stop.kind, DegradationKind::ClampedKMeansIters);
+            assert_eq!(stop.pivot_value.as_deref(), Some("p"));
+            assert!(
+                stop.reason
+                    .ends_with(&format!("stopped after {passes} pass(es)")),
+                "{}",
+                stop.reason
+            );
+            assert!(
+                cache.cluster_lookup(&key).is_none(),
+                "a stopped run caches nothing"
+            );
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! sessions cost a few hundred bytes each, not twenty thousand stacks.
 //! Requests decoded by the loop are dispatched — one in flight per
 //! connection, preserving per-connection FIFO order — to a laned job
-//! queue ([`JobQueue`]). A fixed-size worker pool and one interactive
+//! queue (`JobQueue`). A fixed-size worker pool and one interactive
 //! executor execute the jobs against the connection's [`Session`] and
 //! post the rendered frames back through a completion queue (the wake
 //! pipe interrupts the loop's `wait`). Every thread takes a connection's
@@ -716,7 +716,7 @@ impl ServerHandle {
     }
 
     /// Gracefully stops the server: stops accepting, drains in-flight
-    /// requests so their responses go out (bounded by [`DRAIN_DEADLINE`]),
+    /// requests so their responses go out (bounded by a 5 s drain deadline),
     /// **joins** the event loop, the workers and the interactive executor,
     /// and — when a data dir is configured — flushes a final snapshot.
     pub fn shutdown(mut self) -> ShutdownSummary {

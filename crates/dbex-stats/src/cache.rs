@@ -460,7 +460,7 @@ impl StatsCache {
     /// Returns the memoized cluster solution for `key`, if any.
     ///
     /// Unlike [`Self::codec_with`] this is a pure lookup: the build runs in
-    /// the caller (the CAD degradation ladder), which then publishes a
+    /// the caller (the CAD builder's clustering), which then publishes a
     /// success via [`Self::cluster_insert`]. Hits and misses count toward
     /// [`Self::stats`].
     pub fn cluster_lookup(&self, key: &ClusterKey) -> Option<Arc<ClusterSolution>> {

@@ -397,7 +397,8 @@ impl CodedColumns {
     }
 
     /// Rows coded so far — result rows times attributes coded, the memo
-    /// misses — including those of memos made by [`Self::for_sample`].
+    /// misses — including those of the sample memos that feature selection
+    /// makes from this one.
     pub fn rows_coded(&self) -> u64 {
         self.rows_coded.load(Ordering::Relaxed)
     }

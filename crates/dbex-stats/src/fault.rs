@@ -66,7 +66,7 @@ pub(crate) fn armed() -> bool {
 
 /// Returns the injected error if `site` is armed on this thread.
 /// The fault stays armed until [`disarm`] (or the scope guard drops), so a
-/// degradation ladder that retries the same site keeps failing.
+/// caller that retries the same site keeps failing.
 pub fn check(site: &'static str) -> Result<(), StatsError> {
     let armed = ARMED.with(|a| a.get());
     if armed == Some(site) {

@@ -3,7 +3,9 @@
 #
 # The clippy step runs with -D warnings, and the library crates carry
 # `#![warn(clippy::unwrap_used, clippy::expect_used)]` outside #[cfg(test)],
-# so any new unwrap/expect in library code fails this script.
+# so any new unwrap/expect in library code fails this script. The rustdoc
+# step builds the workspace docs with -D warnings, so a dangling or private
+# intra-doc link fails it too.
 #
 # `cargo test -q --workspace` runs every in-process check, the golden
 # transcripts of the REPL and the wire included
@@ -146,6 +148,9 @@ cargo test -q --workspace
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc -- -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> store smoke (cross-process warm restart + fault-injected save)"
 cargo run --release --bin store_smoke

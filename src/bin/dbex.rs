@@ -12,7 +12,7 @@
 //! ```
 //!
 //! Dot-commands: `.load cars|mushroom|hotels [rows] [seed]`,
-//! `.open <path> <name> [--lossy]`, `.budget [rows N] [time MS] [iters N]`,
+//! `.open <path> <name> [--lossy]`, `.budget [time MS] [iters N]`,
 //! `.threads [N|auto]`, `.trace [on|off]`, `.suggest <view|partial>`,
 //! `.metrics`, `.tables`, `.summary <table>`, `.help`, `.quit`.
 //! Everything else is fed to the SQL engine (statements may span lines;
@@ -411,7 +411,7 @@ impl Shell {
                     "                              cached cluster solutions)",
                     ".save <dir>                   write a checksummed snapshot of every",
                     "                              registered table (atomic, generational)",
-                    ".budget [rows N] [time MS] [iters N] | off",
+                    ".budget [time MS] [iters N] | off",
                     "                              limit CAD View builds (degrade, don't fail)",
                     ".threads [N|auto]             CAD build parallelism (1 = sequential;",
                     "                              auto = DBEX_THREADS or hardware cores)",
@@ -646,7 +646,7 @@ impl Shell {
         }
     }
 
-    /// `.budget [rows N] [time MS] [iters N]` tightens the session budget;
+    /// `.budget [time MS] [iters N]` tightens the session budget;
     /// `.budget off` clears it; bare `.budget` shows it.
     fn budget(&mut self, parts: &[&str]) {
         if parts.len() == 1 {
@@ -662,7 +662,7 @@ impl Shell {
         let mut it = parts[1..].iter();
         while let Some(key) = it.next() {
             let Some(raw) = it.next() else {
-                println!("usage: .budget [rows N] [time MS] [iters N] | off");
+                println!("usage: .budget [time MS] [iters N] | off");
                 return;
             };
             let value: usize = match raw.parse() {
@@ -673,11 +673,10 @@ impl Shell {
                 }
             };
             match *key {
-                "rows" => budget = budget.with_max_rows(value),
                 "time" => budget = budget.with_time_limit(Duration::from_millis(value as u64)),
                 "iters" => budget = budget.with_kmeans_iters(value),
                 other => {
-                    println!("unknown budget limit {other}; expected rows, time or iters");
+                    println!("unknown budget limit {other}; expected time or iters");
                     return;
                 }
             }
@@ -768,9 +767,6 @@ fn render_budget(budget: &ExecBudget) -> String {
         return "unlimited".to_owned();
     }
     let mut limits = Vec::new();
-    if let Some(rows) = budget.max_rows {
-        limits.push(format!("rows<={rows}"));
-    }
     if let Some(limit) = budget.time_limit {
         limits.push(format!("time<={}ms", limit.as_millis()));
     }

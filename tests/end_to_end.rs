@@ -275,26 +275,6 @@ fn tiny_budget_yields_well_formed_degraded_view() {
 }
 
 #[test]
-fn row_budget_forces_minibatch_clustering() {
-    use dbexplorer::core::{DegradationKind, ExecBudget};
-
-    let mut session = Session::new();
-    session.register_table("cars", UsedCarsGenerator::new(5).generate(4_000));
-    session.set_budget(ExecBudget::unlimited().with_max_rows(50));
-    session
-        .execute("CREATE CADVIEW v AS SET pivot = Make FROM cars IUNITS 3")
-        .expect("row budget must degrade, not fail");
-    let cad = session.cad_view("v").unwrap();
-    assert!(
-        cad.degradation
-            .iter()
-            .any(|d| d.kind == DegradationKind::MiniBatchClustering),
-        "partitions over the row budget should use mini-batch: {:?}",
-        cad.degradation
-    );
-}
-
-#[test]
 fn kmeans_iteration_cap_is_recorded() {
     use dbexplorer::core::{DegradationKind, ExecBudget};
 

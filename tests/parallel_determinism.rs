@@ -3,7 +3,7 @@
 //! workers must be byte-identical to the sequential build — rows, IUnit
 //! membership, scores, feature statistics, and the degradation log.
 //!
-//! Also pinned here: the budget ladder still fires under parallelism, and
+//! Also pinned here: budget degradations still fire under parallelism, and
 //! the thread-local fault-injection hooks keep their documented semantics
 //! (they fire on the arming thread only — honored at `threads = 1`,
 //! invisible to pool workers at `threads > 1`). Last, the filtered results
@@ -165,17 +165,6 @@ fn budget_degradation_still_fires_under_parallelism() {
             cad.degradation
         );
     }
-    // Row caps too: per-partition sizes, not scheduling order, drive them.
-    let request = request_with_threads("Make", 4)
-        .with_budget(ExecBudget::unlimited().with_max_rows(50));
-    let cad = build_cad_view(&view, &request).expect("row budget degrades, not fails");
-    assert!(
-        cad.degradation
-            .iter()
-            .any(|d| d.kind == DegradationKind::MiniBatchClustering),
-        "{:?}",
-        cad.degradation
-    );
 }
 
 #[test]
@@ -209,8 +198,8 @@ fn fault_hooks_fire_sequentially_and_are_invisible_to_pool_workers() {
     let view = table.full_view();
 
     // threads = 1: the armed fault lives on the build thread, every
-    // clustering attempt sees it, and the ladder descends all the way to
-    // the single-unit fallback for every partition.
+    // clustering attempt sees it, and every partition falls back to a
+    // single IUnit.
     {
         let _kmeans = dbexplorer::cluster::fault::scoped("cluster::kmeans");
         let cad = build_cad_view(&view, &request_with_threads("Make", 1))
@@ -218,9 +207,9 @@ fn fault_hooks_fire_sequentially_and_are_invisible_to_pool_workers() {
         assert!(
             cad.degradation
                 .iter()
-                .any(|d| d.kind == DegradationKind::MiniBatchClustering
+                .any(|d| d.kind == DegradationKind::SingleUnitFallback
                     && d.reason.contains("clustering failed")),
-            "armed fault should force the ladder down at threads = 1: {:?}",
+            "armed fault should force the fallback at threads = 1: {:?}",
             cad.degradation
         );
     }
@@ -381,8 +370,8 @@ fn packed_kernel_matches_onehot_oracle_end_to_end() {
     // one-hot k-means the builder once ran. Each constant below is the
     // `clustering_digest` of that one-hot build of the same request, so the
     // packed builds must reproduce them byte for byte — at full fidelity,
-    // on the mini-batch degradation rung, and on a Compare Attribute of
-    // more than 65,535 values (packed as `u32`).
+    // and on a Compare Attribute of more than 65,535 values (packed as
+    // `u32`).
     let request = |pivot: &str| CadRequest::new(pivot).with_iunits(3);
     let pins = [
         ("cars", 0x7632_e70c_ee43_f060_u64),
@@ -399,23 +388,6 @@ fn packed_kernel_matches_onehot_oracle_end_to_end() {
             "{name}: packed build diverged from the one-hot oracle"
         );
     }
-    // Mini-batch rung (the row budget forces it).
-    let table = UsedCarsGenerator::new(29).generate(5_000);
-    let budgeted = request("Make").with_budget(ExecBudget::unlimited().with_max_rows(50));
-    let cad =
-        build_cad_view(&table.full_view(), &budgeted).expect("row budget degrades, not fails");
-    assert!(
-        cad.degradation
-            .iter()
-            .any(|d| d.kind == DegradationKind::MiniBatchClustering),
-        "{:?}",
-        cad.degradation
-    );
-    assert_eq!(
-        clustering_digest(&cad),
-        0x79d3_a44e_1171_d338,
-        "mini-batch rung"
-    );
     // A forced 70,000-value Compare Attribute, on the full rung.
     let table = wide_id_table(70_000);
     let wide = request("Make")
@@ -1084,7 +1056,7 @@ fn only_the_previewed_statement_finishes_a_paused_build() {
         ),
         (
             "set_budget",
-            |s, _, _| s.set_budget(ExecBudget::unlimited().with_max_rows(300)),
+            |s, _, _| s.set_budget(ExecBudget::unlimited().with_kmeans_iters(300)),
             false,
         ),
         ("set_threads", |s, _, _| s.set_threads(4), false),

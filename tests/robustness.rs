@@ -332,7 +332,7 @@ fn stats_fault_in_codec_surfaces_chain() {
 }
 
 #[test]
-fn kmeans_fault_degrades_to_minibatch_instead_of_failing() {
+fn kmeans_fault_falls_back_to_one_iunit_instead_of_failing() {
     let mut session = small_session();
     let rendered_degradation = {
         let _guard = dbexplorer::cluster::fault::scoped("cluster::kmeans");
@@ -345,8 +345,10 @@ fn kmeans_fault_degrades_to_minibatch_instead_of_failing() {
         degradation
     };
     assert!(
-        rendered_degradation.iter().any(|d| d.contains("clustering failed")),
-        "no degradation recorded for the failed rung: {rendered_degradation:?}"
+        rendered_degradation
+            .iter()
+            .any(|d| d.starts_with("single-unit-fallback") && d.contains("clustering failed")),
+        "no fallback recorded for the failed clustering: {rendered_degradation:?}"
     );
     // The view is stored and fully usable despite the degraded build.
     let cad = session.cad_view("k").expect("degraded view stored");
@@ -363,26 +365,6 @@ fn kmeans_fault_degrades_to_minibatch_instead_of_failing() {
         panic!("expected CAD output")
     };
     assert!(degradation.is_empty(), "clean build degraded: {degradation:?}");
-}
-
-#[test]
-fn minibatch_fault_under_row_budget_degrades_to_sampled() {
-    let mut session = small_session();
-    // The row budget forces the mini-batch rung; the armed fault knocks the
-    // ladder down one more rung to the sampled build.
-    session.set_budget(ExecBudget::unlimited().with_max_rows(10));
-    let _guard = dbexplorer::cluster::fault::scoped("cluster::minibatch");
-    let out = session
-        .execute("CREATE CADVIEW m AS SET pivot = Make FROM cars IUNITS 2")
-        .expect("minibatch fault must degrade to sampled, not fail");
-    let QueryOutput::Cad { degradation, .. } = out else {
-        panic!("expected CAD output")
-    };
-    assert!(
-        degradation.iter().any(|d| d.contains("sampled-clustering")
-            || d.contains("single-unit-fallback")),
-        "expected a lower rung after the minibatch fault: {degradation:?}"
-    );
 }
 
 #[test]

@@ -10,6 +10,12 @@
 //!
 //! One oracle is also pinned byte for byte to the golden transcript
 //! `tests/snapshots/serve_smoke.txt`.
+//!
+//! Last, two sessions on one small shared cache: whatever the
+//! interleaving, each session's final answers equal those it gives alone.
+//! Its previews are not compared — a preview shows cached partitions
+//! exact and missed ones after one Lloyd pass, so it depends on what the
+//! other session left in the cache or pushed out of it.
 
 #[path = "common/clients.rs"]
 mod clients;
@@ -18,10 +24,16 @@ mod snapshot;
 
 use clients::concurrent_transcripts;
 use dbexplorer::data::UsedCarsGenerator;
+use dbexplorer::explore::SyntheticSpec;
+use dbexplorer::query::{Session, SharedCatalog};
 use dbexplorer::serve::{
-    oracle_transcript, strip_stream_tags, Client, ServeConfig, Server, ServerHandle,
+    handle_request, oracle_transcript, strip_stream_tags, Client, ServeConfig, Server, ServerHandle,
 };
+use dbexplorer::stats::StatsCache;
+use dbexplorer::table::{Table, Value};
 use snapshot::assert_snapshot;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 const CLIENTS: usize = 32;
 const ROWS: usize = 1_500;
@@ -195,4 +207,201 @@ fn streamed_replay_strips_to_the_oracle() {
 
     assert_eq!(handle.panics(), 0);
     handle.shutdown();
+}
+
+/// Rows of each table the two shared-cache sessions explore.
+const SHARED_ROWS: usize = 6_000;
+/// Entries per stats-cache map: small enough that session A's cold builds
+/// evict session B's entries.
+const SHARED_CAPACITY: usize = 64;
+
+/// A seeded xorshift stream for scripts and interleavings.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0 % n as u64) as usize
+    }
+}
+
+/// Session A, shaped like perfbench's `cad_cold`: CAD builds over unique
+/// `Price` ranges of at least the preview floor, rotating the pivot, each
+/// followed by `SUGGEST NEXT` and a `REORDER` on the range's most frequent
+/// pivot value.
+fn cold_script(cars: &Table, builds: usize) -> Vec<String> {
+    let col = |name: &str| cars.schema().index_of(name).expect("cars attribute");
+    let price = col("Price");
+    let mut sorted: Vec<(i64, usize)> = (0..cars.num_rows())
+        .filter_map(|r| match cars.value(r, price) {
+            Value::Int(v) => Some((v, r)),
+            _ => None,
+        })
+        .collect();
+    sorted.sort_unstable();
+    let mut rng = Rng(0xC01D_5EED);
+    let mut seen = HashSet::new();
+    let mut script = Vec::new();
+    for step in 0..builds {
+        let pivot = ["Make", "BodyType", "Drivetrain"][step % 3];
+        let (lo, hi, window) = loop {
+            let want = Session::PREVIEW_MIN_ROWS + rng.below(SHARED_ROWS / 3);
+            let start = rng.below(sorted.len() - want + 1);
+            let (lo, hi) = (sorted[start].0, sorted[start + want - 1].0);
+            if seen.insert((lo, hi)) {
+                break (lo, hi, &sorted[start..start + want]);
+            }
+        };
+        let mut counts: HashMap<String, usize> = HashMap::new();
+        for &(_, row) in window {
+            if let Value::Str(label) = cars.value(row, col(pivot)) {
+                *counts.entry(label).or_default() += 1;
+            }
+        }
+        let anchor = counts
+            .into_iter()
+            .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(&a.0)))
+            .map(|(label, _)| label)
+            .expect("a non-empty window");
+        script.push(format!(
+            "CREATE CADVIEW v AS SET pivot = {pivot} FROM cars WHERE Price BETWEEN {lo} AND {hi} \
+             LIMIT COLUMNS 5 IUNITS 3"
+        ));
+        script.push("SUGGEST NEXT FOR v".to_owned());
+        script.push(format!(
+            "REORDER ROWS IN v ORDER BY SIMILARITY('{anchor}') DESC"
+        ));
+    }
+    script
+}
+
+/// Session B, shaped like perfbench's `explore_hot`: a seeded walk over a
+/// small working set of `synth` views — drills that refresh the view,
+/// pivots, repeated builds, `SUGGEST NEXT` and `SUGGEST COMPLETE`.
+fn hot_script(requests: usize) -> Vec<String> {
+    // Half the drills select at least the preview floor.
+    let preds = [
+        "d0 = d0_v0",
+        "d0 != d0_v0",
+        "d1 = d1_v0",
+        "d1 != d1_v0",
+        "d0 = d0_v0 AND d1 = d1_v0",
+        "d2 = d2_v0",
+    ];
+    let pivots = ["p", "d3", "x1"];
+    let create = |pivot: &str, pred: &str| {
+        format!("CREATE CADVIEW v AS SET pivot = {pivot} FROM synth WHERE {pred} LIMIT COLUMNS 3 IUNITS 2")
+    };
+    let mut rng = Rng(0x0407_7B0B);
+    let (mut pivot, mut pred) = (0, 0);
+    let mut script = vec![create(pivots[pivot], preds[pred])];
+    while script.len() < requests {
+        match rng.below(6) {
+            0 => {
+                pred = (pred + 1 + rng.below(preds.len() - 1)) % preds.len();
+                script.push(format!(
+                    "SELECT {} FROM synth WHERE {} LIMIT 20",
+                    pivots[pivot], preds[pred]
+                ));
+                script.push(create(pivots[pivot], preds[pred]));
+            }
+            1 => {
+                pivot = (pivot + 1 + rng.below(pivots.len() - 1)) % pivots.len();
+                script.push(create(pivots[pivot], preds[pred]));
+            }
+            2 => script.push(create(pivots[pivot], preds[pred])),
+            3 => script.push("SUGGEST NEXT FOR v".to_owned()),
+            4 => script.push(format!(
+                "SUGGEST COMPLETE SELECT * FROM synth WHERE {} AND",
+                preds[pred]
+            )),
+            _ => script.push(format!(
+                "SUGGEST COMPLETE SELECT * FROM synth WHERE {} AND {} =",
+                preds[pred],
+                ["c0", "x0"][rng.below(2)]
+            )),
+        }
+    }
+    script
+}
+
+/// A session wired like a server connection's, on `cache`.
+fn shared_session(catalog: &Arc<SharedCatalog>, cache: &Arc<StatsCache>) -> Session {
+    let mut session = Session::new();
+    session.set_catalog(Some(Arc::clone(catalog)));
+    session.set_stats_cache(Arc::clone(cache));
+    session
+}
+
+/// Serves `request` as a streaming connection's worker does: the preview
+/// first (discarded here), then the final line. Returns the final line and
+/// whether a preview was built.
+fn serve_streamed(
+    session: &mut Session,
+    catalog: &Arc<SharedCatalog>,
+    request: &str,
+) -> (String, bool) {
+    let previewed = session.preview_create_cadview(request).is_some();
+    (handle_request(session, catalog, request), previewed)
+}
+
+#[test]
+fn final_answers_never_depend_on_the_other_session() {
+    let catalog = Arc::new(SharedCatalog::new());
+    let cars = UsedCarsGenerator::new(SEED).generate(SHARED_ROWS);
+    let scripts = [cold_script(&cars, 20), hot_script(80)];
+    catalog.insert("cars", Arc::new(cars));
+    catalog.insert(
+        "synth",
+        Arc::new(SyntheticSpec::exploration_default(SHARED_ROWS, SEED).generate()),
+    );
+    // Each session alone, on a fresh cache of the same capacity.
+    let alone: Vec<Vec<String>> = scripts
+        .iter()
+        .map(|script| {
+            let cache = Arc::new(StatsCache::with_capacity(SHARED_CAPACITY));
+            let mut session = shared_session(&catalog, &cache);
+            script
+                .iter()
+                .map(|request| serve_streamed(&mut session, &catalog, request).0)
+                .collect()
+        })
+        .collect();
+    for seed in [1u64, 2, 3] {
+        let cache = Arc::new(StatsCache::with_capacity(SHARED_CAPACITY));
+        let mut sessions = [
+            shared_session(&catalog, &cache),
+            shared_session(&catalog, &cache),
+        ];
+        let mut next = [0usize; 2];
+        let mut previews = 0;
+        let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+        loop {
+            let left = [scripts[0].len() - next[0], scripts[1].len() - next[1]];
+            if left == [0, 0] {
+                break;
+            }
+            // Pick a session in proportion to what it has left, so the two
+            // scripts overlap from start to end.
+            let who = usize::from(rng.below(left[0] + left[1]) >= left[0]);
+            let request = &scripts[who][next[who]];
+            let (line, previewed) = serve_streamed(&mut sessions[who], &catalog, request);
+            assert_eq!(
+                line,
+                alone[who][next[who]],
+                "interleaving {seed}: session {} answered {request:?} unlike it does alone",
+                ["A", "B"][who]
+            );
+            previews += usize::from(previewed);
+            next[who] += 1;
+        }
+        assert!(previews > 0, "interleaving {seed}: no request previewed");
+        let stats = cache.stats();
+        assert!(
+            stats.evictions > 0,
+            "interleaving {seed}: the cache never evicted: {stats}"
+        );
+    }
 }

@@ -1,5 +1,4 @@
-//! `bench_explore` — the multi-session exploration benchmark
-//! (ROADMAP item 3).
+//! `bench_explore` — the multi-session exploration benchmark.
 //!
 //! Boots a fresh in-process `dbex-serve` server per concurrency point,
 //! loads a seeded synthetic dataset (`dbex-explore`'s generator), and
@@ -15,27 +14,25 @@
 //! * the shared stats cache's cumulative hit trajectory over the run
 //!   (sessions all start near t=0, so run time ≈ session lifetime).
 //!
-//! Output is schema-validated `BENCH_explore.json`; `--baseline`
+//! Output is `BENCH_explore.json` in the shared bench envelope; its
+//! params include the server's resolved worker-pool size. `--baseline`
 //! diffs against a committed report and exits non-zero when
-//! time-to-first-result p50 or overall p99 regresses by more than 25%
-//! on any matched point. Each point runs several waves and keeps the
-//! element-wise minimum; if the waves themselves disagree by more than
+//! time-to-first-result p50, overall p99 or suggest p50 regresses by
+//! more than 25% (and 5 ms) on any matched point, or suggest p50 is
+//! above 10 ms. Each point runs several waves and keeps the element-wise
+//! minimum; if the waves themselves disagree by more than
 //! [`NOISE_SPREAD_LIMIT`], a would-be gate failure is downgraded to a
 //! loud INCONCLUSIVE (exit 0) — the host cannot resolve a 25% shift.
 //! Everything is seeded: identical
 //! `(seed, rows, ops)` produce identical datasets, traces, think-times,
 //! and abandon points — only the measured latencies move.
 
-use dbex_bench::{
-    diff_explore_reports, median_ms, validate_explore_report, warn_if_debug, EXPLORE_SCHEMA,
-};
+use dbex_bench::{diff_against, median_ms, report, rounded, warn_if_debug, write_report};
 use dbex_explore::trace::OpKind;
 use dbex_explore::{run_sim, SimConfig, SimReport, SyntheticSpec, TraceConfig};
+use dbex_obs::Json;
 use dbex_serve::{ServeConfig, Server};
 use std::time::Duration;
-
-/// The gate threshold shared with the CAD bench: 25% regression fails.
-const GATE_THRESHOLD: f64 = 0.25;
 
 /// When this run's own waves disagree on a gated metric by more than
 /// this relative spread, the measurement cannot resolve a 25% shift:
@@ -130,6 +127,9 @@ struct Point {
     /// serialized; used to refuse a gate verdict the measurement cannot
     /// support (see `main`).
     wave_spread: f64,
+    /// The server's resolved worker-pool size; the same for every point,
+    /// reported once in the params.
+    workers: usize,
 }
 
 /// Percentile over a sample set (nearest-rank); empty input is 0.
@@ -143,7 +143,7 @@ fn percentile_ms(samples: &[f64], p: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-fn aggregate(sessions: usize, report: &SimReport, busy_rejections: u64) -> Point {
+fn aggregate(sessions: usize, report: &SimReport, busy_rejections: u64, workers: usize) -> Point {
     let all = report.latencies_ms(None);
     let first_frames = report.first_frame_ms(None);
     let ttfr: Vec<f64> = report
@@ -202,6 +202,7 @@ fn aggregate(sessions: usize, report: &SimReport, busy_rejections: u64) -> Point
         ops,
         trajectory,
         wave_spread: 0.0,
+        workers,
     }
 }
 
@@ -287,7 +288,12 @@ fn measure_wave(sessions: usize, knobs: &Knobs) -> Point {
         },
     };
     let report = run_sim(&handle.addr().to_string(), &spec, Some(&cache), &cfg);
-    let point = aggregate(sessions, &report, handle.busy_rejections());
+    let point = aggregate(
+        sessions,
+        &report,
+        handle.busy_rejections(),
+        handle.workers(),
+    );
     handle.shutdown();
     point
 }
@@ -299,72 +305,67 @@ fn measure(sessions: usize, knobs: &Knobs) -> Point {
     merge_waves(waves)
 }
 
-fn render(knobs: &Knobs, points: &[Point]) -> String {
-    let mut json = String::new();
-    json.push_str(&format!(
-        "{{\n  \"schema\": {EXPLORE_SCHEMA},\n  \"harness\": \"bench_explore\",\n  \
-         \"quick\": {},\n  \"seed\": {},\n  \"rows\": {},\n  \"ops_per_session\": {},\n  \
-         \"think_min_ms\": {},\n  \"think_max_ms\": {},\n  \"abandon_rate\": {},\n  \
-         \"reconnect_rate\": {},\n  \"repeats\": {},\n  \"streamed\": {},\n  \"points\": [\n",
-        knobs.quick,
-        knobs.seed,
-        knobs.rows,
-        knobs.ops,
-        knobs.think_min_ms,
-        knobs.think_max_ms,
-        knobs.abandon_rate,
-        knobs.reconnect_rate,
-        knobs.repeats,
-        knobs.streamed,
-    ));
-    for (i, p) in points.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"sessions\": {}, \"completed\": {}, \"abandoned\": {}, \
-             \"reconnects\": {}, \"requests\": {}, \"errors\": {}, \
-             \"busy_rejections\": {}, \"previewed_ops\": {},\n     \
-             \"ttfr_p50_ms\": {:.3}, \"ttfr_p99_ms\": {:.3}, \
-             \"first_frame_p50_ms\": {:.3}, \"first_frame_p99_ms\": {:.3},\n     \
-             \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"max_ms\": {:.3}, \
-             \"wall_ms\": {:.1},\n     \"ops\": {{",
-            p.sessions,
-            p.completed,
-            p.abandoned,
-            p.reconnects,
-            p.requests,
-            p.errors,
-            p.busy_rejections,
-            p.previewed_ops,
-            p.ttfr_p50_ms,
-            p.ttfr_p99_ms,
-            p.first_frame_p50_ms,
-            p.first_frame_p99_ms,
-            p.p50_ms,
-            p.p99_ms,
-            p.max_ms,
-            p.wall_ms,
-        ));
-        for (j, (name, count, p50, p99, max)) in p.ops.iter().enumerate() {
-            json.push_str(&format!(
-                "{}\"{name}\": {{\"count\": {count}, \"p50_ms\": {p50:.3}, \
-                 \"p99_ms\": {p99:.3}, \"max_ms\": {max:.3}}}",
-                if j == 0 { "" } else { ", " },
-            ));
-        }
-        json.push_str("},\n     \"cache_trajectory\": [\n");
-        for (j, (at, hits, misses, evictions, rate)) in p.trajectory.iter().enumerate() {
-            json.push_str(&format!(
-                "       {{\"at_ms\": {at:.1}, \"hits\": {hits}, \"misses\": {misses}, \
-                 \"evictions\": {evictions}, \"hit_rate\": {rate:.3}}}{}\n",
-                if j + 1 == p.trajectory.len() { "" } else { "," },
-            ));
-        }
-        json.push_str(&format!(
-            "     ]}}{}\n",
-            if i + 1 == points.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    json
+fn report_json(knobs: &Knobs, points: &[Point]) -> Json {
+    let params = Json::obj([
+        ("quick", knobs.quick.into()),
+        ("seed", knobs.seed.into()),
+        ("rows", knobs.rows.into()),
+        ("ops_per_session", knobs.ops.into()),
+        ("think_min_ms", knobs.think_min_ms.into()),
+        ("think_max_ms", knobs.think_max_ms.into()),
+        ("abandon_rate", knobs.abandon_rate.into()),
+        ("reconnect_rate", knobs.reconnect_rate.into()),
+        ("repeats", knobs.repeats.into()),
+        ("streamed", knobs.streamed.into()),
+        ("workers", points.first().map_or(0, |p| p.workers).into()),
+    ]);
+    let points = points
+        .iter()
+        .map(|p| {
+            let ops = p.ops.iter().map(|&(name, count, p50, p99, max)| {
+                let stats = [
+                    ("count", count.into()),
+                    ("p50_ms", rounded(p50)),
+                    ("p99_ms", rounded(p99)),
+                    ("max_ms", rounded(max)),
+                ];
+                (name.to_owned(), Json::obj(stats))
+            });
+            let trajectory = p
+                .trajectory
+                .iter()
+                .map(|&(at, hits, misses, evictions, rate)| {
+                    Json::obj([
+                        ("at_ms", rounded(at)),
+                        ("hits", hits.into()),
+                        ("misses", misses.into()),
+                        ("evictions", evictions.into()),
+                        ("hit_rate", rounded(rate)),
+                    ])
+                });
+            Json::obj([
+                ("sessions", p.sessions.into()),
+                ("completed", p.completed.into()),
+                ("abandoned", p.abandoned.into()),
+                ("reconnects", p.reconnects.into()),
+                ("requests", p.requests.into()),
+                ("errors", p.errors.into()),
+                ("busy_rejections", p.busy_rejections.into()),
+                ("previewed_ops", p.previewed_ops.into()),
+                ("ttfr_p50_ms", rounded(p.ttfr_p50_ms)),
+                ("ttfr_p99_ms", rounded(p.ttfr_p99_ms)),
+                ("first_frame_p50_ms", rounded(p.first_frame_p50_ms)),
+                ("first_frame_p99_ms", rounded(p.first_frame_p99_ms)),
+                ("p50_ms", rounded(p.p50_ms)),
+                ("p99_ms", rounded(p.p99_ms)),
+                ("max_ms", rounded(p.max_ms)),
+                ("wall_ms", rounded(p.wall_ms)),
+                ("ops", Json::Obj(ops.collect())),
+                ("cache_trajectory", Json::Arr(trajectory.collect())),
+            ])
+        })
+        .collect();
+    report("bench_explore", params, points)
 }
 
 fn main() {
@@ -452,48 +453,30 @@ fn main() {
         points.push(point);
     }
 
-    let json = render(&knobs, &points);
-    if let Err(e) = validate_explore_report(&json) {
-        eprintln!("bench_explore: generated report fails its own schema: {e}");
-        std::process::exit(1);
-    }
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| {
-        eprintln!("bench_explore: cannot write {out_path}: {e}");
+    let text = write_report(&out_path, &report_json(&knobs, &points)).unwrap_or_else(|e| {
+        eprintln!("bench_explore: {e}");
         std::process::exit(1);
     });
     println!("bench_explore: wrote {out_path}");
 
     if let Some(baseline_path) = baseline {
-        let base = std::fs::read_to_string(&baseline_path).unwrap_or_else(|e| {
-            eprintln!("bench_explore: cannot read baseline {baseline_path}: {e}");
+        let diff = diff_against(&text, &baseline_path).unwrap_or_else(|e| {
+            eprintln!("bench_explore: cannot diff against {baseline_path}: {e}");
             std::process::exit(1);
         });
-        match diff_explore_reports(&json, &base, GATE_THRESHOLD) {
-            Ok(diff) => {
-                println!("bench_explore: vs baseline {baseline_path}:");
-                for line in &diff.lines {
-                    println!("  {line}");
-                }
-                if diff.gate_failed {
-                    let max_spread =
-                        points.iter().map(|p| p.wave_spread).fold(0.0, f64::max);
-                    if max_spread > NOISE_SPREAD_LIMIT {
-                        eprintln!(
-                            "bench_explore: gate INCONCLUSIVE — this run's waves disagree \
-                             by up to {:.0}% on the gated metrics (limit {:.0}%); the host \
-                             is too noisy to resolve a 25% regression. Rerun on a quiet \
-                             machine before trusting or overriding this result.",
-                            max_spread * 100.0,
-                            NOISE_SPREAD_LIMIT * 100.0,
-                        );
-                    } else {
-                        eprintln!("bench_explore: REGRESSION GATE FAILED (> 25%)");
-                        std::process::exit(1);
-                    }
-                }
-            }
-            Err(e) => {
-                eprintln!("bench_explore: cannot diff against {baseline_path}: {e}");
+        if diff.gate_failed {
+            let max_spread = points.iter().map(|p| p.wave_spread).fold(0.0, f64::max);
+            if max_spread > NOISE_SPREAD_LIMIT {
+                eprintln!(
+                    "bench_explore: gate INCONCLUSIVE — this run's waves disagree \
+                     by up to {:.0}% on the gated metrics (limit {:.0}%); the host \
+                     is too noisy to resolve a 25% regression. Rerun on a quiet \
+                     machine before trusting or overriding this result.",
+                    max_spread * 100.0,
+                    NOISE_SPREAD_LIMIT * 100.0,
+                );
+            } else {
+                eprintln!("bench_explore: REGRESSION GATE FAILED (> 25%)");
                 std::process::exit(1);
             }
         }

@@ -1,23 +1,22 @@
 //! `bench_suite` — the machine-readable CAD construction benchmark.
 //!
 //! Runs the Figure-8 worst-case workload and the Table-1 workload at
-//! several pool sizes (1 / 2 / 8 / auto threads), checks that every
-//! parallel build renders byte-identically to the sequential one, and
-//! writes medians over repeated runs to a JSON report (`BENCH_cad.json`
-//! by default). Every point is measured twice: **cold** (a fresh build,
-//! no cache) and **warm** (rebuilds against a `StatsCache` primed by one
-//! preceding build, so codec, contingency and cluster-partition reuse
-//! all engage). The report carries `"schema": 4`, a per-workload
-//! `"warm_cache"` object (hits / misses / partitions served from the
-//! cluster-reuse cache), `"span_medians_ms"` (per-span medians over
-//! repeated traced builds), a `"kernel_speedups"` object (the
-//! kernel-heavy spans' median speedup at the max measured pool size
-//! over 1 thread), a `"span_breakdown"` tree, and top-level
-//! `"cpu_features"` / `"kernel_dispatch"` provenance (which SIMD family
-//! the packed kernels dispatched to on this host — compare reports from
-//! different machines with that in hand). It is validated —
-//! well-formedness, schema version *and* field whitelist — before it is
-//! written; a bad report is a hard failure (exit code 1).
+//! several pool sizes (1 / 2 / 8 / auto threads, keeping only those the
+//! host has hardware threads for), checks that every parallel build
+//! renders byte-identically to the sequential one, and writes medians
+//! over repeated runs to a JSON report (`BENCH_cad.json` by default).
+//! Every point is measured twice: **cold** (a fresh build, no cache) and
+//! **warm** (rebuilds against a `StatsCache` primed by one preceding
+//! build, so codec, contingency and cluster-partition reuse all engage).
+//! The report is the shared bench envelope (`dbex_bench::report`) with
+//! one point per workload: its per-pool-size timings, a `"warm_cache"`
+//! object (hits / misses / partitions served from the cluster-reuse
+//! cache), `"span_medians_ms"` (per-span medians over repeated traced
+//! builds), a `"kernel_speedups"` object (the kernel-heavy spans' median
+//! speedup at the max measured pool size over 1 thread) and a
+//! `"span_breakdown"` tree. It is validated against the harness's field
+//! table before it is written; a bad report is a hard failure (exit
+//! code 1).
 //!
 //! ```text
 //! cargo run --release -p dbex-bench --bin bench_suite             # full, ≥5 runs/point
@@ -27,39 +26,34 @@
 //! ```
 //!
 //! `--baseline <report.json>` additionally diffs the fresh report
-//! against a committed report of the current schema: per-workload and
-//! per-span regressions/speedups are printed, and the run exits
+//! against a committed one (`dbex_bench::diff_reports`) and exits
 //! non-zero when the `cluster_partition` median regresses by more than
-//! 25% on any comparable workload (row-count mismatches — e.g. a
-//! `--quick` run against a full baseline — are skipped, not failed).
+//! 25% on any workload; runs whose params differ — e.g. a `--quick` run
+//! against a full baseline — are skipped, not failed.
 //!
 //! `DBEX_THREADS` pins what the `auto` (0) pool size resolves to, so CI
 //! can keep the run reproducible on any machine.
 
 use dbex_bench::{
-    base_cars_table, diff_reports, five_make_view, flatten_spans, median_ms, validate_report,
-    warn_if_debug, worst_case_request, Json, BENCH_SCHEMA, FIVE_MAKES,
+    base_cars_table, diff_against, five_make_view, median_ms, report, rounded, span_totals_ms,
+    warn_if_debug, worst_case_request, write_report, FIVE_MAKES,
 };
 use dbex_core::{
     build_cad_view, build_cad_view_cached, build_cad_view_traced, CadRequest, CadView, StatsCache,
     Tracer,
 };
+use dbex_obs::Json;
 use dbex_table::View;
 use std::time::Instant;
 
-/// Gate threshold for `--baseline`: fail on a >25% regression in the
-/// `cluster_partition` median.
-const GATE_THRESHOLD: f64 = 0.25;
-
-/// The kernel-heavy spans whose thread-scaling speedup the schema-4
-/// report records (`"kernel_speedups"`): the packed clustering walk and
-/// the chi-square contingency fill.
+/// The kernel-heavy spans whose thread-scaling speedup the report
+/// records (`"kernel_speedups"`): the packed clustering walk and the
+/// chi-square contingency fill.
 const KERNEL_SPANS: [&str; 2] = ["cluster_partition", "compare_attrs"];
 
-/// One workload: a named request over a fixed result-set size.
+/// One workload: a named request.
 struct Workload {
     name: &'static str,
-    rows: usize,
     request: CadRequest,
 }
 
@@ -108,24 +102,26 @@ fn main() {
     }
 
     let auto = dbex_par::resolve_threads(0);
+    let hardware = dbex_par::hardware_threads();
     // 1 is the sequential baseline; 2 and 8 chart scaling; `auto` is what
     // `.threads auto` / DBEX_THREADS actually give users on this machine.
+    // A pool larger than the hardware measures time-slicing, not scaling.
     let mut thread_counts: Vec<usize> = if quick { vec![1, auto] } else { vec![1, 2, 8, auto] };
+    thread_counts.retain(|&t| t == 1 || t <= hardware);
     thread_counts.sort_unstable();
     thread_counts.dedup();
 
     let table = base_cars_table();
     let population = five_make_view(&table);
-    let fig8_rows = if quick { 5_000 } else { 40_000 };
+    // Both workloads build over result sets of this size.
+    let rows = if quick { 5_000 } else { 40_000 };
     let workloads = [
         Workload {
             name: "fig8_worst_case",
-            rows: fig8_rows,
             request: worst_case_request(),
         },
         Workload {
             name: "table1_defaults",
-            rows: if quick { 5_000 } else { 40_000 },
             request: CadRequest::new("Make")
                 .with_pivot_values(FIVE_MAKES.to_vec())
                 .with_compare(vec!["Price"])
@@ -134,20 +130,21 @@ fn main() {
         },
     ];
 
-    let cpu_features = dbex_stats::simd::cpu_features();
-    let kernel_dispatch = dbex_stats::simd::dispatch().name();
     println!(
-        "bench_suite: {} run(s)/point, threads {:?}, auto = {auto} (hardware {}, DBEX_THREADS {})",
+        "bench_suite: {} run(s)/point, threads {:?}, auto = {auto} (hardware {hardware}, DBEX_THREADS {})",
         runs,
         thread_counts,
-        dbex_par::hardware_threads(),
         std::env::var("DBEX_THREADS").unwrap_or_else(|_| "unset".into()),
     );
-    println!("kernel dispatch: {kernel_dispatch} (cpu: {cpu_features})");
+    println!(
+        "kernel dispatch: {} (cpu: {})",
+        dbex_stats::simd::dispatch().name(),
+        dbex_stats::simd::cpu_features()
+    );
 
-    let mut sections = Vec::new();
+    let mut points = Vec::new();
     for workload in &workloads {
-        let result = population.sample(workload.rows);
+        let result = population.sample(rows);
         let (cells, warm_cache) = run_workload(workload, &result, &thread_counts, runs);
         let seq_median = cells
             .iter()
@@ -197,48 +194,32 @@ fn main() {
         for (span, speedup) in &kernel_speedups {
             println!("  kernel span {span}: {speedup:.2}x at {max_threads} thread(s)");
         }
-        sections.push(render_section(
+        points.push(point_json(
             workload,
-            result.len(),
             &cells,
             seq_median,
             &warm_cache,
-            &breakdown,
+            breakdown,
             &span_medians,
             &kernel_speedups,
         ));
     }
 
-    let report = format!(
-        "{{\n  \"bench\": \"cad\",\n  \"schema\": {BENCH_SCHEMA},\n  \"quick\": {quick},\n  \
-         \"runs_per_point\": {runs},\n  \
-         \"hardware_threads\": {},\n  \"auto_threads\": {auto},\n  \
-         \"cpu_features\": \"{cpu_features}\",\n  \"kernel_dispatch\": \"{kernel_dispatch}\",\n  \
-         \"workloads\": [\n{}\n  ]\n}}\n",
-        dbex_par::hardware_threads(),
-        sections.join(",\n"),
-    );
-    if let Err(e) = validate_report(&report) {
-        die(&format!("generated report is invalid: {e}"));
-    }
-    if let Err(e) = std::fs::write(&out_path, &report) {
-        die(&format!("cannot write {out_path}: {e}"));
-    }
+    let params = Json::obj([
+        ("quick", quick.into()),
+        ("rows", rows.into()),
+        ("runs_per_point", runs.into()),
+    ]);
+    let text =
+        write_report(&out_path, &report("bench_suite", params, points)).unwrap_or_else(|e| die(&e));
     println!("\nwrote {out_path}");
 
     if let Some(path) = baseline_path {
-        let baseline = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| die(&format!("cannot read baseline {path}: {e}")));
-        let diff = diff_reports(&report, &baseline, GATE_THRESHOLD)
+        let diff = diff_against(&text, &path)
             .unwrap_or_else(|e| die(&format!("baseline diff failed: {e}")));
-        println!("\nbaseline diff vs {path}:");
-        for line in &diff.lines {
-            println!("  {line}");
-        }
         if diff.gate_failed {
             die(&format!(
-                "cluster_partition median regressed by more than {:.0}% vs {path}",
-                GATE_THRESHOLD * 100.0
+                "cluster_partition median regressed past its gate vs {path}"
             ));
         }
     }
@@ -326,107 +307,99 @@ fn run_workload(
 }
 
 /// The traced span tree of `runs` extra builds at the given pool size:
-/// returns the last run's tree as JSON (the structural fields — span
-/// names, call counts, rows scanned, cache hits — are deterministic)
-/// plus per-span medians of total `duration_ms` across the runs, the
-/// values the `--baseline` gate and the `kernel_speedups` object
-/// compare.
+/// returns the last run's tree (the structural fields — span names, call
+/// counts, rows scanned, cache hits — are deterministic) plus per-span
+/// medians of total duration across the runs, the values the
+/// `--baseline` gate and the `kernel_speedups` object compare.
 fn span_breakdown(
     workload: &Workload,
     result: &View<'_>,
     runs: usize,
     threads: usize,
-) -> (String, Vec<(String, f64)>) {
+) -> (Json, Vec<(String, f64)>) {
     let mut request = workload.request.clone();
     request.config.threads = threads;
-    let mut tree_json = "[]".to_owned();
+    let mut tree = Json::Arr(Vec::new());
     let mut per_span: Vec<(String, Vec<f64>)> = Vec::new();
     for _ in 0..runs.max(1) {
         let tracer = Tracer::enabled();
         let cad = build_cad_view_traced(result, &request, None, None, &tracer)
             .unwrap_or_else(|e| die(&format!("{} traced build failed: {e}", workload.name)));
         let Some(trace) = cad.trace else { continue };
-        tree_json = trace.to_json();
-        let parsed = Json::parse(&tree_json).unwrap_or_else(|e| {
-            die(&format!("{} span tree is invalid JSON: {e}", workload.name))
-        });
-        for (name, ms) in flatten_spans(&parsed) {
+        for (name, ms) in span_totals_ms(&trace) {
             match per_span.iter_mut().find(|(n, _)| *n == name) {
                 Some((_, samples)) => samples.push(ms),
                 None => per_span.push((name, vec![ms])),
             }
         }
+        tree = trace.to_json();
     }
     let medians = per_span
         .into_iter()
         .map(|(name, samples)| (name, median_ms(&samples)))
         .collect();
-    (tree_json, medians)
+    (tree, medians)
 }
 
-/// One workload's JSON object (hand-rolled; validated by the caller).
-#[allow(clippy::too_many_arguments)]
-fn render_section(
+/// One workload's point of the report.
+fn point_json(
     workload: &Workload,
-    rows: usize,
     cells: &[Cell],
     seq_median: f64,
     warm_cache: &WarmCache,
-    span_breakdown: &str,
+    span_breakdown: Json,
     span_medians: &[(String, f64)],
     kernel_speedups: &[(String, f64)],
-) -> String {
+) -> Json {
     let max_threads = cells.iter().map(|c| c.threads).max().unwrap_or(1);
     let max_median = cells
         .iter()
         .find(|c| c.threads == max_threads)
         .map(|c| median_ms(&c.cold_runs_ms))
         .unwrap_or(0.0);
-    let speedup = if max_median > 0.0 { seq_median / max_median } else { 0.0 };
-    let points: Vec<String> = cells
+    let speedup = if max_median > 0.0 {
+        seq_median / max_median
+    } else {
+        0.0
+    };
+    let runs = |runs_ms: &[f64]| Json::Arr(runs_ms.iter().map(|&ms| rounded(ms)).collect());
+    let pools = cells
         .iter()
         .map(|c| {
-            let fmt = |runs_ms: &[f64]| {
-                let samples: Vec<String> = runs_ms.iter().map(|ms| format!("{ms:.3}")).collect();
-                samples.join(", ")
-            };
-            let cold = median_ms(&c.cold_runs_ms);
-            format!(
-                "        {{\"threads\": {}, \"median_ms\": {cold:.3}, \
-                 \"cold_median_ms\": {cold:.3}, \"warm_median_ms\": {:.3}, \
-                 \"cold_runs_ms\": [{}], \"warm_runs_ms\": [{}], \
-                 \"output_matches_sequential\": {}}}",
-                c.threads,
-                median_ms(&c.warm_runs_ms),
-                fmt(&c.cold_runs_ms),
-                fmt(&c.warm_runs_ms),
-                c.matches_sequential,
-            )
+            Json::obj([
+                ("threads", c.threads.into()),
+                ("cold_median_ms", rounded(median_ms(&c.cold_runs_ms))),
+                ("warm_median_ms", rounded(median_ms(&c.warm_runs_ms))),
+                ("cold_runs_ms", runs(&c.cold_runs_ms)),
+                ("warm_runs_ms", runs(&c.warm_runs_ms)),
+                ("output_matches_sequential", c.matches_sequential.into()),
+            ])
         })
         .collect();
-    let medians: Vec<String> = span_medians
-        .iter()
-        .map(|(name, ms)| format!("\"{name}\": {ms:.3}"))
-        .collect();
-    let speedups: Vec<String> = kernel_speedups
-        .iter()
-        .map(|(name, x)| format!("\"{name}\": {x:.3}"))
-        .collect();
-    format!(
-        "    {{\n      \"name\": \"{}\",\n      \"rows\": {rows},\n      \"points\": [\n{}\n      \
-         ],\n      \"speedup_at_max_threads\": {speedup:.3},\n      \
-         \"warm_cache\": {{\"hits\": {}, \"misses\": {}, \"partitions_reused\": {}}},\n      \
-         \"span_medians_ms\": {{{}}},\n      \
-         \"kernel_speedups\": {{{}}},\n      \
-         \"span_breakdown\": {span_breakdown}\n    }}",
-        workload.name,
-        points.join(",\n"),
-        warm_cache.hits,
-        warm_cache.misses,
-        warm_cache.partitions_reused,
-        medians.join(", "),
-        speedups.join(", "),
-    )
+    let named = |values: &[(String, f64)]| {
+        Json::Obj(
+            values
+                .iter()
+                .map(|(name, x)| (name.clone(), rounded(*x)))
+                .collect(),
+        )
+    };
+    Json::obj([
+        ("workload", workload.name.into()),
+        ("pools", Json::Arr(pools)),
+        ("speedup_at_max_threads", rounded(speedup)),
+        (
+            "warm_cache",
+            Json::obj([
+                ("hits", warm_cache.hits.into()),
+                ("misses", warm_cache.misses.into()),
+                ("partitions_reused", warm_cache.partitions_reused.into()),
+            ]),
+        ),
+        ("span_medians_ms", named(span_medians)),
+        ("kernel_speedups", named(kernel_speedups)),
+        ("span_breakdown", span_breakdown),
+    ])
 }
 
 fn die(msg: &str) -> ! {

@@ -13,14 +13,15 @@
 //! * `cold_build_ms` vs. `warm_first_build_ms` — the first CAD build after
 //!   restart without and with the rehydrated cluster solutions,
 //!
-//! and writes `BENCH_store.json`:
+//! and writes `BENCH_store.json` in the shared bench envelope:
 //!
 //! ```text
 //! cargo run --release -p dbex-bench --bin store_bench             # full (40K rows)
 //! cargo run --release -p dbex-bench --bin store_bench -- --quick  # CI smoke (4K)
 //! ```
 
-use dbex_bench::{median_ms, validate_store_report, warn_if_debug, STORE_SCHEMA};
+use dbex_bench::{median_ms, rounded, warn_if_debug, write_report};
+use dbex_obs::Json;
 use dbex_query::Session;
 use dbex_store::{open, save, OpenReport, RealVfs};
 use dbex_table::Table;
@@ -183,23 +184,22 @@ fn main() {
          warm {warm_first_build_ms:.2}ms ({warm_reused} partition(s) from cache)"
     );
 
-    let json = format!(
-        "{{\n  \"schema\": {STORE_SCHEMA},\n  \"harness\": \"store_bench\",\n  \
-         \"quick\": {quick},\n  \"rows\": {rows},\n  \"runs\": {RUNS},\n  \
-         \"save_ms\": {save_ms:.3},\n  \"save_reuse_ms\": {save_reuse_ms:.3},\n  \
-         \"open_ms\": {open_ms:.3},\n  \"snapshot_bytes\": {bytes_written},\n  \
-         \"cold_build_ms\": {cold_build_ms:.3},\n  \
-         \"warm_first_build_ms\": {warm_first_build_ms:.3},\n  \
-         \"rehydrated_solutions\": {rehydrated},\n  \
-         \"partitions_reused\": {warm_reused}\n}}\n"
-    );
-    if let Err(e) = validate_store_report(&json) {
-        eprintln!("store_bench: generated report fails its own schema: {e}");
+    let params = Json::obj([("quick", quick.into()), ("runs", RUNS.into())]);
+    let point = Json::obj([
+        ("rows", rows.into()),
+        ("save_ms", rounded(save_ms)),
+        ("save_reuse_ms", rounded(save_reuse_ms)),
+        ("open_ms", rounded(open_ms)),
+        ("snapshot_bytes", bytes_written.into()),
+        ("cold_build_ms", rounded(cold_build_ms)),
+        ("warm_first_build_ms", rounded(warm_first_build_ms)),
+        ("rehydrated_solutions", rehydrated.into()),
+        ("partitions_reused", warm_reused.into()),
+    ]);
+    let report = dbex_bench::report("store_bench", params, vec![point]);
+    if let Err(e) = write_report(&out_path, &report) {
+        eprintln!("store_bench: {e}");
         std::process::exit(1);
     }
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| {
-        eprintln!("store_bench: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    });
     println!("store_bench: wrote {out_path}");
 }

@@ -19,9 +19,18 @@
 //! Timing experiments should be run with `--release`; each binary honors a
 //! `SIMS` environment variable to change the number of simulations per
 //! point (the paper uses 50).
+//!
+//! Three harnesses write machine-readable reports — `bench_suite`
+//! (`BENCH_cad.json`), `bench_explore` (`BENCH_explore.json`) and
+//! `store_bench` (`BENCH_store.json`) — in one envelope,
+//! `{"harness", "schema", "provenance", "params", "points"}`:
+//! `provenance` names the host and the code, `params` the workload, and
+//! `points` the measurements ([`report`], [`validate_report`],
+//! [`diff_reports`]).
 
 use dbex_core::{CadConfig, CadRequest, CadTimings};
 use dbex_data::UsedCarsGenerator;
+use dbex_obs::{Json, SpanNode, Trace};
 use dbex_table::{Predicate, Table, View};
 use std::time::Duration;
 
@@ -144,607 +153,30 @@ pub fn median_ms(samples: &[f64]) -> f64 {
     }
 }
 
-/// Schema version of the machine-readable bench report
-/// (`BENCH_cad.json`). Bump whenever the report shape changes
-/// incompatibly; `validate_report` rejects any other version.
+// --- bench reports ----------------------------------------------------------
+//
+// One table, `HARNESSES`, lists each harness's params and point fields, the
+// field that identifies a point across reports, and the gates a baseline
+// diff applies.
+
+/// Schema version of every bench report. Bump whenever the envelope or a
+/// harness's fields change incompatibly; [`validate_report`] rejects any
+/// other version.
 ///
-/// History: schema 1 was the original unversioned report (no `"schema"`
-/// field); schema 2 adds the version field and a per-workload
-/// `"span_breakdown"` (the traced span tree of one sequential build);
-/// schema 3 adds cold/warm measurement per point (`cold_median_ms`,
-/// `warm_median_ms`, `cold_runs_ms`, `warm_runs_ms` — warm builds run
-/// against a primed [`dbex_core::StatsCache`]), a per-workload
-/// `"warm_cache"` object (cache hits/misses and partitions served from
-/// the cluster-reuse cache) and `"span_medians_ms"` (per-span medians
-/// over repeated traced builds, the values the `--baseline` diff
-/// compares). `median_ms` is retained as an alias of `cold_median_ms`.
-/// Schema 4 adds kernel-dispatch provenance — top-level
-/// `"cpu_features"` (the detected ISA feature string) and
-/// `"kernel_dispatch"` (which SIMD family the process
-/// routed the packed kernels to) — plus a per-workload
-/// `"kernel_speedups"` object (span-median speedup of the kernel-heavy
-/// spans at the max measured pool size over 1 thread), and tightens
-/// validation: `validate_report` now rejects unknown fields anywhere in
-/// the report, not just unknown schema numbers.
-pub const BENCH_SCHEMA: u64 = 4;
+/// History: before the shared envelope each harness numbered its own
+/// schema (BENCH_cad 1–4, BENCH_serve 1–2, BENCH_store 1, BENCH_explore
+/// 1–3); 5 is the first shared one.
+pub const REPORT_SCHEMA: u64 = 5;
 
-/// Validates a bench report: well-formed JSON carrying
-/// `"schema": `[`BENCH_SCHEMA`] and **only** the fields that schema
-/// defines. Reports without a schema field (pre-versioning), reports
-/// from a different harness version, and reports carrying unknown
-/// fields (a stale generator, or hand edits) are rejected with an
-/// actionable message rather than silently consumed.
-pub fn validate_report(text: &str) -> Result<(), String> {
-    let parsed = Json::parse(text)?;
-    let Some(found) = parsed.get("schema").and_then(Json::as_f64) else {
-        return Err(format!(
-            "report has no \"schema\" field (pre-versioning output?); \
-             this validator understands schema {BENCH_SCHEMA} — regenerate with bench_suite"
-        ));
-    };
-    if found != BENCH_SCHEMA as f64 {
-        return Err(format!(
-            "unknown report schema {found}; this validator understands schema \
-             {BENCH_SCHEMA} — regenerate with bench_suite"
-        ));
-    }
-    validate_fields(&parsed)
-}
+/// Relative rise of a gated metric that fails a baseline diff.
+pub const GATE_RISE: f64 = 0.25;
 
-/// Field whitelists of the schema-[`BENCH_SCHEMA`] report shape. Objects
-/// with caller-defined keys (`span_medians_ms`, `kernel_speedups`, span
-/// `counters`) are exempt from the walk.
-const TOP_FIELDS: &[&str] = &[
-    "bench",
-    "schema",
-    "quick",
-    "runs_per_point",
-    "hardware_threads",
-    "auto_threads",
-    "cpu_features",
-    "kernel_dispatch",
-    "workloads",
-];
-const WORKLOAD_FIELDS: &[&str] = &[
-    "name",
-    "rows",
-    "points",
-    "speedup_at_max_threads",
-    "warm_cache",
-    "span_medians_ms",
-    "kernel_speedups",
-    "span_breakdown",
-];
-const POINT_FIELDS: &[&str] = &[
-    "threads",
-    "median_ms",
-    "cold_median_ms",
-    "warm_median_ms",
-    "cold_runs_ms",
-    "warm_runs_ms",
-    "output_matches_sequential",
-];
-const WARM_CACHE_FIELDS: &[&str] = &["hits", "misses", "partitions_reused"];
-const SPAN_FIELDS: &[&str] = &["name", "calls", "duration_ms", "counters", "children"];
-
-fn check_keys(obj: &Json, allowed: &[&str], ctx: &str) -> Result<(), String> {
-    if let Json::Obj(fields) = obj {
-        for (key, _) in fields {
-            if !allowed.contains(&key.as_str()) {
-                return Err(format!(
-                    "unknown field \"{key}\" in {ctx}; schema {BENCH_SCHEMA} allows \
-                     {allowed:?} — regenerate with bench_suite"
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Walks the report against the schema-4 field whitelists.
-fn validate_fields(report: &Json) -> Result<(), String> {
-    check_keys(report, TOP_FIELDS, "report")?;
-    let empty: [Json; 0] = [];
-    for workload in report.get("workloads").and_then(Json::as_array).unwrap_or(&empty) {
-        let name = workload.get("name").and_then(Json::as_str).unwrap_or("?");
-        check_keys(workload, WORKLOAD_FIELDS, &format!("workload \"{name}\""))?;
-        for point in workload.get("points").and_then(Json::as_array).unwrap_or(&empty) {
-            check_keys(point, POINT_FIELDS, &format!("a point of workload \"{name}\""))?;
-        }
-        if let Some(cache) = workload.get("warm_cache") {
-            check_keys(
-                cache,
-                WARM_CACHE_FIELDS,
-                &format!("warm_cache of workload \"{name}\""),
-            )?;
-        }
-        if let Some(tree) = workload.get("span_breakdown") {
-            validate_span_nodes(tree, name)?;
-        }
-    }
-    Ok(())
-}
-
-fn validate_span_nodes(tree: &Json, workload: &str) -> Result<(), String> {
-    let empty: [Json; 0] = [];
-    for node in tree.as_array().unwrap_or(&empty) {
-        check_keys(
-            node,
-            SPAN_FIELDS,
-            &format!("a span node of workload \"{workload}\""),
-        )?;
-        if let Some(children) = node.get("children") {
-            validate_span_nodes(children, workload)?;
-        }
-    }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_literal(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {pos}"))
-    }
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let mut digits = 0;
-    while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-        *pos += 1;
-        digits += 1;
-    }
-    if digits == 0 {
-        return Err(format!("bad number at byte {start}"));
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        let mut frac = 0;
-        while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
-            frac += 1;
-        }
-        if frac == 0 {
-            return Err(format!("bad number at byte {start}"));
-        }
-    }
-    if matches!(b.get(*pos), Some(b'e') | Some(b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+') | Some(b'-')) {
-            *pos += 1;
-        }
-        let mut exp = 0;
-        while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
-            exp += 1;
-        }
-        if exp == 0 {
-            return Err(format!("bad number at byte {start}"));
-        }
-    }
-    Ok(())
-}
-
-/// A parsed JSON value — just enough structure for bench-report
-/// validation and diffing (no crate dependency; the reports are small and
-/// written by this harness or its predecessors).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any JSON number, kept as `f64` (report numbers are small).
-    Num(f64),
-    /// A string with escapes resolved.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, preserving field order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Parses one JSON document; the whole input must be consumed.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        skip_ws(bytes, &mut pos);
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    /// Object field lookup; `None` on non-objects and missing keys.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    match b.get(*pos) {
-        None => Err(format!("unexpected end of input at byte {pos}")),
-        Some(b'{') => {
-            *pos += 1;
-            skip_ws(b, pos);
-            let mut fields = Vec::new();
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}"));
-                }
-                *pos += 1;
-                skip_ws(b, pos);
-                let value = parse_value(b, pos)?;
-                fields.push((key, value));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            skip_ws(b, pos);
-            let mut items = Vec::new();
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                skip_ws(b, pos);
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => parse_string(b, pos).map(Json::Str),
-        Some(b't') => parse_literal(b, pos, "true").map(|()| Json::Bool(true)),
-        Some(b'f') => parse_literal(b, pos, "false").map(|()| Json::Bool(false)),
-        Some(b'n') => parse_literal(b, pos, "null").map(|()| Json::Null),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => {
-            let start = *pos;
-            parse_number(b, pos)?;
-            std::str::from_utf8(&b[start..*pos])
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .map(Json::Num)
-                .ok_or_else(|| format!("unrepresentable number at byte {start}"))
-        }
-        Some(c) => Err(format!("unexpected byte {c:?} at {pos}")),
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected '\"' at byte {pos}"));
-    }
-    *pos += 1;
-    let mut out = Vec::new();
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return String::from_utf8(out).map_err(|_| "invalid UTF-8 in string".to_owned());
-            }
-            b'\\' => {
-                *pos += 1;
-                let esc = b.get(*pos).copied();
-                *pos += 1;
-                match esc {
-                    Some(b'"') => out.push(b'"'),
-                    Some(b'\\') => out.push(b'\\'),
-                    Some(b'/') => out.push(b'/'),
-                    Some(b'b') => out.push(0x08),
-                    Some(b'f') => out.push(0x0C),
-                    Some(b'n') => out.push(b'\n'),
-                    Some(b'r') => out.push(b'\r'),
-                    Some(b't') => out.push(b'\t'),
-                    Some(b'u') => {
-                        // Exactly four hex digits: `from_str_radix` alone
-                        // would also take a leading `+`.
-                        let hex = b
-                            .get(*pos..*pos + 4)
-                            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .and_then(char::from_u32)
-                            .ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
-                        *pos += 4;
-                        let mut buf = [0u8; 4];
-                        out.extend_from_slice(hex.encode_utf8(&mut buf).as_bytes());
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                }
-            }
-            _ => {
-                out.push(c);
-                *pos += 1;
-            }
-        }
-    }
-    Err("unterminated string".to_owned())
-}
-
-/// Flattens a span tree (the `span_breakdown` array of `to_json` span
-/// objects) into total `duration_ms` per span name, summed over every
-/// occurrence, in first-seen order.
-pub fn flatten_spans(tree: &Json) -> Vec<(String, f64)> {
-    fn walk(nodes: &[Json], out: &mut Vec<(String, f64)>) {
-        for node in nodes {
-            let name = node.get("name").and_then(Json::as_str).unwrap_or("");
-            let ms = node.get("duration_ms").and_then(Json::as_f64).unwrap_or(0.0);
-            match out.iter_mut().find(|(n, _)| n == name) {
-                Some((_, total)) => *total += ms,
-                None => out.push((name.to_owned(), ms)),
-            }
-            if let Some(children) = node.get("children").and_then(Json::as_array) {
-                walk(children, out);
-            }
-        }
-    }
-    let mut out = Vec::new();
-    if let Some(roots) = tree.as_array() {
-        walk(roots, &mut out);
-    }
-    out
-}
-
-// --- sibling report schemas -------------------------------------------------
-//
-// The suite writes four machine-readable reports; each has its own
-// schema number and whitelist so a stale generator (or hand edit) is
-// rejected at the same place regardless of which harness produced it:
-//
-// | file | harness | validator |
-// |---|---|---|
-// | `BENCH_cad.json` | `bench_suite` | [`validate_report`] |
-// | `BENCH_serve.json` | `concurrent_load` | [`validate_serve_report`] |
-// | `BENCH_store.json` | `store_bench` | [`validate_store_report`] |
-// | `BENCH_explore.json` | `bench_explore` | [`validate_explore_report`] |
-
-/// Schema version of `BENCH_serve.json`; bump on incompatible changes.
-/// Schema 2 (evented server): adds the top-level `workers` field — the
-/// resolved worker-pool size the server executed requests with.
-pub const SERVE_SCHEMA: u64 = 2;
-/// Schema version of `BENCH_store.json`; bump on incompatible changes.
-pub const STORE_SCHEMA: u64 = 1;
-/// Schema version of `BENCH_explore.json`; bump on incompatible changes.
-/// Schema 2 (streamed previews): adds the top-level `streamed` flag and,
-/// per point, `first_frame_p50_ms` / `first_frame_p99_ms` (send to first
-/// response frame, preview or final) and `previewed_ops` (ops that
-/// received a preview frame before the exact answer). `ttfr_*` now means
-/// time to the first *frame* of the first successful response.
-/// Schema 3 (suggest): the per-point `ops` object gains a `"suggest"`
-/// kind — keystroke-paced `SUGGEST NEXT` / `SUGGEST COMPLETE` requests
-/// issued while the simulated user composes the next statement. Its
-/// p50 joins the baseline gate and must additionally stay under the
-/// absolute [`SUGGEST_P50_BOUND_MS`] interactivity bound.
-pub const EXPLORE_SCHEMA: u64 = 3;
-
-const SERVE_TOP_FIELDS: &[&str] = &[
-    "schema",
-    "harness",
-    "quick",
-    "rows",
-    "rounds",
-    "requests_per_round",
-    "workers",
-    "points",
-];
-const SERVE_POINT_FIELDS: &[&str] = &[
-    "clients",
-    "requests",
-    "errors",
-    "p50_ms",
-    "p99_ms",
-    "max_ms",
-    "busy_rejections",
-    "cache_hits",
-    "cache_misses",
-];
-const STORE_TOP_FIELDS: &[&str] = &[
-    "schema",
-    "harness",
-    "quick",
-    "rows",
-    "runs",
-    "save_ms",
-    "save_reuse_ms",
-    "open_ms",
-    "snapshot_bytes",
-    "cold_build_ms",
-    "warm_first_build_ms",
-    "rehydrated_solutions",
-    "partitions_reused",
-];
-const EXPLORE_TOP_FIELDS: &[&str] = &[
-    "schema",
-    "harness",
-    "quick",
-    "seed",
-    "rows",
-    "ops_per_session",
-    "think_min_ms",
-    "think_max_ms",
-    "abandon_rate",
-    "reconnect_rate",
-    "repeats",
-    "streamed",
-    "points",
-];
-const EXPLORE_POINT_FIELDS: &[&str] = &[
-    "sessions",
-    "completed",
-    "abandoned",
-    "reconnects",
-    "requests",
-    "errors",
-    "busy_rejections",
-    "previewed_ops",
-    "ttfr_p50_ms",
-    "ttfr_p99_ms",
-    "first_frame_p50_ms",
-    "first_frame_p99_ms",
-    "p50_ms",
-    "p99_ms",
-    "max_ms",
-    "wall_ms",
-    "ops",
-    "cache_trajectory",
-];
-const EXPLORE_OP_KINDS: &[&str] = &["drill", "cad", "pivot", "highlight", "reorder", "suggest"];
-const EXPLORE_OP_FIELDS: &[&str] = &["count", "p50_ms", "p99_ms", "max_ms"];
-const EXPLORE_TRAJ_FIELDS: &[&str] = &["at_ms", "hits", "misses", "evictions", "hit_rate"];
-
-/// Shared preamble of the sibling-report validators: well-formed JSON,
-/// the expected `"schema"` number, and the expected `"harness"` tag.
-fn validate_sibling(text: &str, schema: u64, harness: &str) -> Result<Json, String> {
-    let parsed = Json::parse(text)?;
-    let Some(found) = parsed.get("schema").and_then(Json::as_f64) else {
-        return Err(format!(
-            "report has no \"schema\" field; this validator understands \
-             schema {schema} — regenerate with {harness}"
-        ));
-    };
-    if found != schema as f64 {
-        return Err(format!(
-            "unknown report schema {found}; this validator understands schema \
-             {schema} — regenerate with {harness}"
-        ));
-    }
-    match parsed.get("harness").and_then(Json::as_str) {
-        Some(h) if h == harness => Ok(parsed),
-        Some(h) => Err(format!(
-            "report was produced by harness \"{h}\", expected \"{harness}\""
-        )),
-        None => Err(format!(
-            "report has no \"harness\" field — regenerate with {harness}"
-        )),
-    }
-}
-
-/// Validates `BENCH_serve.json` (schema [`SERVE_SCHEMA`]): well-formed,
-/// version-matched, and carrying **only** the fields the schema defines.
-pub fn validate_serve_report(text: &str) -> Result<(), String> {
-    let parsed = validate_sibling(text, SERVE_SCHEMA, "concurrent_load")?;
-    check_keys(&parsed, SERVE_TOP_FIELDS, "serve report")?;
-    let empty: [Json; 0] = [];
-    for point in parsed.get("points").and_then(Json::as_array).unwrap_or(&empty) {
-        check_keys(point, SERVE_POINT_FIELDS, "a serve report point")?;
-    }
-    Ok(())
-}
-
-/// Validates `BENCH_store.json` (schema [`STORE_SCHEMA`]). The store
-/// report is flat, so this is the preamble plus the top-level whitelist.
-pub fn validate_store_report(text: &str) -> Result<(), String> {
-    let parsed = validate_sibling(text, STORE_SCHEMA, "store_bench")?;
-    check_keys(&parsed, STORE_TOP_FIELDS, "store report")
-}
-
-/// Validates `BENCH_explore.json` (schema [`EXPLORE_SCHEMA`]): field
-/// whitelists at every level, including the per-op-kind latency objects
-/// (whose keys must be known op kinds) and the cache trajectory.
-pub fn validate_explore_report(text: &str) -> Result<(), String> {
-    let parsed = validate_sibling(text, EXPLORE_SCHEMA, "bench_explore")?;
-    check_keys(&parsed, EXPLORE_TOP_FIELDS, "explore report")?;
-    let empty: [Json; 0] = [];
-    for point in parsed.get("points").and_then(Json::as_array).unwrap_or(&empty) {
-        let sessions = point.get("sessions").and_then(Json::as_f64).unwrap_or(0.0);
-        let ctx = format!("the {sessions}-session point");
-        check_keys(point, EXPLORE_POINT_FIELDS, &ctx)?;
-        if let Some(Json::Obj(ops)) = point.get("ops") {
-            for (kind, stats) in ops {
-                if !EXPLORE_OP_KINDS.contains(&kind.as_str()) {
-                    return Err(format!(
-                        "unknown op kind \"{kind}\" in {ctx}; schema {EXPLORE_SCHEMA} \
-                         allows {EXPLORE_OP_KINDS:?} — regenerate with bench_explore"
-                    ));
-                }
-                check_keys(stats, EXPLORE_OP_FIELDS, &format!("op \"{kind}\" of {ctx}"))?;
-            }
-        }
-        for sample in point
-            .get("cache_trajectory")
-            .and_then(Json::as_array)
-            .unwrap_or(&empty)
-        {
-            check_keys(
-                sample,
-                EXPLORE_TRAJ_FIELDS,
-                &format!("a cache_trajectory sample of {ctx}"),
-            )?;
-        }
-    }
-    Ok(())
-}
-
-/// Absolute noise floor for the explore gate, in milliseconds: a
-/// regression must exceed the relative threshold **and** this floor to
-/// fail. At 64 sessions the overall p99 sits at a few milliseconds,
-/// where one scheduler preemption is ±40% — a ratio-only gate fires on
-/// its own baseline. 5ms is far below anything a user perceives and far
-/// above per-op timing jitter.
+/// Absolute noise floor for the explore gates, in milliseconds: a
+/// regression must exceed [`GATE_RISE`] **and** this floor to fail. At 64
+/// sessions the overall p99 sits at a few milliseconds, where one
+/// scheduler preemption is ±40% — a ratio-only gate fires on its own
+/// baseline. 5ms is far below anything a user perceives and far above
+/// per-op timing jitter.
 pub const EXPLORE_NOISE_FLOOR_MS: f64 = 5.0;
 
 /// Absolute interactivity bound on the suggest op's p50, in
@@ -754,250 +186,448 @@ pub const EXPLORE_NOISE_FLOOR_MS: f64 = 5.0;
 /// never grandfather in a sluggish suggester.
 pub const SUGGEST_P50_BOUND_MS: f64 = 10.0;
 
-/// Compares a fresh `BENCH_explore.json` against a baseline. Points are
-/// matched by `sessions`; runs whose workload differs (rows, seed,
-/// ops_per_session, or quick flag) are reported as not comparable and
-/// never trip the gate. The gate fails when a matched point's
-/// time-to-first-result p50, overall p99, **or** suggest-op p50 exceeds
-/// the baseline by more than `gate_threshold` (0.25 = 25%) *and* by
-/// more than [`EXPLORE_NOISE_FLOOR_MS`] absolute — or when the current
-/// suggest p50 exceeds [`SUGGEST_P50_BOUND_MS`] outright.
-pub fn diff_explore_reports(
-    current: &str,
-    baseline: &str,
-    gate_threshold: f64,
-) -> Result<ReportDiff, String> {
+/// The shape of a value inside a point.
+enum Shape {
+    /// A leaf, or an object whose keys the harness names freely (span
+    /// medians, counters): not walked.
+    Open,
+    /// An object with only these fields.
+    Fields(&'static [(&'static str, Shape)]),
+    /// An array whose every element has this shape.
+    Each(&'static Shape),
+    /// An object keyed by names from this list, every value of this shape.
+    Keyed(&'static [&'static str], &'static Shape),
+}
+
+use Shape::{Each, Fields, Keyed, Open};
+
+/// A baseline gate on one point metric, in milliseconds.
+struct Gate {
+    /// Dotted path of the metric inside a point.
+    metric: &'static str,
+    /// The gate fails when the metric rises by more than this fraction
+    /// of the baseline...
+    max_rise: f64,
+    /// ...and by more than this many milliseconds.
+    floor_ms: f64,
+    /// The gate fails when the current value exceeds this, whatever the
+    /// baseline says.
+    bound_ms: Option<f64>,
+}
+
+/// One harness's report fields and gates.
+struct Harness {
+    name: &'static str,
+    params: &'static [&'static str],
+    /// The point field that identifies a point across reports.
+    key: &'static str,
+    point: &'static [(&'static str, Shape)],
+    gates: &'static [Gate],
+}
+
+const ENVELOPE: &[&str] = &["harness", "schema", "provenance", "params", "points"];
+const PROVENANCE: &[&str] = &[
+    "hardware_threads",
+    "cpu_features",
+    "kernel_dispatch",
+    "git_rev",
+];
+
+/// A node of a span tree (`Trace::to_json`).
+static SPAN_NODE: Shape = Fields(&[
+    ("name", Open),
+    ("calls", Open),
+    ("duration_ms", Open),
+    ("counters", Open),
+    ("children", Each(&SPAN_NODE)),
+]);
+
+static HARNESSES: &[Harness] = &[
+    Harness {
+        name: "bench_suite",
+        params: &["quick", "rows", "runs_per_point"],
+        key: "workload",
+        point: &[
+            ("workload", Open),
+            (
+                "pools",
+                Each(&Fields(&[
+                    ("threads", Open),
+                    ("cold_median_ms", Open),
+                    ("warm_median_ms", Open),
+                    ("cold_runs_ms", Open),
+                    ("warm_runs_ms", Open),
+                    ("output_matches_sequential", Open),
+                ])),
+            ),
+            ("speedup_at_max_threads", Open),
+            (
+                "warm_cache",
+                Fields(&[
+                    ("hits", Open),
+                    ("misses", Open),
+                    ("partitions_reused", Open),
+                ]),
+            ),
+            ("span_medians_ms", Open),
+            ("kernel_speedups", Open),
+            ("span_breakdown", Each(&SPAN_NODE)),
+        ],
+        // The clustering hot path this harness exists to keep fast.
+        gates: &[Gate {
+            metric: "span_medians_ms.cluster_partition",
+            max_rise: GATE_RISE,
+            floor_ms: 0.0,
+            bound_ms: None,
+        }],
+    },
+    Harness {
+        name: "bench_explore",
+        params: &[
+            "quick",
+            "seed",
+            "rows",
+            "ops_per_session",
+            "think_min_ms",
+            "think_max_ms",
+            "abandon_rate",
+            "reconnect_rate",
+            "repeats",
+            "streamed",
+            "workers",
+        ],
+        key: "sessions",
+        point: &[
+            ("sessions", Open),
+            ("completed", Open),
+            ("abandoned", Open),
+            ("reconnects", Open),
+            ("requests", Open),
+            ("errors", Open),
+            ("busy_rejections", Open),
+            ("previewed_ops", Open),
+            ("ttfr_p50_ms", Open),
+            ("ttfr_p99_ms", Open),
+            ("first_frame_p50_ms", Open),
+            ("first_frame_p99_ms", Open),
+            ("p50_ms", Open),
+            ("p99_ms", Open),
+            ("max_ms", Open),
+            ("wall_ms", Open),
+            (
+                "ops",
+                Keyed(
+                    &["drill", "cad", "pivot", "highlight", "reorder", "suggest"],
+                    &Fields(&[
+                        ("count", Open),
+                        ("p50_ms", Open),
+                        ("p99_ms", Open),
+                        ("max_ms", Open),
+                    ]),
+                ),
+            ),
+            (
+                "cache_trajectory",
+                Each(&Fields(&[
+                    ("at_ms", Open),
+                    ("hits", Open),
+                    ("misses", Open),
+                    ("evictions", Open),
+                    ("hit_rate", Open),
+                ])),
+            ),
+        ],
+        gates: &[
+            Gate {
+                metric: "ttfr_p50_ms",
+                max_rise: GATE_RISE,
+                floor_ms: EXPLORE_NOISE_FLOOR_MS,
+                bound_ms: None,
+            },
+            Gate {
+                metric: "p99_ms",
+                max_rise: GATE_RISE,
+                floor_ms: EXPLORE_NOISE_FLOOR_MS,
+                bound_ms: None,
+            },
+            Gate {
+                metric: "ops.suggest.p50_ms",
+                max_rise: GATE_RISE,
+                floor_ms: EXPLORE_NOISE_FLOOR_MS,
+                bound_ms: Some(SUGGEST_P50_BOUND_MS),
+            },
+        ],
+    },
+    Harness {
+        name: "store_bench",
+        params: &["quick", "runs"],
+        key: "rows",
+        point: &[
+            ("rows", Open),
+            ("save_ms", Open),
+            ("save_reuse_ms", Open),
+            ("open_ms", Open),
+            ("snapshot_bytes", Open),
+            ("cold_build_ms", Open),
+            ("warm_first_build_ms", Open),
+            ("rehydrated_solutions", Open),
+            ("partitions_reused", Open),
+        ],
+        gates: &[],
+    },
+];
+
+/// A report in the shared envelope, with this host's provenance.
+pub fn report(harness: &str, params: Json, points: Vec<Json>) -> Json {
+    Json::obj([
+        ("harness", harness.into()),
+        ("schema", REPORT_SCHEMA.into()),
+        (
+            "provenance",
+            Json::obj([
+                ("hardware_threads", dbex_par::hardware_threads().into()),
+                ("cpu_features", dbex_stats::simd::cpu_features().into()),
+                (
+                    "kernel_dispatch",
+                    dbex_stats::simd::dispatch().name().into(),
+                ),
+                ("git_rev", git_rev().into()),
+            ]),
+        ),
+        ("params", params),
+        ("points", Json::Arr(points)),
+    ])
+}
+
+/// The checked-out commit, with `-dirty` when the tree has changes;
+/// `unknown` outside a git checkout.
+fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args([
+            "describe",
+            "--always",
+            "--dirty",
+            "--abbrev=12",
+            "--exclude=*",
+        ])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|rev| rev.trim().to_owned())
+        .filter(|rev| !rev.is_empty())
+        .unwrap_or_else(|| "unknown".to_owned())
+}
+
+/// A report figure rounded to three decimals (milliseconds to the
+/// microsecond).
+pub fn rounded(x: f64) -> Json {
+    Json::Num((x * 1e3).round() / 1e3)
+}
+
+/// Validates `report` and writes it, indented, to `path`. Returns the
+/// text written, for a baseline diff.
+pub fn write_report(path: &str, report: &Json) -> Result<String, String> {
+    let text = format!("{report:#}\n");
+    validate_report(&text).map_err(|e| format!("generated report is invalid: {e}"))?;
+    std::fs::write(path, &text).map_err(|e| format!("cannot write {path}: {e}"))?;
+    Ok(text)
+}
+
+/// Validates a bench report: well-formed JSON in the envelope, carrying
+/// `"schema": `[`REPORT_SCHEMA`], a known harness, and **only** the
+/// fields that harness defines at every level. Reports from another
+/// schema, and reports carrying unknown fields (a stale generator, or
+/// hand edits) are rejected with an actionable message rather than
+/// silently consumed.
+pub fn validate_report(text: &str) -> Result<(), String> {
+    check_report(&Json::parse(text)?).map(|_| ())
+}
+
+/// Checks a parsed report against its harness's table, which it returns.
+fn check_report(report: &Json) -> Result<&'static Harness, String> {
+    let Some(schema) = report.get("schema").and_then(Json::as_f64) else {
+        return Err(format!(
+            "report has no \"schema\" field; this validator understands schema {REPORT_SCHEMA} \
+             — regenerate the report"
+        ));
+    };
+    if schema != REPORT_SCHEMA as f64 {
+        return Err(format!(
+            "unknown report schema {schema}; this validator understands schema \
+             {REPORT_SCHEMA} — regenerate the report"
+        ));
+    }
+    let Some(name) = report.get("harness").and_then(Json::as_str) else {
+        return Err("report has no \"harness\" field — regenerate the report".to_owned());
+    };
+    let Some(harness) = HARNESSES.iter().find(|h| h.name == name) else {
+        let known: Vec<&str> = HARNESSES.iter().map(|h| h.name).collect();
+        return Err(format!(
+            "unknown harness \"{name}\"; known harnesses are {known:?}"
+        ));
+    };
+    check_keys(report, ENVELOPE, "report")?;
+    let field = |name: &str| {
+        report
+            .get(name)
+            .ok_or_else(|| format!("report has no \"{name}\" field"))
+    };
+    check_keys(field("provenance")?, PROVENANCE, "provenance")?;
+    check_keys(field("params")?, harness.params, "params")?;
+    field("points")?;
+    for (i, point) in points(report).iter().enumerate() {
+        check_shape(point, &Fields(harness.point), &format!("points[{i}]"))?;
+    }
+    Ok(harness)
+}
+
+fn check_keys(value: &Json, allowed: &[&str], at: &str) -> Result<(), String> {
+    if let Json::Obj(fields) = value {
+        if let Some((key, _)) = fields.iter().find(|(k, _)| !allowed.contains(&k.as_str())) {
+            return Err(format!(
+                "unknown field \"{key}\" in {at}; schema {REPORT_SCHEMA} allows {allowed:?} \
+                 — regenerate the report"
+            ));
+        }
+    }
+    Ok(())
+}
+
+fn check_shape(value: &Json, shape: &Shape, at: &str) -> Result<(), String> {
+    match (shape, value) {
+        (Fields(fields), Json::Obj(found)) => {
+            let names: Vec<&str> = fields.iter().map(|(name, _)| *name).collect();
+            check_keys(value, &names, at)?;
+            for (key, inner) in found {
+                if let Some((_, shape)) = fields.iter().find(|(name, _)| name == key) {
+                    check_shape(inner, shape, &format!("{at}.{key}"))?;
+                }
+            }
+        }
+        (Keyed(keys, shape), Json::Obj(found)) => {
+            check_keys(value, keys, at)?;
+            for (key, inner) in found {
+                check_shape(inner, shape, &format!("{at}.{key}"))?;
+            }
+        }
+        (Each(shape), Json::Arr(items)) => {
+            for (i, item) in items.iter().enumerate() {
+                check_shape(item, shape, &format!("{at}[{i}]"))?;
+            }
+        }
+        _ => {}
+    }
+    Ok(())
+}
+
+fn points(report: &Json) -> &[Json] {
+    report.get("points").and_then(Json::as_array).unwrap_or(&[])
+}
+
+/// Outcome of diffing a fresh report against a baseline report.
+pub struct ReportDiff {
+    /// One comparison line per gated metric of each matched point.
+    pub lines: Vec<String>,
+    /// True when any gate failed.
+    pub gate_failed: bool,
+}
+
+/// Compares a freshly generated report against a baseline from the same
+/// harness. Points are matched by the harness's key field (`workload`,
+/// `sessions`, `rows`). When the two runs' params differ (a `--quick` run
+/// against a full baseline, another seed or worker count) the runs are
+/// reported as not comparable and no gate runs. Otherwise each gate of
+/// the harness fails when its metric rises past [`GATE_RISE`] *and* its
+/// floor, or past its absolute bound:
+///
+/// - `bench_suite`: the `cluster_partition` span median rises more than
+///   25%;
+/// - `bench_explore`: TTFR p50, op p99 or suggest p50 rises more than 25%
+///   and more than [`EXPLORE_NOISE_FLOOR_MS`], or suggest p50 is above
+///   [`SUGGEST_P50_BOUND_MS`].
+pub fn diff_reports(current: &str, baseline: &str) -> Result<ReportDiff, String> {
     let cur = Json::parse(current).map_err(|e| format!("current report: {e}"))?;
     let base = Json::parse(baseline).map_err(|e| format!("baseline report: {e}"))?;
-    let base_schema = base
-        .get("schema")
-        .and_then(Json::as_f64)
-        .map(|n| n as u64)
-        .ok_or_else(|| "baseline report has no \"schema\" field".to_owned())?;
-    if base_schema != EXPLORE_SCHEMA {
+    let harness = check_report(&cur).map_err(|e| format!("current report: {e}"))?;
+    let base_harness = check_report(&base).map_err(|e| format!("baseline report: {e}"))?;
+    if base_harness.name != harness.name {
         return Err(format!(
-            "baseline schema {base_schema} not understood (want {EXPLORE_SCHEMA})"
+            "baseline is a {} report, the current one a {} report",
+            base_harness.name, harness.name
         ));
     }
     let mut lines = Vec::new();
-    for key in ["rows", "seed", "ops_per_session", "quick", "streamed"] {
-        let c = cur.get(key);
-        if c.is_none() || c != base.get(key) {
-            lines.push(format!(
-                "workload mismatch on \"{key}\" — runs not comparable, gate skipped"
-            ));
-            return Ok(ReportDiff {
-                lines,
-                gate_failed: false,
-            });
-        }
+    let (cur_params, base_params) = (cur.get("params"), base.get("params"));
+    if let Some(name) = harness
+        .params
+        .iter()
+        .find(|p| cur_params.and_then(|c| c.get(p)) != base_params.and_then(|b| b.get(p)))
+    {
+        lines.push(format!(
+            "params differ on \"{name}\" — runs not comparable, gate skipped"
+        ));
+        return Ok(ReportDiff {
+            lines,
+            gate_failed: false,
+        });
     }
-    let empty: [Json; 0] = [];
-    let cur_points = cur.get("points").and_then(Json::as_array).unwrap_or(&empty);
-    let base_points = base.get("points").and_then(Json::as_array).unwrap_or(&empty);
     let mut gate_failed = false;
-    for point in cur_points {
-        let Some(sessions) = point.get("sessions").and_then(Json::as_f64) else {
+    for point in points(&cur) {
+        let Some(id) = point.get(harness.key) else {
             continue;
         };
-        let Some(base_point) = base_points
+        let label = format!("{} {id}", harness.key);
+        let Some(base_point) = points(&base)
             .iter()
-            .find(|p| p.get("sessions").and_then(Json::as_f64) == Some(sessions))
+            .find(|p| p.get(harness.key) == Some(id))
         else {
-            lines.push(format!("{sessions} sessions: not in baseline — skipped"));
+            lines.push(format!("{label}: not in baseline — skipped"));
             continue;
         };
-        for metric in ["ttfr_p50_ms", "p99_ms"] {
-            let (Some(cur_ms), Some(base_ms)) = (
-                point.get(metric).and_then(Json::as_f64),
-                base_point.get(metric).and_then(Json::as_f64),
-            ) else {
+        for gate in harness.gates {
+            let Some(cur_ms) = metric(point, gate.metric) else {
                 continue;
             };
-            let mut line = format!(
-                "{sessions} sessions {metric}: {cur_ms:.3} ms vs {base_ms:.3} ms — {}",
-                verdict(cur_ms, base_ms),
-            );
-            if base_ms > 0.0
-                && cur_ms > base_ms * (1.0 + gate_threshold)
-                && cur_ms - base_ms > EXPLORE_NOISE_FLOOR_MS
-            {
-                gate_failed = true;
-                line.push_str(&format!(
-                    "  [GATE FAILED: > {:.0}% regression]",
-                    gate_threshold * 100.0
-                ));
-            }
-            lines.push(line);
-        }
-        let suggest_p50 = |p: &Json| {
-            p.get("ops")
-                .and_then(|ops| ops.get("suggest"))
-                .and_then(|s| s.get("p50_ms"))
-                .and_then(Json::as_f64)
-        };
-        if let Some(cur_ms) = suggest_p50(point) {
-            let mut line = match suggest_p50(base_point) {
+            let mut line = match metric(base_point, gate.metric) {
                 Some(base_ms) => {
                     let mut line = format!(
-                        "{sessions} sessions suggest p50: {cur_ms:.3} ms vs {base_ms:.3} ms — {}",
+                        "{label} {}: {cur_ms:.3} ms vs {base_ms:.3} ms — {}",
+                        gate.metric,
                         verdict(cur_ms, base_ms),
                     );
                     if base_ms > 0.0
-                        && cur_ms > base_ms * (1.0 + gate_threshold)
-                        && cur_ms - base_ms > EXPLORE_NOISE_FLOOR_MS
+                        && cur_ms > base_ms * (1.0 + gate.max_rise)
+                        && cur_ms - base_ms > gate.floor_ms
                     {
                         gate_failed = true;
                         line.push_str(&format!(
                             "  [GATE FAILED: > {:.0}% regression]",
-                            gate_threshold * 100.0
+                            gate.max_rise * 100.0
                         ));
                     }
                     line
                 }
-                None => format!(
-                    "{sessions} sessions suggest p50: {cur_ms:.3} ms (no suggest section in baseline)"
-                ),
+                None => format!("{label} {}: {cur_ms:.3} ms (not in baseline)", gate.metric),
             };
-            if cur_ms > SUGGEST_P50_BOUND_MS {
+            if let Some(bound) = gate.bound_ms.filter(|&bound| cur_ms > bound) {
                 gate_failed = true;
-                line.push_str(&format!(
-                    "  [GATE FAILED: above the {SUGGEST_P50_BOUND_MS:.0} ms interactivity bound]"
-                ));
+                line.push_str(&format!("  [GATE FAILED: above the {bound:.0} ms bound]"));
             }
             lines.push(line);
         }
     }
-    if cur_points.is_empty() {
+    if points(&cur).is_empty() {
         lines.push("current report has no points".to_owned());
     }
     Ok(ReportDiff { lines, gate_failed })
 }
 
-/// The span whose median regression fails the `--baseline` gate: the
-/// clustering hot path this harness exists to keep fast.
-pub const GATE_SPAN: &str = "cluster_partition";
-
-/// Outcome of diffing a fresh report against a baseline report.
-pub struct ReportDiff {
-    /// Human-readable per-workload and per-span comparison lines.
-    pub lines: Vec<String>,
-    /// True when [`GATE_SPAN`] regressed beyond the threshold on any
-    /// comparable workload.
-    pub gate_failed: bool,
-}
-
-/// Compares a freshly generated report against a schema-[`BENCH_SCHEMA`]
-/// baseline. Workloads are matched by name; a workload whose `rows` differ
-/// (e.g. a `--quick` run against a full baseline) is reported as not
-/// comparable and never trips the gate. Per-point medians are
-/// `cold_median_ms`; per-span values are `span_medians_ms`. The gate
-/// fails when [`GATE_SPAN`]'s median exceeds the baseline by more than
-/// `gate_threshold` (0.25 = 25%).
-pub fn diff_reports(
-    current: &str,
-    baseline: &str,
-    gate_threshold: f64,
-) -> Result<ReportDiff, String> {
-    let cur = Json::parse(current).map_err(|e| format!("current report: {e}"))?;
-    let base = Json::parse(baseline).map_err(|e| format!("baseline report: {e}"))?;
-    let base_schema = base
-        .get("schema")
+/// The number at a dotted `path` inside a point.
+fn metric(point: &Json, path: &str) -> Option<f64> {
+    path.split('.')
+        .try_fold(point, |value, key| value.get(key))
         .and_then(Json::as_f64)
-        .map(|n| n as u64)
-        .ok_or_else(|| "baseline report has no \"schema\" field".to_owned())?;
-    if base_schema != BENCH_SCHEMA {
-        return Err(format!(
-            "baseline schema {base_schema} not understood (want {BENCH_SCHEMA})"
-        ));
-    }
-    let empty: [Json; 0] = [];
-    let cur_workloads = cur.get("workloads").and_then(Json::as_array).unwrap_or(&empty);
-    let base_workloads = base.get("workloads").and_then(Json::as_array).unwrap_or(&empty);
-    let mut lines = Vec::new();
-    let mut gate_failed = false;
-    for workload in cur_workloads {
-        let name = workload.get("name").and_then(Json::as_str).unwrap_or("?");
-        let Some(base_workload) = base_workloads
-            .iter()
-            .find(|b| b.get("name").and_then(Json::as_str) == Some(name))
-        else {
-            lines.push(format!("{name}: not in baseline — skipped"));
-            continue;
-        };
-        let rows = workload.get("rows").and_then(Json::as_f64);
-        let base_rows = base_workload.get("rows").and_then(Json::as_f64);
-        if rows != base_rows {
-            lines.push(format!(
-                "{name}: {} rows vs baseline {} — not comparable, skipped",
-                rows.unwrap_or(0.0),
-                base_rows.unwrap_or(0.0),
-            ));
-            continue;
-        }
-        for point in workload
-            .get("points")
-            .and_then(Json::as_array)
-            .unwrap_or(&empty)
-        {
-            let Some(threads) = point.get("threads").and_then(Json::as_f64) else {
-                continue;
-            };
-            let Some(base_point) = base_workload
-                .get("points")
-                .and_then(Json::as_array)
-                .unwrap_or(&empty)
-                .iter()
-                .find(|p| p.get("threads").and_then(Json::as_f64) == Some(threads))
-            else {
-                continue;
-            };
-            if let (Some(cur_ms), Some(base_ms)) = (point_median(point), point_median(base_point)) {
-                lines.push(format!(
-                    "{name} @ {threads} thread(s): {cur_ms:.3} ms vs {base_ms:.3} ms — {}",
-                    verdict(cur_ms, base_ms),
-                ));
-            }
-        }
-        let base_spans = workload_span_medians(base_workload);
-        for (span, cur_ms) in workload_span_medians(workload) {
-            let Some((_, base_ms)) = base_spans.iter().find(|(n, _)| *n == span) else {
-                continue;
-            };
-            let mut line = format!(
-                "{name} span {span}: {cur_ms:.3} ms vs {base_ms:.3} ms — {}",
-                verdict(cur_ms, *base_ms),
-            );
-            if span == GATE_SPAN && *base_ms > 0.0 && cur_ms > base_ms * (1.0 + gate_threshold) {
-                gate_failed = true;
-                line.push_str(&format!(
-                    "  [GATE FAILED: > {:.0}% regression]",
-                    gate_threshold * 100.0
-                ));
-            }
-            lines.push(line);
-        }
-    }
-    if cur_workloads.is_empty() {
-        lines.push("current report has no workloads".to_owned());
-    }
-    Ok(ReportDiff { lines, gate_failed })
-}
-
-/// A point's comparison median, `cold_median_ms`.
-fn point_median(point: &Json) -> Option<f64> {
-    point.get("cold_median_ms").and_then(Json::as_f64)
-}
-
-/// A workload's per-span medians, `span_medians_ms`.
-fn workload_span_medians(workload: &Json) -> Vec<(String, f64)> {
-    match workload.get("span_medians_ms") {
-        Some(Json::Obj(fields)) => fields
-            .iter()
-            .filter_map(|(k, v)| v.as_f64().map(|ms| (k.clone(), ms)))
-            .collect(),
-        _ => Vec::new(),
-    }
 }
 
 fn verdict(cur_ms: f64, base_ms: f64) -> String {
@@ -1010,6 +640,37 @@ fn verdict(cur_ms: f64, base_ms: f64) -> String {
     } else {
         format!("+{:.1}% regression", (ratio - 1.0) * 100.0)
     }
+}
+
+/// Diffs `current` against the baseline report at `path` and prints
+/// every comparison line.
+pub fn diff_against(current: &str, path: &str) -> Result<ReportDiff, String> {
+    let baseline =
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read baseline {path}: {e}"))?;
+    let diff = diff_reports(current, &baseline)?;
+    println!("\nbaseline diff vs {path}:");
+    for line in &diff.lines {
+        println!("  {line}");
+    }
+    Ok(diff)
+}
+
+/// Total duration per span name over a trace, summed over every
+/// occurrence, in first-seen order, in milliseconds.
+pub fn span_totals_ms(trace: &Trace) -> Vec<(String, f64)> {
+    fn walk(nodes: &[SpanNode], out: &mut Vec<(String, f64)>) {
+        for node in nodes {
+            let ms = node.duration_ns as f64 / 1e6;
+            match out.iter_mut().find(|(name, _)| *name == node.name) {
+                Some((_, total)) => *total += ms,
+                None => out.push((node.name.clone(), ms)),
+            }
+            walk(&node.children, out);
+        }
+    }
+    let mut out = Vec::new();
+    walk(&trace.roots, &mut out);
+    out
 }
 
 /// Prints one aligned text table row.
@@ -1060,217 +721,245 @@ mod tests {
         assert_eq!(median_ms(&[4.0, 1.0, 3.0, 2.0]), 2.5);
     }
 
-    #[test]
-    fn json_parser_accepts_and_rejects() {
-        assert!(Json::parse(r#"{"a": [1, -2.5, 3e4], "b": {"c": "x\"y"}, "d": null}"#).is_ok());
-        assert!(Json::parse("[true, false]").is_ok());
-        assert!(Json::parse("  42  ").is_ok());
-        assert!(Json::parse(r#"{"a": 1"#).is_err()); // truncated
-        assert!(Json::parse(r#"{"a": 1} extra"#).is_err()); // trailing
-        assert!(Json::parse(r#"{"a": 1.}"#).is_err()); // bad number
-        assert!(Json::parse(r#"{a: 1}"#).is_err()); // unquoted key
-        assert!(Json::parse(r#"{"a": }"#).is_err());
-        assert!(Json::parse("").is_err());
-        assert!(Json::parse(r#"{"a": "\q"}"#).is_err()); // unknown escape
-        assert!(Json::parse(r#"{"a": "\u+12a"}"#).is_err()); // signed \u digits
-        assert_eq!(Json::parse(r#""\u012a""#), Ok(Json::Str("\u{12a}".into())));
+    /// The envelope around `params` and `points` (JSON text).
+    fn envelope(harness: &str, params: &str, points: &str) -> String {
+        format!(
+            r#"{{"harness": "{harness}", "schema": 5,
+                "provenance": {{"hardware_threads": 2, "cpu_features": "x86_64:sse2",
+                                "kernel_dispatch": "sse2", "git_rev": "0123abcd"}},
+                "params": {params}, "points": {points}}}"#
+        )
     }
 
     #[test]
-    fn report_validator_checks_schema() {
-        assert!(validate_report(r#"{"schema": 4, "bench": "cad"}"#).is_ok());
+    fn report_validator_checks_schema_and_harness() {
+        let ok = envelope("store_bench", "{}", "[]");
+        assert_eq!(validate_report(&ok), Ok(()));
         // Missing schema: actionable message, not silent acceptance.
-        let err = validate_report(r#"{"bench": "cad"}"#).unwrap_err();
+        let err = validate_report(r#"{"harness": "bench_suite"}"#).unwrap_err();
         assert!(err.contains("no \"schema\" field"), "{err}");
-        // Wrong version names both the found and the understood schema.
-        let err = validate_report(r#"{"schema": 3, "bench": "cad"}"#).unwrap_err();
-        assert!(err.contains("unknown report schema 3"), "{err}");
-        assert!(err.contains("schema 4"), "{err}");
+        // Wrong version names both the found and the understood schema;
+        // every pre-envelope schema number is below 5.
+        for old in ["4", "3", "9"] {
+            let err = validate_report(&ok.replace("\"schema\": 5", &format!("\"schema\": {old}")))
+                .unwrap_err();
+            assert!(
+                err.contains(&format!("unknown report schema {old}")),
+                "{err}"
+            );
+            assert!(err.contains("schema 5"), "{err}");
+        }
         // Malformed JSON still fails on well-formedness first.
-        assert!(validate_report(r#"{"schema": 4"#).is_err());
+        assert!(validate_report(r#"{"schema": 5"#).is_err());
         // Non-numeric schema value reads as absent.
         let err = validate_report(r#"{"schema": "two"}"#).unwrap_err();
         assert!(err.contains("no \"schema\" field"), "{err}");
+        // Missing harness, unknown harness (the deleted concurrent_load
+        // included), and each missing envelope field are named.
+        let err = validate_report(r#"{"schema": 5, "rows": 1}"#).unwrap_err();
+        assert!(err.contains("no \"harness\" field"), "{err}");
+        let err = validate_report(&ok.replace("store_bench", "concurrent_load")).unwrap_err();
+        assert!(err.contains("unknown harness \"concurrent_load\""), "{err}");
+        for field in ["provenance", "params", "points"] {
+            let cut = Json::parse(&ok).map(|r| match r {
+                Json::Obj(fields) => {
+                    Json::Obj(fields.into_iter().filter(|(k, _)| k != field).collect())
+                }
+                other => other,
+            });
+            let err = validate_report(&cut.unwrap().to_string()).unwrap_err();
+            assert!(err.contains(&format!("no \"{field}\" field")), "{err}");
+        }
     }
 
-    #[test]
-    fn report_validator_rejects_unknown_fields() {
-        // A field schema 4 does not define fails at every level of the
-        // report — top level, workload, point, warm_cache, span node.
-        let err = validate_report(r#"{"schema": 4, "surprise": 1}"#).unwrap_err();
-        assert!(err.contains("unknown field \"surprise\" in report"), "{err}");
-        let err = validate_report(
-            r#"{"schema": 4, "workloads": [{"name": "w", "bogus": 2}]}"#,
-        )
-        .unwrap_err();
-        assert!(err.contains("\"bogus\" in workload \"w\""), "{err}");
-        let err = validate_report(
-            r#"{"schema": 4, "workloads": [{"name": "w",
-                "points": [{"threads": 1, "mean_ms": 3.0}]}]}"#,
-        )
-        .unwrap_err();
-        assert!(err.contains("\"mean_ms\" in a point"), "{err}");
-        let err = validate_report(
-            r#"{"schema": 4, "workloads": [{"name": "w",
-                "warm_cache": {"hits": 1, "evictions": 0}}]}"#,
-        )
-        .unwrap_err();
-        assert!(err.contains("\"evictions\" in warm_cache"), "{err}");
-        let err = validate_report(
-            r#"{"schema": 4, "workloads": [{"name": "w",
-                "span_breakdown": [{"name": "s", "children":
-                  [{"name": "t", "wall_ms": 1.0}]}]}]}"#,
-        )
-        .unwrap_err();
-        assert!(err.contains("\"wall_ms\" in a span node"), "{err}");
-        // Caller-defined key spaces stay open: span medians, kernel
-        // speedups, and span counters take arbitrary names.
-        assert!(validate_report(
-            r#"{"schema": 4, "workloads": [{"name": "w",
-                "span_medians_ms": {"anything_at_all": 1.0},
-                "kernel_speedups": {"cluster_partition": 1.6},
-                "span_breakdown": [{"name": "s",
-                  "counters": {"rows_scanned": 7}, "children": []}]}]}"#,
-        )
-        .is_ok());
-    }
-
-    #[test]
-    fn json_parser_round_trips_report_shapes() {
-        let v = Json::parse(r#"{"a": [1, -2.5, 3e2], "b": {"c": "x\"yA"}, "d": null}"#)
-            .unwrap();
-        let a = v.get("a").and_then(Json::as_array).unwrap();
-        assert_eq!(a.len(), 3);
-        assert_eq!(a[1].as_f64(), Some(-2.5));
-        assert_eq!(a[2].as_f64(), Some(300.0));
-        assert_eq!(
-            v.get("b").and_then(|b| b.get("c")).and_then(Json::as_str),
-            Some("x\"yA")
+    /// A bench_suite report with one workload, one pool size and one
+    /// span median.
+    fn cad_report(rows: u64, cluster_ms: f64) -> String {
+        let text = envelope(
+            "bench_suite",
+            &format!(r#"{{"quick": false, "rows": {rows}, "runs_per_point": 5}}"#),
+            &format!(
+                r#"[{{"workload": "w",
+                     "pools": [{{"threads": 1, "cold_median_ms": 10.0, "warm_median_ms": 2.0,
+                                 "cold_runs_ms": [10.0], "warm_runs_ms": [2.0],
+                                 "output_matches_sequential": true}}],
+                     "span_medians_ms": {{"cad_build": 20.0, "cluster_partition": {cluster_ms}}}}}]"#
+            ),
         );
-        assert_eq!(v.get("d"), Some(&Json::Null));
-        assert_eq!(v.get("missing"), None);
-        assert!(Json::parse(r#"{"a": 1"#).is_err());
-        assert!(Json::parse("[1] tail").is_err());
-    }
-
-    #[test]
-    fn flatten_spans_sums_by_name_over_the_tree() {
-        let tree = Json::parse(
-            r#"[{"name": "cad_build", "calls": 1, "duration_ms": 10.0, "counters": {},
-                 "children": [
-                   {"name": "cluster_partition", "calls": 5, "duration_ms": 6.0,
-                    "counters": {}, "children": []},
-                   {"name": "cluster_partition", "calls": 1, "duration_ms": 1.5,
-                    "counters": {}, "children": []}]}]"#,
-        )
-        .unwrap();
-        let flat = flatten_spans(&tree);
-        assert_eq!(flat[0], ("cad_build".to_owned(), 10.0));
-        assert_eq!(flat[1], ("cluster_partition".to_owned(), 7.5));
-    }
-
-    /// A schema-4 report with one workload, one point and one span
-    /// median.
-    fn report(rows: u64, median: f64, cluster_ms: f64) -> String {
-        let text = format!(
-            r#"{{"schema": 4, "workloads": [
-                 {{"name": "w", "rows": {rows},
-                   "points": [{{"threads": 1, "median_ms": {median},
-                     "cold_median_ms": {median}}}],
-                   "span_medians_ms": {{"cluster_partition": {cluster_ms}}}}}]}}"#
-        );
-        assert_eq!(validate_report(&text), Ok(()), "fixture must be schema 4");
+        assert_eq!(validate_report(&text), Ok(()), "fixture must validate");
         text
     }
 
     #[test]
-    fn diff_reports_flags_gate_regressions_only_when_comparable() {
+    fn report_validator_rejects_unknown_fields() {
+        // A field the harness does not define fails at every level of the
+        // report — envelope, provenance, params, point, pool, warm_cache,
+        // span node.
+        let cad = cad_report(100, 10.0);
+        for (from, to, at) in [
+            (
+                "\"params\"",
+                "\"surprise\": 1, \"params\"",
+                "unknown field \"surprise\" in report",
+            ),
+            ("\"git_rev\"", "\"host\"", "\"host\" in provenance"),
+            ("\"runs_per_point\"", "\"runs\"", "\"runs\" in params"),
+            (
+                "\"workload\"",
+                "\"bogus\": 2, \"workload\"",
+                "\"bogus\" in points[0]",
+            ),
+            (
+                "\"warm_median_ms\"",
+                "\"mean_ms\"",
+                "\"mean_ms\" in points[0].pools[0]",
+            ),
+        ] {
+            let err = validate_report(&cad.replace(from, to)).unwrap_err();
+            assert!(err.contains(at), "{at}: {err}");
+        }
+        let point = |extra: &str| {
+            envelope(
+                "bench_suite",
+                "{}",
+                &format!(r#"[{{"workload": "w", {extra}}}]"#),
+            )
+        };
+        let err =
+            validate_report(&point(r#""warm_cache": {"hits": 1, "evictions": 0}"#)).unwrap_err();
+        assert!(
+            err.contains("\"evictions\" in points[0].warm_cache"),
+            "{err}"
+        );
+        let err = validate_report(&point(
+            r#""span_breakdown": [{"name": "s", "children": [{"name": "t", "wall_ms": 1.0}]}]"#,
+        ))
+        .unwrap_err();
+        assert!(
+            err.contains("\"wall_ms\" in points[0].span_breakdown[0].children[0]"),
+            "{err}"
+        );
+        // Caller-defined key spaces stay open: span medians, kernel
+        // speedups, and span counters take arbitrary names.
+        assert_eq!(
+            validate_report(&point(
+                r#""span_medians_ms": {"anything_at_all": 1.0},
+                   "kernel_speedups": {"cluster_partition": 1.6},
+                   "span_breakdown": [{"name": "s", "counters": {"rows_scanned": 7},
+                                       "children": []}]"#,
+            )),
+            Ok(())
+        );
+        // The store report's params and point are closed too.
+        let store = envelope(
+            "store_bench",
+            r#"{"quick": true, "runs": 1}"#,
+            r#"[{"rows": 10, "save_ms": 1.0, "save_reuse_ms": 1.0, "open_ms": 1.0,
+                 "snapshot_bytes": 10, "cold_build_ms": 1.0, "warm_first_build_ms": 1.0,
+                 "rehydrated_solutions": 1, "partitions_reused": 1}]"#,
+        );
+        assert_eq!(validate_report(&store), Ok(()));
+        let err = validate_report(&store.replace("\"runs\"", "\"iters\"")).unwrap_err();
+        assert!(err.contains("\"iters\" in params"), "{err}");
+        let err = validate_report(&store.replace("\"open_ms\"", "\"opened_ms\"")).unwrap_err();
+        assert!(err.contains("\"opened_ms\" in points[0]"), "{err}");
+    }
+
+    #[test]
+    fn span_totals_sum_by_name_over_the_tree() {
+        let node = |name: &str, duration_ns: u64, children: Vec<SpanNode>| SpanNode {
+            name: name.to_owned(),
+            calls: 1,
+            duration_ns,
+            counters: Default::default(),
+            children,
+        };
+        let trace = Trace {
+            roots: vec![node(
+                "cad_build",
+                10_000_000,
+                vec![
+                    node("cluster_partition", 6_000_000, Vec::new()),
+                    node(
+                        "topk",
+                        500_000,
+                        vec![node("cluster_partition", 1_500_000, Vec::new())],
+                    ),
+                ],
+            )],
+            forced_closures: 0,
+        };
+        let totals = span_totals_ms(&trace);
+        assert_eq!(totals[0], ("cad_build".to_owned(), 10.0));
+        assert_eq!(totals[1], ("cluster_partition".to_owned(), 7.5));
+        assert_eq!(totals[2], ("topk".to_owned(), 0.5));
+    }
+
+    #[test]
+    fn cad_diff_gates_cluster_partition_only_when_comparable() {
         // 10% slower cluster_partition: reported, below the 25% gate.
-        let diff = diff_reports(&report(100, 11.0, 11.0), &report(100, 10.0, 10.0), 0.25).unwrap();
+        let diff = diff_reports(&cad_report(100, 11.0), &cad_report(100, 10.0)).unwrap();
         assert!(!diff.gate_failed, "{:?}", diff.lines);
         assert!(diff.lines.iter().any(|l| l.contains("+10.0% regression")));
 
         // 50% slower: gate fails.
-        let diff = diff_reports(&report(100, 15.0, 15.0), &report(100, 10.0, 10.0), 0.25).unwrap();
+        let diff = diff_reports(&cad_report(100, 15.0), &cad_report(100, 10.0)).unwrap();
         assert!(diff.gate_failed, "{:?}", diff.lines);
         assert!(diff.lines.iter().any(|l| l.contains("GATE FAILED")));
 
         // Faster: speedup reported, no gate.
-        let diff = diff_reports(&report(100, 5.0, 4.0), &report(100, 10.0, 10.0), 0.25).unwrap();
+        let diff = diff_reports(&cad_report(100, 4.0), &cad_report(100, 10.0)).unwrap();
         assert!(!diff.gate_failed);
         assert!(diff.lines.iter().any(|l| l.contains("2.50x speedup")));
 
         // Row-count mismatch (e.g. --quick vs full baseline): skipped,
         // never trips the gate even with a huge regression.
-        let diff = diff_reports(&report(5, 99.0, 99.0), &report(100, 10.0, 10.0), 0.25).unwrap();
+        let diff = diff_reports(&cad_report(5, 99.0), &cad_report(100, 10.0)).unwrap();
         assert!(!diff.gate_failed);
-        assert!(diff.lines.iter().any(|l| l.contains("not comparable")));
+        assert!(
+            diff.lines.iter().any(|l| l.contains("not comparable")),
+            "{:?}",
+            diff.lines
+        );
 
-        // Pre-versioning and older-schema baselines are rejected outright.
-        assert!(diff_reports(&report(100, 1.0, 1.0), r#"{"workloads": []}"#, 0.25).is_err());
-        let schema_3 = report(100, 1.0, 1.0).replace("\"schema\": 4", "\"schema\": 3");
-        let err = diff_reports(&report(100, 1.0, 1.0), &schema_3, 0.25).err();
-        assert_eq!(err.as_deref(), Some("baseline schema 3 not understood (want 4)"));
-    }
-
-    #[test]
-    fn sibling_validators_check_schema_and_harness() {
-        // The committed reports must validate (guards against the
-        // whitelists drifting from what the harnesses actually write).
-        let serve = r#"{"schema": 2, "harness": "concurrent_load", "quick": false,
-            "rows": 100, "rounds": 2, "requests_per_round": 4, "workers": 1,
-            "points": [{"clients": 1, "requests": 8, "errors": 0, "p50_ms": 0.1,
-                        "p99_ms": 0.2, "max_ms": 0.3, "busy_rejections": 0,
-                        "cache_hits": 5, "cache_misses": 1}]}"#;
-        assert!(validate_serve_report(serve).is_ok());
-        let store = r#"{"schema": 1, "harness": "store_bench", "quick": true,
-            "rows": 10, "runs": 1, "save_ms": 1.0, "save_reuse_ms": 1.0,
-            "open_ms": 1.0, "snapshot_bytes": 10, "cold_build_ms": 1.0,
-            "warm_first_build_ms": 1.0, "rehydrated_solutions": 1,
-            "partitions_reused": 1}"#;
-        assert!(validate_store_report(store).is_ok());
-
-        // Wrong harness tag, missing harness, wrong schema — each named
-        // in the message.
-        let err = validate_serve_report(&serve.replace("concurrent_load", "store_bench"))
-            .unwrap_err();
-        assert!(err.contains("harness \"store_bench\""), "{err}");
-        let err = validate_store_report(r#"{"schema": 1, "rows": 1}"#).unwrap_err();
-        assert!(err.contains("no \"harness\" field"), "{err}");
-        let err = validate_serve_report(r#"{"schema": 9, "harness": "concurrent_load"}"#)
-            .unwrap_err();
-        assert!(err.contains("unknown report schema 9"), "{err}");
-
-        // Unknown fields rejected at both levels.
-        let err = validate_serve_report(&serve.replace("\"rows\"", "\"row_count\""))
-            .unwrap_err();
-        assert!(err.contains("\"row_count\""), "{err}");
-        let err = validate_serve_report(&serve.replace("\"errors\"", "\"failures\""))
-            .unwrap_err();
-        assert!(err.contains("\"failures\" in a serve report point"), "{err}");
-        let err = validate_store_report(&store.replace("\"runs\"", "\"iters\"")).unwrap_err();
-        assert!(err.contains("\"iters\""), "{err}");
+        // Pre-envelope and other-schema baselines are rejected outright,
+        // and so is a baseline from another harness.
+        let base = cad_report(100, 1.0);
+        assert!(diff_reports(&base, r#"{"workloads": []}"#).is_err());
+        let schema_4 = base.replace("\"schema\": 5", "\"schema\": 4");
+        let err = diff_reports(&base, &schema_4).err().unwrap_or_default();
+        assert!(
+            err.starts_with("baseline report: unknown report schema 4"),
+            "{err}"
+        );
+        let err = diff_reports(&base, &envelope("store_bench", "{}", "[]")).err();
+        assert_eq!(
+            err.as_deref(),
+            Some("baseline is a store_bench report, the current one a bench_suite report")
+        );
     }
 
     #[test]
     fn committed_reports_validate_and_pass_their_own_gates() {
         let read = |file: &str| {
-            let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(file);
+            let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+                .join("../..")
+                .join(file);
             std::fs::read_to_string(&path)
                 .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
         };
         let (cad, explore) = (read("BENCH_cad.json"), read("BENCH_explore.json"));
         assert_eq!(validate_report(&cad), Ok(()), "BENCH_cad.json");
-        assert_eq!(validate_serve_report(&read("BENCH_serve.json")), Ok(()), "BENCH_serve.json");
-        assert_eq!(validate_store_report(&read("BENCH_store.json")), Ok(()), "BENCH_store.json");
-        assert_eq!(validate_explore_report(&explore), Ok(()), "BENCH_explore.json");
+        assert_eq!(
+            validate_report(&read("BENCH_store.json")),
+            Ok(()),
+            "BENCH_store.json"
+        );
+        assert_eq!(validate_report(&explore), Ok(()), "BENCH_explore.json");
         // Diffed against itself, each baseline compares every point and
         // fails no gate.
-        for (file, diff) in [
-            ("BENCH_cad.json", diff_reports(&cad, &cad, 0.25)),
-            ("BENCH_explore.json", diff_explore_reports(&explore, &explore, 0.25)),
-        ] {
-            let diff = diff.unwrap_or_else(|e| panic!("{file}: {e}"));
+        for (file, text) in [("BENCH_cad.json", &cad), ("BENCH_explore.json", &explore)] {
+            let diff = diff_reports(text, text).unwrap_or_else(|e| panic!("{file}: {e}"));
             assert!(!diff.lines.is_empty(), "{file}: nothing compared");
             for line in &diff.lines {
                 assert!(line.contains(" vs "), "{file}: {line}");
@@ -1280,11 +969,13 @@ mod tests {
     }
 
     fn explore_report(sessions: u64, ttfr_p50: f64, p99: f64) -> String {
-        format!(
-            r#"{{"schema": 3, "harness": "bench_explore", "quick": false, "seed": 42,
-                "rows": 1000, "ops_per_session": 8, "think_min_ms": 0, "think_max_ms": 2,
-                "abandon_rate": 0.05, "reconnect_rate": 0.5, "streamed": true,
-                "points": [{{"sessions": {sessions}, "completed": {sessions},
+        envelope(
+            "bench_explore",
+            r#"{"quick": false, "seed": 42, "rows": 1000, "ops_per_session": 8,
+                "think_min_ms": 0, "think_max_ms": 2, "abandon_rate": 0.05,
+                "reconnect_rate": 0.5, "repeats": 3, "streamed": true, "workers": 2}"#,
+            &format!(
+                r#"[{{"sessions": {sessions}, "completed": {sessions},
                   "abandoned": 1, "reconnects": 1, "requests": 64, "errors": 0,
                   "busy_rejections": 2, "previewed_ops": 4,
                   "ttfr_p50_ms": {ttfr_p50}, "ttfr_p99_ms": 9.0,
@@ -1295,105 +986,108 @@ mod tests {
                           "suggest": {{"count": 12, "p50_ms": 1.5, "p99_ms": 3.5, "max_ms": 4.5}}}},
                   "cache_trajectory": [
                     {{"at_ms": 0.0, "hits": 0, "misses": 0, "evictions": 0, "hit_rate": 0.0}},
-                    {{"at_ms": 50.0, "hits": 40, "misses": 10, "evictions": 0, "hit_rate": 0.8}}]}}]}}"#
+                    {{"at_ms": 50.0, "hits": 40, "misses": 10, "evictions": 0, "hit_rate": 0.8}}]}}]"#
+            ),
         )
     }
 
     #[test]
     fn explore_validator_walks_every_level() {
-        assert!(validate_explore_report(&explore_report(8, 2.0, 10.0)).is_ok());
-        let err = validate_explore_report(
-            &explore_report(8, 2.0, 10.0).replace("\"abandon_rate\"", "\"abandonment\""),
-        )
-        .unwrap_err();
-        assert!(err.contains("\"abandonment\""), "{err}");
-        let err = validate_explore_report(
-            &explore_report(8, 2.0, 10.0).replace("\"ttfr_p50_ms\"", "\"ttfr_median_ms\""),
-        )
-        .unwrap_err();
-        assert!(err.contains("\"ttfr_median_ms\" in the 8-session point"), "{err}");
-        // Unknown op kind and unknown op field both rejected.
-        let err = validate_explore_report(
-            &explore_report(8, 2.0, 10.0).replace("\"drill\"", "\"scan\""),
-        )
-        .unwrap_err();
-        assert!(err.contains("unknown op kind \"scan\""), "{err}");
-        let err = validate_explore_report(
-            &explore_report(8, 2.0, 10.0).replace("\"count\": 16", "\"n\": 16"),
-        )
-        .unwrap_err();
-        assert!(err.contains("\"n\" in op \"drill\""), "{err}");
-        // Trajectory samples are whitelisted too.
-        let err = validate_explore_report(
-            &explore_report(8, 2.0, 10.0).replace("\"hit_rate\": 0.8", "\"ratio\": 0.8"),
-        )
-        .unwrap_err();
-        assert!(err.contains("\"ratio\" in a cache_trajectory sample"), "{err}");
+        let base = explore_report(8, 2.0, 10.0);
+        assert_eq!(validate_report(&base), Ok(()));
+        for (from, to, at) in [
+            (
+                "\"abandon_rate\"",
+                "\"abandonment\"",
+                "\"abandonment\" in params",
+            ),
+            (
+                "\"ttfr_p50_ms\"",
+                "\"ttfr_median_ms\"",
+                "\"ttfr_median_ms\" in points[0]",
+            ),
+            // Unknown op kind and unknown op field both rejected.
+            ("\"drill\"", "\"scan\"", "\"scan\" in points[0].ops"),
+            ("\"count\": 16", "\"n\": 16", "\"n\" in points[0].ops.drill"),
+            // Trajectory samples are whitelisted too.
+            (
+                "\"hit_rate\": 0.8",
+                "\"ratio\": 0.8",
+                "\"ratio\" in points[0].cache_trajectory[1]",
+            ),
+        ] {
+            let err = validate_report(&base.replace(from, to)).unwrap_err();
+            assert!(err.contains(at), "{at}: {err}");
+        }
     }
 
     #[test]
     fn explore_diff_gates_on_ttfr_and_p99() {
         // Mild regression: reported, below gate.
-        let diff = diff_explore_reports(
-            &explore_report(8, 2.2, 11.0),
-            &explore_report(8, 2.0, 10.0),
-            0.25,
-        )
-        .unwrap();
+        let diff =
+            diff_reports(&explore_report(8, 2.2, 11.0), &explore_report(8, 2.0, 10.0)).unwrap();
         assert!(!diff.gate_failed, "{:?}", diff.lines);
         assert!(diff.lines.iter().any(|l| l.contains("+10.0% regression")));
 
         // TTFR p50 regresses past the gate even though p99 is fine.
-        let diff = diff_explore_reports(
+        let diff = diff_reports(
             &explore_report(8, 30.0, 100.0),
             &explore_report(8, 20.0, 100.0),
-            0.25,
         )
         .unwrap();
         assert!(diff.gate_failed, "{:?}", diff.lines);
-        assert!(diff.lines.iter().any(|l| l.contains("GATE FAILED")));
+        assert!(diff
+            .lines
+            .iter()
+            .any(|l| l.contains("ttfr_p50_ms") && l.contains("GATE FAILED")));
 
         // p99 regresses past the gate independently.
-        let diff = diff_explore_reports(
+        let diff = diff_reports(
             &explore_report(8, 20.0, 200.0),
             &explore_report(8, 20.0, 100.0),
-            0.25,
         )
         .unwrap();
         assert!(diff.gate_failed, "{:?}", diff.lines);
+        assert!(diff
+            .lines
+            .iter()
+            .any(|l| l.contains("p99_ms") && l.contains("GATE FAILED")));
 
         // A big *relative* jump under the absolute noise floor is jitter
         // on a milliseconds-scale metric, not a regression.
-        let diff = diff_explore_reports(
-            &explore_report(8, 3.0, 4.4),
-            &explore_report(8, 2.0, 3.1),
-            0.25,
-        )
-        .unwrap();
+        let diff =
+            diff_reports(&explore_report(8, 3.0, 4.4), &explore_report(8, 2.0, 3.1)).unwrap();
         assert!(!diff.gate_failed, "{:?}", diff.lines);
 
         // A point missing from the baseline is skipped, not gated.
-        let diff = diff_explore_reports(
+        let diff = diff_reports(
             &explore_report(16, 99.0, 99.0),
             &explore_report(8, 2.0, 10.0),
-            0.25,
         )
         .unwrap();
         assert!(!diff.gate_failed);
         assert!(diff.lines.iter().any(|l| l.contains("not in baseline")));
 
-        // Workload mismatch (different rows) disables the gate entirely.
-        let other = explore_report(8, 99.0, 99.0).replace("\"rows\": 1000", "\"rows\": 9");
-        let diff =
-            diff_explore_reports(&other, &explore_report(8, 2.0, 10.0), 0.25).unwrap();
-        assert!(!diff.gate_failed);
-        assert!(diff.lines.iter().any(|l| l.contains("workload mismatch")), "{:?}", diff.lines);
+        // A workload mismatch (different rows, or another worker count)
+        // disables the gate entirely.
+        for (from, to) in [
+            ("\"rows\": 1000", "\"rows\": 9"),
+            ("\"workers\": 2", "\"workers\": 1"),
+        ] {
+            let other = explore_report(8, 99.0, 99.0).replace(from, to);
+            let diff = diff_reports(&other, &explore_report(8, 2.0, 10.0)).unwrap();
+            assert!(!diff.gate_failed);
+            assert!(
+                diff.lines.iter().any(|l| l.contains("params differ")),
+                "{:?}",
+                diff.lines
+            );
+        }
 
-        // Baseline from another schema (pre-streaming) is rejected.
-        assert!(diff_explore_reports(
+        // A baseline from another schema (pre-envelope) is rejected.
+        assert!(diff_reports(
             &explore_report(8, 1.0, 1.0),
-            r#"{"schema": 1, "points": []}"#,
-            0.25
+            r#"{"schema": 3, "points": []}"#
         )
         .is_err());
     }
@@ -1404,18 +1098,22 @@ mod tests {
         let with_suggest = |p50: &str| base.replace("\"p50_ms\": 1.5", p50);
 
         // Mild suggest drift: reported, below gate.
-        let diff =
-            diff_explore_reports(&with_suggest("\"p50_ms\": 1.6"), &base, 0.25).unwrap();
+        let diff = diff_reports(&with_suggest("\"p50_ms\": 1.6"), &base).unwrap();
         assert!(!diff.gate_failed, "{:?}", diff.lines);
-        assert!(diff.lines.iter().any(|l| l.contains("suggest p50")), "{:?}", diff.lines);
+        assert!(
+            diff.lines.iter().any(|l| l.contains("ops.suggest.p50_ms")),
+            "{:?}",
+            diff.lines
+        );
 
         // Suggest p50 regresses past the relative gate (still under the
         // absolute bound).
-        let diff =
-            diff_explore_reports(&with_suggest("\"p50_ms\": 9.0"), &base, 0.25).unwrap();
+        let diff = diff_reports(&with_suggest("\"p50_ms\": 9.0"), &base).unwrap();
         assert!(diff.gate_failed, "{:?}", diff.lines);
         assert!(
-            diff.lines.iter().any(|l| l.contains("suggest p50") && l.contains("GATE FAILED")),
+            diff.lines
+                .iter()
+                .any(|l| l.contains("ops.suggest.p50_ms") && l.contains("regression]")),
             "{:?}",
             diff.lines
         );
@@ -1423,29 +1121,63 @@ mod tests {
         // Above the absolute interactivity bound the gate fails even
         // when the baseline is equally slow — no grandfathering.
         let slow = with_suggest("\"p50_ms\": 12.0");
-        let diff = diff_explore_reports(&slow, &slow, 0.25).unwrap();
+        let diff = diff_reports(&slow, &slow).unwrap();
         assert!(diff.gate_failed, "{:?}", diff.lines);
         assert!(
-            diff.lines.iter().any(|l| l.contains("interactivity bound")),
+            diff.lines
+                .iter()
+                .any(|l| l.contains("above the 10 ms bound")),
             "{:?}",
             diff.lines
         );
 
-        // A baseline without a suggest section (fresh family) is
-        // reported but never trips the relative gate.
+        // A baseline without a suggest section is reported but never
+        // trips the relative gate.
         let no_suggest = base.replace(
             r#",
                           "suggest": {"count": 12, "p50_ms": 1.5, "p99_ms": 3.5, "max_ms": 4.5}"#,
             "",
         );
-        assert!(validate_explore_report(&no_suggest).is_ok(), "fixture surgery broke JSON");
-        let diff = diff_explore_reports(&base, &no_suggest, 0.25).unwrap();
+        assert_eq!(
+            validate_report(&no_suggest),
+            Ok(()),
+            "fixture surgery broke JSON"
+        );
+        assert_ne!(no_suggest, base);
+        let diff = diff_reports(&base, &no_suggest).unwrap();
         assert!(!diff.gate_failed, "{:?}", diff.lines);
         assert!(
-            diff.lines.iter().any(|l| l.contains("no suggest section in baseline")),
+            diff.lines.iter().any(|l| l.contains("(not in baseline)")),
             "{:?}",
             diff.lines
         );
+    }
+
+    #[test]
+    fn written_reports_validate_and_parse_back() {
+        let report = report(
+            "store_bench",
+            Json::obj([("quick", true.into()), ("runs", 1usize.into())]),
+            vec![Json::obj([
+                ("rows", 10usize.into()),
+                ("open_ms", rounded(1.23456)),
+            ])],
+        );
+        let path =
+            std::env::temp_dir().join(format!("dbex-bench-report-{}.json", std::process::id()));
+        let path = path.to_str().expect("UTF-8 temp path");
+        let text = write_report(path, &report).unwrap();
+        assert_eq!(std::fs::read_to_string(path).unwrap(), text);
+        let _ = std::fs::remove_file(path);
+        let parsed = Json::parse(&text).unwrap();
+        assert_eq!(parsed, report);
+        assert_eq!(points(&parsed)[0].get("open_ms"), Some(&Json::Num(1.235)));
+        // A report that fails its own table is not written.
+        let bad = Json::parse(&report.to_string().replace("\"runs\"", "\"iters\"")).unwrap();
+        assert!(write_report(path, &bad)
+            .unwrap_err()
+            .contains("\"iters\" in params"));
+        assert!(!std::path::Path::new(path).exists());
     }
 
     #[test]

@@ -769,20 +769,23 @@ fn start_build(
     let candidates_scored = candidates.len();
     // Deadline already blown before stage 1 (e.g. a tiny budget): clamp
     // feature selection to a small sample instead of scanning everything.
+    // A result no larger than the sample is scored whole, so it records
+    // nothing.
+    const FS_DEGRADED_CAP: usize = 1_000;
     let mut fs_sample = request.config.fs_sample;
-    if gauge.time_exhausted() {
-        const FS_DEGRADED_CAP: usize = 1_000;
-        if fs_sample.is_none_or(|s| s > FS_DEGRADED_CAP) {
-            fs_sample = Some(FS_DEGRADED_CAP);
-            degradation.push(Degradation {
-                kind: DegradationKind::SampledFeatureSelection,
-                pivot_value: None,
-                reason: format!(
-                    "time budget exhausted after {:?}; scoring attributes on a {FS_DEGRADED_CAP}-row sample",
-                    gauge.elapsed()
-                ),
-            });
-        }
+    if gauge.time_exhausted()
+        && result.len() > FS_DEGRADED_CAP
+        && fs_sample.is_none_or(|s| s > FS_DEGRADED_CAP)
+    {
+        fs_sample = Some(FS_DEGRADED_CAP);
+        degradation.push(Degradation {
+            kind: DegradationKind::SampledFeatureSelection,
+            pivot_value: None,
+            reason: format!(
+                "time budget exhausted after {:?}; scoring attributes on a {FS_DEGRADED_CAP}-row sample",
+                gauge.elapsed()
+            ),
+        });
     }
     let fs_config = FeatureSelectionConfig {
         max_attrs: request.max_compare_attrs,
@@ -1905,6 +1908,22 @@ mod tests {
         for reason in reasons {
             assert!(reason.ends_with("clustering a 100-row sample"), "{reason}");
         }
+    }
+
+    #[test]
+    fn sampled_feature_selection_is_recorded_only_when_rows_are_left_out() {
+        let recorded = |rows: usize| {
+            let t = dbex_data::UsedCarsGenerator::new(5).generate(rows);
+            let cad = build_cad_view(&t.full_view(), &late_request(CadConfig::default())).unwrap();
+            assert!(cad.is_degraded(), "a zero deadline still ranks greedily");
+            cad.degradation
+                .iter()
+                .any(|d| d.kind == DegradationKind::SampledFeatureSelection)
+        };
+        // At or under the 1,000-row sample every row is scored.
+        assert!(!recorded(500));
+        assert!(!recorded(1_000));
+        assert!(recorded(1_001));
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! `dbex-obs` — first-party, zero-dependency observability.
 //!
-//! Three pieces:
+//! Four pieces:
 //!
+//! * [`json`] — the one JSON codec ([`Json`], its parser and writer, and
+//!   the string escaper) that the wire protocol, traces and bench
+//!   reports share.
 //! * [`span`] — hierarchical trace spans ([`Tracer`] / [`Span`] /
 //!   [`Trace`]) with monotonic timing and attached counters. Same-named
 //!   sibling spans merge at assembly, so per-worker spans from the
@@ -23,10 +26,12 @@
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
+pub mod json;
 pub mod metrics;
 pub mod sink;
 pub mod span;
 
+pub use json::Json;
 pub use metrics::{
     global, Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry,
 };

@@ -10,6 +10,7 @@
 //! The disabled tracer is a `None` — every operation is an `Option`
 //! check, so instrumented code pays nothing when tracing is off.
 
+use crate::json::Json;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
@@ -352,40 +353,33 @@ impl Trace {
         out
     }
 
-    /// The tree as a JSON array of root objects (durations in ms).
-    pub fn to_json(&self) -> String {
-        fn node_json(node: &SpanNode, out: &mut String) {
-            let _ = write!(
-                out,
-                "{{\"name\": \"{}\", \"calls\": {}, \"duration_ms\": {:.3}, \"counters\": {{",
-                node.name,
-                node.calls,
-                node.duration_ns as f64 / 1e6
-            );
-            for (i, (key, value)) in node.counters.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "\"{key}\": {value}");
-            }
-            out.push_str("}, \"children\": [");
-            for (i, child) in node.children.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                node_json(child, out);
-            }
-            out.push_str("]}");
+    /// The tree as a JSON array of root objects, durations in ms rounded
+    /// to the microsecond.
+    pub fn to_json(&self) -> Json {
+        fn node_json(node: &SpanNode) -> Json {
+            Json::obj([
+                ("name", node.name.as_str().into()),
+                ("calls", node.calls.into()),
+                (
+                    "duration_ms",
+                    ((node.duration_ns as f64 / 1e3).round() / 1e3).into(),
+                ),
+                (
+                    "counters",
+                    Json::Obj(
+                        node.counters
+                            .iter()
+                            .map(|(k, v)| (k.clone(), (*v).into()))
+                            .collect(),
+                    ),
+                ),
+                (
+                    "children",
+                    Json::Arr(node.children.iter().map(node_json).collect()),
+                ),
+            ])
         }
-        let mut out = String::from("[");
-        for (i, root) in self.roots.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            node_json(root, &mut out);
-        }
-        out.push(']');
-        out
+        Json::Arr(self.roots.iter().map(node_json).collect())
     }
 }
 
@@ -515,8 +509,41 @@ mod tests {
         let text = trace.render();
         assert!(text.contains("cad_build"));
         assert!(text.contains("candidates=12"));
+        let json = trace.to_json().to_string();
+        assert!(json.contains("\"name\":\"topk\""));
+        assert!(json.contains("\"candidates\":12"));
+    }
+
+    #[test]
+    fn json_escapes_names_and_round_trips() {
+        let tracer = Tracer::enabled();
+        {
+            let root = tracer.root("odd \"name\" \\ here");
+            root.add("key \"q\" \\", 7);
+            root.child("plain");
+        }
+        let trace = tracer.finish().expect("enabled");
         let json = trace.to_json();
-        assert!(json.contains("\"name\": \"topk\""));
-        assert!(json.contains("\"candidates\": 12"));
+        let text = json.to_string();
+        assert_eq!(Json::parse(&text), Ok(json.clone()));
+        let root = &json.as_array().expect("array of roots")[0];
+        assert_eq!(
+            root.get("name").and_then(Json::as_str),
+            Some("odd \"name\" \\ here")
+        );
+        assert_eq!(
+            root.get("counters")
+                .and_then(|c| c.get("key \"q\" \\"))
+                .and_then(Json::as_f64),
+            Some(7.0)
+        );
+        let children = root
+            .get("children")
+            .and_then(Json::as_array)
+            .expect("children");
+        assert_eq!(
+            children[0].get("name").and_then(Json::as_str),
+            Some("plain")
+        );
     }
 }

@@ -10,14 +10,14 @@
 //! {"ok":false,"code":"BUSY","error":"server at capacity (8 connections)"}
 //! ```
 //!
-//! Everything is hand-rolled (zero-dependency contract): [`json_escape`]
-//! on the way out, and a small recursive-descent scanner on the way in
-//! that accepts exactly the flat string/bool/number objects this module
-//! emits. Responses are produced and parsed through the same two types,
-//! so the round-trip is property-testable.
+//! Lines are written field by field in a fixed order, escaped through
+//! [`dbex_obs::json::escape_into`], and parsed with [`Json::parse`] plus
+//! one rule of their own: the object is flat, so a field holding a
+//! container is malformed. Responses are produced and parsed through the
+//! same type, so the round-trip is property-testable.
 
+use dbex_obs::json::{escape_into, Json};
 use dbex_query::QueryError;
-use std::collections::BTreeMap;
 
 /// Stable wire code for each [`QueryError`] variant.
 pub fn query_error_code(e: &QueryError) -> &'static str {
@@ -98,16 +98,17 @@ impl WireResponse {
     /// testable: a final frame with the `seq`/`final` tags removed is
     /// byte-identical to the classic single-frame line.
     pub fn to_line(&self) -> String {
-        let mut out = String::from("{\"ok\":");
+        let mut out = String::with_capacity(self.text.len() + 64);
+        out.push_str("{\"ok\":");
         out.push_str(if self.ok { "true" } else { "false" });
         if let Some(kind) = &self.kind {
             out.push_str(",\"kind\":\"");
-            out.push_str(&json_escape(kind));
+            escape_into(&mut out, kind);
             out.push('"');
         }
         if let Some(code) = &self.code {
             out.push_str(",\"code\":\"");
-            out.push_str(&json_escape(code));
+            escape_into(&mut out, code);
             out.push('"');
         }
         if let Some(seq) = self.seq {
@@ -119,7 +120,7 @@ impl WireResponse {
             out.push_str(if fin { "true" } else { "false" });
         }
         out.push_str(if self.ok { ",\"text\":\"" } else { ",\"error\":\"" });
-        out.push_str(&json_escape(&self.text));
+        escape_into(&mut out, &self.text);
         out.push_str("\"}");
         out
     }
@@ -128,31 +129,37 @@ impl WireResponse {
     /// JSON object with an `ok` bool) but tolerant of extra fields, so the
     /// format can grow without breaking old clients.
     pub fn parse(line: &str) -> Result<WireResponse, WireParseError> {
-        let mut fields = parse_flat_object(line)?;
-        let ok = match fields.get("ok") {
-            Some(JsonScalar::Bool(b)) => *b,
-            _ => return Err(WireParseError::new("missing or non-bool \"ok\" field")),
+        let Json::Obj(fields) = Json::parse(line).map_err(WireParseError::new)? else {
+            return Err(WireParseError::new("not a JSON object"));
         };
-        let seq = match fields.get("seq") {
-            Some(JsonScalar::Num(n)) if *n >= 0.0 => Some(*n as u64),
-            _ => None,
-        };
-        let fin = match fields.get("final") {
-            Some(JsonScalar::Bool(b)) => Some(*b),
-            _ => None,
-        };
-        // Strings move out of the map: the payload is not copied again.
-        let mut take_str = |name: &str| match fields.remove(name) {
-            Some(JsonScalar::Str(s)) => Some(s),
-            _ => None,
-        };
+        let (mut ok, mut kind, mut code, mut seq, mut fin, mut text, mut error) =
+            (None, None, None, None, None, None, None);
+        // Strings move out of the parsed fields: the payload is not
+        // copied again.
+        for (key, value) in fields {
+            match (key.as_str(), value) {
+                (_, Json::Arr(_) | Json::Obj(_)) => {
+                    return Err(WireParseError::new(format!(
+                        "field \"{key}\" holds a container; response lines are flat"
+                    )))
+                }
+                ("ok", Json::Bool(b)) => ok = Some(b),
+                ("kind", Json::Str(s)) => kind = Some(s),
+                ("code", Json::Str(s)) => code = Some(s),
+                ("seq", Json::Num(n)) if n >= 0.0 => seq = Some(n as u64),
+                ("final", Json::Bool(b)) => fin = Some(b),
+                ("text", Json::Str(s)) => text = Some(s),
+                ("error", Json::Str(s)) => error = Some(s),
+                _ => {}
+            }
+        }
         Ok(WireResponse {
-            ok,
-            kind: take_str("kind"),
-            code: take_str("code"),
+            ok: ok.ok_or_else(|| WireParseError::new("missing or non-bool \"ok\" field"))?,
+            kind,
+            code,
             seq,
             fin,
-            text: take_str("text").or_else(|| take_str("error")).unwrap_or_default(),
+            text: text.or(error).unwrap_or_default(),
         })
     }
 }
@@ -218,205 +225,6 @@ impl std::fmt::Display for WireParseError {
 }
 
 impl std::error::Error for WireParseError {}
-
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Scalar values the flat-object scanner accepts.
-#[derive(Debug, Clone, PartialEq)]
-enum JsonScalar {
-    Str(String),
-    Bool(bool),
-    Num(f64),
-    Null,
-}
-
-/// Parses `{"k":scalar,...}` — the exact shape this module emits. Nested
-/// containers are rejected (the wire format is deliberately flat).
-fn parse_flat_object(line: &str) -> Result<BTreeMap<String, JsonScalar>, WireParseError> {
-    let mut scanner = Scanner {
-        bytes: line.as_bytes(),
-        pos: 0,
-    };
-    let fields = scanner.object()?;
-    scanner.skip_ws();
-    if scanner.pos != scanner.bytes.len() {
-        return Err(WireParseError::new("trailing bytes after object"));
-    }
-    Ok(fields)
-}
-
-struct Scanner<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Scanner<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, expected: u8) -> Result<(), WireParseError> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&expected) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(WireParseError::new(format!(
-                "expected {:?} at byte {}",
-                expected as char, self.pos
-            )))
-        }
-    }
-
-    fn object(&mut self) -> Result<BTreeMap<String, JsonScalar>, WireParseError> {
-        self.eat(b'{')?;
-        let mut fields = BTreeMap::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(fields);
-        }
-        loop {
-            let key = self.string()?;
-            self.eat(b':')?;
-            let value = self.scalar()?;
-            fields.insert(key, value);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(fields);
-                }
-                _ => return Err(WireParseError::new("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn scalar(&mut self) -> Result<JsonScalar, WireParseError> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(b'"') => Ok(JsonScalar::Str(self.string()?)),
-            Some(b't') if self.bytes[self.pos..].starts_with(b"true") => {
-                self.pos += 4;
-                Ok(JsonScalar::Bool(true))
-            }
-            Some(b'f') if self.bytes[self.pos..].starts_with(b"false") => {
-                self.pos += 5;
-                Ok(JsonScalar::Bool(false))
-            }
-            Some(b'n') if self.bytes[self.pos..].starts_with(b"null") => {
-                self.pos += 4;
-                Ok(JsonScalar::Null)
-            }
-            Some(b) if b.is_ascii_digit() || *b == b'-' => {
-                let start = self.pos;
-                while self.bytes.get(self.pos).is_some_and(|b| {
-                    b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E')
-                }) {
-                    self.pos += 1;
-                }
-                let text = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| WireParseError::new("non-UTF-8 number"))?;
-                text.parse()
-                    .map(JsonScalar::Num)
-                    .map_err(|_| WireParseError::new(format!("bad number {text:?}")))
-            }
-            _ => Err(WireParseError::new(format!(
-                "expected scalar at byte {}",
-                self.pos
-            ))),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, WireParseError> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err(WireParseError::new("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| WireParseError::new("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| WireParseError::new("non-UTF-8 \\u escape"))?;
-                            // Exactly four hex digits: `from_str_radix`
-                            // alone would also take a leading `+`.
-                            let cp = u32::from_str_radix(hex, 16)
-                                .ok()
-                                .filter(|_| hex.bytes().all(|b| b.is_ascii_hexdigit()))
-                                .ok_or_else(|| WireParseError::new("bad \\u escape"))?;
-                            // Surrogates never appear in our output (we
-                            // only \u-escape control characters), so a
-                            // lone surrogate is malformed input.
-                            out.push(char::from_u32(cp).ok_or_else(|| {
-                                WireParseError::new("\\u escape is not a scalar value")
-                            })?);
-                            self.pos += 4;
-                        }
-                        _ => return Err(WireParseError::new("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy the whole run up to the next delimiter. Both
-                    // delimiters are ASCII and the line is a &str, so the
-                    // run ends on a char boundary and each byte is
-                    // checked once.
-                    let rest = &self.bytes[self.pos..];
-                    let run = rest
-                        .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
-                        .ok_or_else(|| WireParseError::new("unterminated string"))?;
-                    let s = std::str::from_utf8(&rest[..run])
-                        .map_err(|_| WireParseError::new("non-UTF-8 string body"))?;
-                    out.push_str(s);
-                    self.pos += run;
-                }
-            }
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -491,6 +299,14 @@ mod tests {
             elapsed < std::time::Duration::from_secs(2),
             "1 MiB round trip took {elapsed:?}"
         );
+    }
+
+    #[test]
+    fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+        let line = "[".repeat(100_000);
+        assert!(WireResponse::parse(&line).is_err());
+        let nested = format!("{{\"ok\":true,\"text\":{line}");
+        assert!(WireResponse::parse(&nested).is_err());
     }
 
     #[test]

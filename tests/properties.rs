@@ -722,6 +722,33 @@ proptest! {
         let parsed = WireResponse::parse(&line).unwrap();
         prop_assert_eq!(parsed, resp);
     }
+
+    #[test]
+    fn the_shared_escaper_matches_the_wire_escaper_it_replaced(text in arb_utf8()) {
+        let mut escaped = String::new();
+        dbexplorer::obs::json::escape_into(&mut escaped, &text);
+        prop_assert_eq!(escaped, old_wire_json_escape(&text));
+    }
+}
+
+/// The wire's escaper before the shared JSON codec replaced it, kept as
+/// the oracle that the served bytes did not change.
+fn old_wire_json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// Explicit replay of the counterexample committed in
